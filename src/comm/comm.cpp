@@ -91,6 +91,19 @@ Message Comm::transport_recv(int source, int tag) {
   return m;
 }
 
+void Comm::drop_queued_twins(int source, int tag) {
+  while (transport_->probe(source, tag)) {
+    auto twin = transport_->timed_recv(source, tag, std::chrono::microseconds(0),
+                                       /*by_min_seq=*/true);
+    if (!twin.has_value()) return;
+    if (!consumed_.contains(*twin)) {
+      transport_->requeue(std::move(*twin));  // a live frame: leave it queued
+      return;
+    }
+    counters_.dup_frames_dropped += 1;
+  }
+}
+
 Message Comm::recv_with_recovery(int source, int tag) {
   const TransportTuning& opt = transport_->tuning();
   auto backoff =
@@ -159,6 +172,7 @@ Message Comm::recv_with_recovery(int source, int tag) {
           continue;  // the pristine copy is on its way
         }
         consumed_.note(*msg);
+        drop_queued_twins(msg->source, msg->tag);
       }
       transport_->note_progress();
       // Only a consumed frame gets a flow stamp — dedup-dropped duplicates

@@ -381,6 +381,10 @@ class Comm {
   /// Throws CommFault when the budget is exhausted or a corrupt frame's
   /// pristine copy has left the send log.
   [[nodiscard]] Message recv_with_recovery(int source, int tag);
+  /// Drop already-consumed copies of (source, tag) frames queued locally —
+  /// a duplicated frame's twin. Collective tags are used once per step, so
+  /// no later receive would ever pull such a twin out of the inbox.
+  void drop_queued_twins(int source, int tag);
 
   /// Next reserved tag for a collective step (same sequence on all ranks).
   int next_collective_tag();

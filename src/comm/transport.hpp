@@ -123,7 +123,7 @@ class Transport {
 
   /// Put a deferred frame back into the local inbox (the recovery layer's
   /// gap handling requeues a too-new candidate while it pulls the missing
-  /// older frame).
+  /// older frame; twin draining requeues a live frame it pulled).
   virtual void requeue(Message m) = 0;
 
   /// Non-blocking probe: true if a matching frame is queued locally.

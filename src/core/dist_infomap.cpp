@@ -4,13 +4,12 @@
 #include <cmath>
 #include <limits>
 #include <map>
-#include <unordered_set>
+#include <unordered_map>
 
 #include "comm/runtime.hpp"
 #include "core/dist_internal.hpp"
 #include "partition/metrics.hpp"
 #include "util/check.hpp"
-#include "util/sorted.hpp"
 
 namespace dinfomap::core::detail {
 
@@ -583,16 +582,35 @@ std::uint64_t DistRank::broadcast_delegates_exact() {
   }
   auto incoming = comm_.alltoallv(out);
 
-  // Owners merge flows and evaluate the exact ΔL per owned hub.
+  // Owners merge flows per (hub, module) and evaluate the exact ΔL per owned
+  // hub. A stable sort groups the records but keeps their arrival order
+  // inside each group, so every flow sum is the arrival-order fold; hubs and
+  // candidates are then visited in id order.
   struct Candidate {
+    ModuleId mod = 0;
     double flow = 0;
     ModuleStats stats;
     bool have_stats = false;
   };
-  std::unordered_map<VertexId, std::unordered_map<ModuleId, Candidate>> hub_flows;
-  for (const auto& batch : incoming) {
-    for (const HubFlowRecord& rec : batch) {
-      Candidate& cand = hub_flows[rec.hub][rec.module];
+  std::vector<HubFlowRecord> recs;
+  for (const auto& batch : incoming) recs.insert(recs.end(), batch.begin(), batch.end());
+  std::stable_sort(recs.begin(), recs.end(),
+                   [](const HubFlowRecord& a, const HubFlowRecord& b) {
+                     return a.hub != b.hub ? a.hub < b.hub : a.module < b.module;
+                   });
+
+  std::vector<HubProposal> decisions;
+  std::vector<Candidate> flows;
+  for (std::size_t i = 0; i < recs.size();) {
+    const VertexId hub = recs[i].hub;
+    flows.clear();
+    for (; i < recs.size() && recs[i].hub == hub; ++i) {
+      const HubFlowRecord& rec = recs[i];
+      if (flows.empty() || flows.back().mod != rec.module) {
+        flows.emplace_back();
+        flows.back().mod = rec.module;
+      }
+      Candidate& cand = flows.back();
       cand.flow += rec.flow;
       if (!cand.have_stats && rec.num_members >= 0) {
         cand.stats.sum_pr = rec.sum_pr;
@@ -601,29 +619,22 @@ std::uint64_t DistRank::broadcast_delegates_exact() {
         cand.have_stats = true;
       }
     }
-  }
-
-  std::vector<HubProposal> decisions;
-  // Sorted hub order keeps the decision stream (and the allgathered payload
-  // layout) independent of hash layout.
-  for (const VertexId hub : util::sorted_keys(hub_flows)) {
-    auto& flows = hub_flows.at(hub);
     DINFOMAP_REQUIRE_MSG(owner_of(hub) == r, "hub flows sent to wrong owner");
     auto it = index_.find(hub);
     DINFOMAP_REQUIRE_MSG(it != index_.end(), "owner does not hold its hub");
     const LocalVertex& hv = verts_[it->second];
     const ModuleId cur = hv.module;
-    auto cur_it = flows.find(cur);
-    const double f_to_old = cur_it != flows.end() ? cur_it->second.flow : 0.0;
+    const auto cur_it =
+        std::find_if(flows.begin(), flows.end(),
+                     [cur](const Candidate& c) { return c.mod == cur; });
+    const double f_to_old = cur_it != flows.end() ? cur_it->flow : 0.0;
     auto own_cur = modules_.find(cur);
     if (own_cur == modules_.end()) continue;
 
     double best_delta = -cfg_.move_epsilon;
     ModuleId best_target = cur;
-    // dlint:allow(unordered-iter): candidate scan is order-insensitive — the
-    // min-label tie-break inside the epsilon band picks the same winner for
-    // any iteration order (ICPP'18 §3.4 anti-bouncing argument).
-    for (const auto& [mod, cand] : flows) {
+    for (const Candidate& cand : flows) {
+      const ModuleId mod = cand.mod;
       if (mod == cur) continue;
       ModuleStats stats;
       if (auto own = modules_.find(mod); own != modules_.end())
@@ -676,27 +687,35 @@ void DistRank::swap_boundary_info() {
   // ship its whole-module record; per-destination isSent flags stop the
   // same module's statistics from being shipped twice.
   std::vector<std::vector<BoundaryRecord>> out(p);
-  std::vector<std::unordered_set<ModuleId>> sent(p);
   for (std::uint32_t li : dirty_owned_) {
-    auto sub = subscribers_.find(li);
-    if (sub == subscribers_.end()) continue;
+    if (sub_off_[li] == sub_off_[li + 1]) continue;
     const LocalVertex& lv = verts_[li];
-    auto mod_it = modules_.find(lv.module);
-    for (int dest : sub->second) {
-      BoundaryRecord rec;
-      rec.vertex = lv.global;
-      rec.info.mod_id = lv.module;
-      if (mod_it != modules_.end()) {
-        rec.info.sum_pr = mod_it->second.sum_pr;
-        rec.info.exit_pr = mod_it->second.exit_pr;
-        rec.info.num_members =
-            static_cast<std::int32_t>(mod_it->second.num_members);
-      }
-      rec.info.is_sent = sent[dest].insert(lv.module).second ? 0 : 1;
-      out[dest].push_back(rec);
+    BoundaryRecord rec;
+    rec.vertex = lv.global;
+    rec.info.mod_id = lv.module;
+    if (auto mod_it = modules_.find(lv.module); mod_it != modules_.end()) {
+      rec.info.sum_pr = mod_it->second.sum_pr;
+      rec.info.exit_pr = mod_it->second.exit_pr;
+      rec.info.num_members =
+          static_cast<std::int32_t>(mod_it->second.num_members);
     }
+    for (std::uint32_t s = sub_off_[li]; s < sub_off_[li + 1]; ++s)
+      out[static_cast<std::size_t>(sub_ranks_[s])].push_back(rec);
   }
   dirty_owned_.clear();
+  if (sent_stamp_.size() < level_n_) sent_stamp_.resize(level_n_, 0);
+  // A module's first record in a destination batch carries its statistics;
+  // one stamp epoch per batch replaces a per-destination sent set.
+  const auto first_in_batch = [&](ModuleId m) {
+    if (sent_stamp_[m] == sent_epoch_) return false;
+    sent_stamp_[m] = sent_epoch_;
+    return true;
+  };
+  for (auto& batch : out) {
+    ++sent_epoch_;
+    for (BoundaryRecord& rec : batch)
+      rec.info.is_sent = first_in_batch(rec.info.mod_id) ? 0 : 1;
+  }
   auto incoming = comm_.alltoallv(out);
 
   // Receive side (Alg. 3 lines 22–32): update ghost→module mapping; build
@@ -705,12 +724,10 @@ void DistRank::swap_boundary_info() {
   // record per (batch, module); a second one means the dedup protocol broke.
   const bool watch = recorder_ != nullptr && recorder_->enabled() &&
                      recorder_->options().watchdog;
-  std::unordered_set<ModuleId> stats_seen;
   for (const auto& batch : incoming) {
-    if (watch) stats_seen.clear();
+    if (watch) ++sent_epoch_;
     for (const BoundaryRecord& rec : batch) {
-      if (watch && rec.info.is_sent == 0 &&
-          !stats_seen.insert(rec.info.mod_id).second) {
+      if (watch && rec.info.is_sent == 0 && !first_in_batch(rec.info.mod_id)) {
         obs::Anomaly a;
         a.rank = comm_.rank();
         a.level = current_level_;
@@ -741,7 +758,8 @@ void DistRank::swap_boundary_info() {
   // --- exact aggregation at module homes ----------------------------------
   // Every vertex is controlled by exactly one rank and every arc is held by
   // exactly one rank, so per-module partial sums reduce to exact statistics.
-  // Accumulated in the reusable dense scratch (module ids < level_n_).
+  // Accumulated in the reusable dense scratch (module ids < level_n_). The
+  // scan reads every local arc once; that is the phase's arcs_scanned.
   if (partial_acc_.capacity() < level_n_) partial_acc_.reset(level_n_);
   partial_acc_.clear();
   const int r = comm_.rank();
@@ -784,6 +802,7 @@ void DistRank::swap_boundary_info() {
             mp.exit_pr = arcs_[a].flow;
             ts.arc_stream.push_back(mp);
           }
+          ts.arcs_scanned += arc_off_[li + 1] - arc_off_[li];
           ts.interest_stream.push_back(lv.module);
         }
       });
@@ -829,6 +848,7 @@ void DistRank::swap_boundary_info() {
         mp.exit_pr += arcs_[a].flow;
       }
     }
+    wk(Phase::kSwapBoundaryInfo).arcs_scanned += arcs_.size();
     // Zero partials double as interest declarations for every module any
     // local vertex currently references.
     for (const auto& lv : verts_) {
@@ -842,27 +862,36 @@ void DistRank::swap_boundary_info() {
     to_home[home_of(m)].push_back(*partial_acc_.find(m));
   auto partials_in = comm_.alltoallv(to_home);
 
+  // Homes fold the partials in (source rank, sender order): first-touch
+  // order of homed_, and the order of every FP sum over it.
+  const auto home_slots = (level_n_ + static_cast<VertexId>(p) - 1) /
+                          static_cast<VertexId>(p);
+  if (homed_.capacity() < home_slots) homed_.reset(home_slots);
   homed_.clear();
-  homed_interest_.clear();
   for (int src = 0; src < p; ++src) {
     for (const ModulePartial& mp : partials_in[src]) {
-      ModuleStats& stats = homed_[mp.mod_id];
+      ModuleStats& stats = homed_[home_slot(mp.mod_id)];
       stats.sum_pr += mp.sum_pr;
       stats.exit_pr += mp.exit_pr;
       stats.num_members += static_cast<std::uint64_t>(mp.num_members);
-      homed_interest_[mp.mod_id].push_back(src);
     }
   }
 
-  // Authoritative statistics back to every interested rank.
+  // Authoritative statistics back to every interested rank: each sender
+  // declared interest with a partial, so its reply mirrors its partials.
   std::vector<std::vector<ModuleInfo>> reply(p);
-  for (const auto& [m, stats] : homed_) {
-    ModuleInfo info;
-    info.mod_id = m;
-    info.sum_pr = stats.sum_pr;
-    info.exit_pr = stats.exit_pr;
-    info.num_members = static_cast<std::int32_t>(stats.num_members);
-    for (int dest : homed_interest_.at(m)) reply[dest].push_back(info);
+  for (int src = 0; src < p; ++src) {
+    reply[src].reserve(partials_in[src].size());
+    for (const ModulePartial& mp : partials_in[src]) {
+      const ModuleStats& stats = *homed_.find(home_slot(mp.mod_id));
+      if (stats.num_members == 0) continue;  // module died this round
+      ModuleInfo info;
+      info.mod_id = mp.mod_id;
+      info.sum_pr = stats.sum_pr;
+      info.exit_pr = stats.exit_pr;
+      info.num_members = static_cast<std::int32_t>(stats.num_members);
+      reply[src].push_back(info);
+    }
   }
   auto replies_in = comm_.alltoallv(reply);
 
@@ -881,7 +910,6 @@ void DistRank::swap_boundary_info() {
     const std::uint64_t t = track_activity_ ? tick() : 0;
     for (const auto& batch : replies_in) {
       for (const ModuleInfo& info : batch) {
-        if (info.num_members <= 0) continue;  // module died this round
         ModuleStats stats;
         stats.sum_pr = info.sum_pr;
         stats.exit_pr = info.exit_pr;
@@ -899,8 +927,6 @@ void DistRank::swap_boundary_info() {
       }
     }
   }
-  // Drop dead homed modules so merging sees only live ones.
-  std::erase_if(homed_, [](const auto& kv) { return kv.second.num_members == 0; });
 }
 
 // ---------------------------------------------------------------------------
@@ -912,7 +938,9 @@ std::uint64_t DistRank::other_update(std::uint64_t local_moves,
   PhaseScope scope(*this, Phase::kOther);
   CodelengthTerms terms;
   double alive = 0;
-  for (const auto& [m, stats] : homed_) {
+  for (const ModuleId slot : homed_.keys()) {
+    const ModuleStats& stats = *homed_.find(slot);
+    if (stats.num_members == 0) continue;
     terms.q_total += stats.exit_pr;
     terms.sum_plogp_q += plogp(stats.exit_pr);
     terms.sum_plogp_q_plus_p += plogp(stats.exit_pr + stats.sum_pr);
@@ -1121,9 +1149,8 @@ std::uint64_t DistRank::async_level(bool with_delegates, int& recons_out) {
         rec.new_module = mv.target;
         rec.node_flow = verts_[li].node_flow;
         rec.gain = gain;
-        if (auto sub = subscribers_.find(li); sub != subscribers_.end())
-          for (int dest : sub->second)
-            delta_out[static_cast<std::size_t>(dest)].push_back(rec);
+        for (std::uint32_t sub = sub_off_[li]; sub < sub_off_[li + 1]; ++sub)
+          delta_out[static_cast<std::size_t>(sub_ranks_[sub])].push_back(rec);
       }
     }
 
@@ -1328,30 +1355,39 @@ VertexId DistRank::merge_level() {
   const int p = comm_.size();
 
   // 1. Dense relabeling of live modules: homes announce theirs; ids are
-  //    disjoint across homes, so the sorted concatenation is global.
+  //    disjoint across homes, so the sorted concatenation is global and a
+  //    module's dense id is its position in it.
   std::vector<ModuleId> mine;
   mine.reserve(homed_.size());
-  for (const auto& [m, stats] : homed_) mine.push_back(m);
+  for (const ModuleId slot : homed_.keys())
+    if (homed_.find(slot)->num_members > 0) mine.push_back(homed_id(slot));
   std::sort(mine.begin(), mine.end());
   auto announced = comm_.allgatherv(mine);
   std::vector<ModuleId> all_ids;
   for (const auto& batch : announced)
     all_ids.insert(all_ids.end(), batch.begin(), batch.end());
   std::sort(all_ids.begin(), all_ids.end());
-  std::unordered_map<ModuleId, VertexId> dense;
-  dense.reserve(all_ids.size());
-  for (VertexId i = 0; i < all_ids.size(); ++i) dense.emplace(all_ids[i], i);
+  const auto dense_of = [&all_ids](ModuleId m) {
+    const auto it = std::lower_bound(all_ids.begin(), all_ids.end(), m);
+    DINFOMAP_REQUIRE_MSG(it != all_ids.end() && *it == m,
+                         "module " << m << " missing from the live-id list");
+    return static_cast<VertexId>(it - all_ids.begin());
+  };
   const auto k = static_cast<VertexId>(all_ids.size());
+  // Dense id of every local vertex's module, looked up once per vertex.
+  std::vector<VertexId> coarse(verts_.size());
+  for (std::uint32_t li = 0; li < verts_.size(); ++li)
+    coarse[li] = dense_of(verts_[li].module);
 
   // 2. Coarse arcs to their new 1D owners (source-owner rule); intra-module
   //    flow becomes self flow, halved because both directions survive the
   //    global arc multiset.
   std::vector<std::vector<CoarseArc>> coarse_out(p);
   for (std::uint32_t li = 0; li < verts_.size(); ++li) {
-    const VertexId cu = dense.at(verts_[li].module);
+    const VertexId cu = coarse[li];
     const int dest = static_cast<int>(cu % static_cast<VertexId>(p));
     for (std::uint32_t a = arc_off_[li]; a < arc_off_[li + 1]; ++a) {
-      const VertexId cv = dense.at(verts_[arcs_[a].target].module);
+      const VertexId cv = coarse[arcs_[a].target];
       if (cu == cv)
         coarse_out[dest].push_back({cu, cu, arcs_[a].flow / 2.0});
       else
@@ -1364,8 +1400,10 @@ VertexId DistRank::merge_level() {
 
   // 3. Coarse node flows from module homes to new owners.
   std::vector<std::vector<CoarseVertexInfo>> info_out(p);
-  for (const auto& [m, stats] : homed_) {
-    const VertexId cu = dense.at(m);
+  for (const ModuleId slot : homed_.keys()) {
+    const ModuleStats& stats = *homed_.find(slot);
+    if (stats.num_members == 0) continue;
+    const VertexId cu = dense_of(homed_id(slot));
     info_out[cu % static_cast<VertexId>(p)].push_back({cu, 0, stats.sum_pr});
   }
 
@@ -1395,7 +1433,7 @@ VertexId DistRank::merge_level() {
       auto it = index_.find(q.current);
       DINFOMAP_REQUIRE_MSG(it != index_.end(),
                            "projection query for non-owned vertex");
-      const VertexId next = dense.at(verts_[it->second].module);
+      const VertexId next = coarse[it->second];
       answers[src].push_back({next});
       interest_out[next % static_cast<VertexId>(p)].push_back({next, src});
     }

@@ -71,8 +71,8 @@ struct DistInfomapConfig {
   /// decisions degrade, as §3.4 predicts.
   bool whole_module_swap = true;
   /// Validate the arc partition against the graph before running (every arc
-  /// assigned exactly once, sources with their owners). O(E log E); enabled
-  /// by default at the scales this build targets.
+  /// assigned exactly once, sources with their owners). An exact O(E) check;
+  /// enabled by default.
   bool validate_inputs = true;
   /// Extension beyond the paper: decide each hub's move from its *exact*
   /// global flow-to-module map, reduced at the hub's owner, instead of the

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "comm/comm.hpp"
@@ -13,6 +12,7 @@
 #include "obs/recorder.hpp"
 #include "partition/arc_partition.hpp"
 #include "perf/work_counters.hpp"
+#include "util/check.hpp"
 #include "util/flat_map.hpp"
 #include "util/random.hpp"
 #include "util/sparse_accumulator.hpp"
@@ -25,6 +25,8 @@
 namespace dinfomap::core::detail {
 
 using graph::VertexId;
+
+struct DistRankTestPeer;  // whitebox access for tests (phase-level probes)
 
 /// Role of a vertex in this rank's local view.
 enum class Kind : std::uint8_t {
@@ -74,6 +76,8 @@ class DistRank {
   std::uint64_t skipped_unsynced() const { return skipped_unsynced_total_; }
 
  private:
+  friend struct DistRankTestPeer;
+
   struct LocalVertex {
     VertexId global = 0;
     Kind kind = Kind::kGhost;
@@ -241,6 +245,12 @@ class DistRank {
   [[nodiscard]] int owner_of(VertexId v) const {
     return static_cast<int>(v % static_cast<VertexId>(comm_.size()));
   }
+  /// Local index of a vertex this rank holds (contract: it is held here).
+  [[nodiscard]] std::uint32_t local_index(VertexId v) {
+    const auto it = index_.find(v);
+    DINFOMAP_REQUIRE_MSG(it != index_.end(), "vertex " << v << " not held here");
+    return it->second;
+  }
 
   perf::WorkCounters& wk(Phase ph) { return work_[static_cast<int>(ph)]; }
 
@@ -290,7 +300,7 @@ class DistRank {
   double node_term_ = 0;   ///< Σ plogp(p_α), level 0 (global)
 
   std::vector<LocalVertex> verts_;
-  std::unordered_map<VertexId, std::uint32_t> index_;  // global -> local
+  util::FlatMap<VertexId, std::uint32_t> index_;       // global -> local
   std::vector<std::uint32_t> arc_off_;                 // size verts_+1
   std::vector<LocalArc> arcs_;
   std::vector<std::uint32_t> movable_;   // local indices, owned first
@@ -400,14 +410,29 @@ class DistRank {
 
   /// Owned vertices that changed module since the last swap.
   std::vector<std::uint32_t> dirty_owned_;
-  /// subscribers_[li] = ranks reading vertex li (owned vertices only).
-  std::unordered_map<std::uint32_t, std::vector<int>> subscribers_;
+  /// Ranks reading local vertex li (owned vertices only), ascending:
+  /// sub_ranks_[sub_off_[li] .. sub_off_[li + 1]).
+  std::vector<std::uint32_t> sub_off_;
+  std::vector<int> sub_ranks_;
+  /// Per module id: swap's per-destination isSent epoch (a module's stats
+  /// ride one record per destination batch).
+  std::vector<std::uint64_t> sent_stamp_;
+  std::uint64_t sent_epoch_ = 0;
 
   /// Exact stats of modules homed here (refreshed each swap) — the merge and
-  /// codelength inputs.
-  std::unordered_map<ModuleId, ModuleStats> homed_;
-  /// Ranks interested in each homed module (senders of partials).
-  std::unordered_map<ModuleId, std::vector<int>> homed_interest_;
+  /// codelength inputs. Home r owns exactly the ids m ≡ r (mod p), so the
+  /// slot is m / p and the table holds O(level_n_/p) entries. Iteration is
+  /// first-touch order — fixed by the senders' deterministic partial order —
+  /// and every FP sum over homed modules runs in it; dead modules
+  /// (num_members == 0) stay in the table and are skipped by the readers.
+  util::SparseAccumulator<ModuleId, ModuleStats> homed_;
+  [[nodiscard]] ModuleId home_slot(ModuleId m) const {
+    return m / static_cast<ModuleId>(comm_.size());
+  }
+  [[nodiscard]] ModuleId homed_id(ModuleId slot) const {
+    return slot * static_cast<ModuleId>(comm_.size()) +
+           static_cast<ModuleId>(comm_.rank());
+  }
 
   /// Level-0 vertices owned by this rank and their current coarse vertex.
   std::vector<VertexId> owned0_;

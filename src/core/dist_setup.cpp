@@ -163,23 +163,22 @@ void DistRank::build_local_graph(std::vector<CoarseArc>& triples,
     index_.emplace(ids[i], i);
   }
 
-  // Group non-self arcs by source; accumulate self flows.
+  // Group non-self arcs by source; accumulate self flows. Triples are sorted
+  // by source, so sources advance through `ids` monotonically and only the
+  // targets need the index.
   arc_off_.assign(verts_.size() + 1, 0);
+  arcs_.clear();
+  arcs_.reserve(triples.size());
+  std::uint32_t si = 0;
   for (const auto& t : triples) {
-    if (t.source == t.target) continue;
-    ++arc_off_[index_.at(t.source) + 1];
-  }
-  for (std::size_t i = 1; i < arc_off_.size(); ++i) arc_off_[i] += arc_off_[i - 1];
-  arcs_.assign(arc_off_.back(), {});
-  std::vector<std::uint32_t> cursor(arc_off_.begin(), arc_off_.end() - 1);
-  for (const auto& t : triples) {
-    const std::uint32_t si = index_.at(t.source);
+    while (ids[si] != t.source) arc_off_[++si] = static_cast<std::uint32_t>(arcs_.size());
     if (t.source == t.target) {
       verts_[si].self_flow += t.flow;
       continue;
     }
-    arcs_[cursor[si]++] = {index_.at(t.target), t.flow};
+    arcs_.push_back({local_index(t.target), t.flow});
   }
+  while (si < verts_.size()) arc_off_[++si] = static_cast<std::uint32_t>(arcs_.size());
   for (std::uint32_t li = 0; li < verts_.size(); ++li) {
     double f = 0;
     for (std::uint32_t a = arc_off_[li]; a < arc_off_[li + 1]; ++a)
@@ -197,15 +196,26 @@ void DistRank::setup_subscriptions() {
       requests[owner_of(lv.global)].push_back({lv.global});
   auto incoming = comm_.alltoallv(requests);
 
-  subscribers_.clear();
+  // Flat per-vertex rank lists, ranks ascending (sources are walked in
+  // order and each rank subscribes to a vertex at most once).
+  std::vector<std::uint32_t> requested;
   for (int src = 0; src < p; ++src) {
     for (const SubscribeRequest& req : incoming[src]) {
       auto it = index_.find(req.vertex);
       DINFOMAP_REQUIRE_MSG(it != index_.end(),
                            "subscription for a vertex the owner does not hold");
-      subscribers_[it->second].push_back(src);
+      requested.push_back(it->second);
     }
   }
+  sub_off_.assign(verts_.size() + 1, 0);
+  for (const std::uint32_t li : requested) ++sub_off_[li + 1];
+  for (std::size_t i = 1; i < sub_off_.size(); ++i) sub_off_[i] += sub_off_[i - 1];
+  sub_ranks_.assign(requested.size(), 0);
+  std::vector<std::uint32_t> cursor(sub_off_.begin(), sub_off_.end() - 1);
+  std::size_t k = 0;
+  for (int src = 0; src < p; ++src)
+    for (std::size_t j = 0; j < incoming[src].size(); ++j)
+      sub_ranks_[cursor[requested[k++]]++] = src;
 }
 
 void DistRank::init_singleton_modules() {

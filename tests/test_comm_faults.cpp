@@ -166,6 +166,24 @@ TEST(FaultRecovery, DuplicateFramesDropped) {
   EXPECT_GT(total.dup_frames_dropped, 0u);
 }
 
+TEST(FaultRecovery, DuplicateCollectiveFramesDropped) {
+  // Collective tags are used once per step, so a duplicated collective frame
+  // is never pulled by a later receive; the receiver must drain the twin
+  // when it consumes the original instead of leaving it in the inbox.
+  dc::Runtime::Options opt;
+  opt.faults.duplicate = 0.5;
+  opt.faults.seed = 15;
+  auto report = dc::Runtime::run(
+      3,
+      [&](dc::Comm& comm) {
+        for (int i = 0; i < 50; ++i)
+          ASSERT_EQ(comm.allreduce(i, dc::ReduceOp::kSum), 3 * i);
+      },
+      opt);
+  EXPECT_GT(sum_faults(report.faults_injected).duplicates, 0u);
+  EXPECT_GT(sum_counters(report).dup_frames_dropped, 0u);
+}
+
 TEST(FaultRecovery, CorruptionDetectedAndRepaired) {
   dc::Runtime::Options opt;
   opt.faults.corrupt = 0.5;

@@ -1,7 +1,13 @@
 // End-to-end and invariant tests of the distributed Infomap (Alg. 2 + 3).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <numeric>
+#include <vector>
+
+#include "comm/runtime.hpp"
 #include "core/dist_infomap.hpp"
+#include "core/dist_internal.hpp"
 #include "core/flowgraph.hpp"
 #include "core/seq_infomap.hpp"
 #include "graph/builder.hpp"
@@ -12,6 +18,24 @@
 namespace dc = dinfomap::core;
 namespace dg = dinfomap::graph;
 namespace gen = dinfomap::graph::gen;
+
+namespace dinfomap::core::detail {
+/// Whitebox access to one rank's phases (declared a friend of DistRank).
+struct DistRankTestPeer {
+  /// Bring a freshly constructed rank to its pre-round state (as execute()
+  /// does), run one SwapBoundaryInfo phase, and return the arcs it charged.
+  static std::uint64_t swap_round_arcs(DistRank& rank) {
+    rank.setup_subscriptions();
+    rank.init_singleton_modules();
+    const auto before = rank.work(Phase::kSwapBoundaryInfo).arcs_scanned;
+    rank.swap_boundary_info();
+    return rank.work(Phase::kSwapBoundaryInfo).arcs_scanned - before;
+  }
+  static std::uint64_t local_arcs(const DistRank& rank) {
+    return rank.arcs_.size();
+  }
+};
+}  // namespace dinfomap::core::detail
 
 namespace {
 dc::DistInfomapConfig config_for(int p) {
@@ -277,4 +301,58 @@ TEST_P(DistRankSweep, CodelengthConsistencyOnSbm) {
   EXPECT_NEAR(result.codelength,
               dc::codelength_of_partition(fg, result.assignment), 1e-9);
   EXPECT_LT(result.codelength, result.singleton_codelength);
+}
+
+TEST(DistInfomap, SwapRoundChargesEveryLocalArc) {
+  // SwapBoundaryInfo rebuilds module statistics from a scan of every local
+  // arc, so one swap round must charge exactly the local arc count per rank,
+  // on the serial and on the pooled path.
+  const auto gg = gen::barabasi_albert(1500, 3, 5);
+  const auto g = dg::build_csr(gg.edges, gg.num_vertices);
+  for (int p : {1, 2, 4}) {
+    for (int threads : {1, 4}) {
+      auto cfg = config_for(p);
+      cfg.threads_per_rank = threads;
+      const auto part = dinfomap::partition::make_delegate(
+          g, p, dc::resolve_degree_threshold(g, cfg));
+      std::vector<std::uint64_t> charged(p), local(p);
+      dinfomap::comm::Runtime::run(p, [&](dinfomap::comm::Comm& comm) {
+        dc::detail::DistRank rank(comm, part, cfg);
+        charged[comm.rank()] = dc::detail::DistRankTestPeer::swap_round_arcs(rank);
+        local[comm.rank()] = dc::detail::DistRankTestPeer::local_arcs(rank);
+      });
+      EXPECT_EQ(charged, local) << "p=" << p << " t=" << threads;
+      EXPECT_EQ(std::accumulate(charged.begin(), charged.end(), std::uint64_t{0}),
+                g.num_arcs())
+          << "p=" << p << " t=" << threads;
+    }
+  }
+}
+
+TEST(DistInfomap, ExactAndOrderIndependentAcrossRanksEnginesThreads) {
+  // The reported L is an exact function of the gathered assignment (to
+  // rounding), and no result depends on the intra-rank thread count.
+  const auto lfr = gen::lfr_lite({}, 11);
+  const auto ba = gen::barabasi_albert(1000, 2, 13);
+  for (const auto* gg : {&lfr, &ba}) {
+    const auto g = dg::build_csr(gg->edges, gg->num_vertices);
+    const auto fg = dc::make_flow_graph(g);
+    for (int p : {1, 2, 3, 4}) {
+      for (bool async : {false, true}) {
+        auto cfg = config_for(p);
+        cfg.async = async;
+        const auto one = dc::distributed_infomap(g, cfg);
+        const double ref = dc::codelength_of_partition(fg, one.assignment);
+        EXPECT_LE(std::abs(one.codelength - ref), 1e-12 * std::abs(ref))
+            << "p=" << p << " async=" << async << " L=" << one.codelength
+            << " ref=" << ref;
+        cfg.threads_per_rank = 4;
+        const auto four = dc::distributed_infomap(g, cfg);
+        EXPECT_EQ(four.assignment, one.assignment)
+            << "p=" << p << " async=" << async;
+        EXPECT_EQ(four.codelength, one.codelength)
+            << "p=" << p << " async=" << async;
+      }
+    }
+  }
 }

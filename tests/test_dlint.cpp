@@ -192,6 +192,21 @@ TEST(Dlint, OrderDirGatingScopesUnorderedIter) {
   EXPECT_EQ(count_rule(r.output, "unordered-iter"), 0u) << r.output;
 }
 
+TEST(Dlint, UnorderedIterReadsPairedHeader) {
+  // The member is declared in paired_tally.hpp and iterated in the .cpp that
+  // defines Tally's methods: both rules must fire on the loop, at its line.
+  const RunResult r = run_dlint(
+      "--root " DLINT_FIXTURES
+      " --order-dirs order_sensitive"
+      " fixtures/order_sensitive/paired_header_fire.cpp");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_EQ(count_rule(r.output, "unordered-iter"), 1u) << r.output;
+  EXPECT_EQ(count_rule(r.output, "float-accum-order"), 1u) << r.output;
+  EXPECT_NE(r.output.find("paired_header_fire.cpp:8:"), std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("'totals_'"), std::string::npos) << r.output;
+}
+
 TEST(Dlint, JsonModeParses) {
   const RunResult r = run_dlint("--json " + fixtures_args());
   EXPECT_EQ(r.exit_code, 1) << r.output;

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
+#include <functional>
+#include <string>
+
+#include "graph/blockgraph/blockgraph.hpp"
+#include "graph/blockgraph/writer.hpp"
 #include "graph/builder.hpp"
 #include "graph/gen/generators.hpp"
 #include "partition/arc_partition.hpp"
@@ -174,4 +181,86 @@ TEST_P(PartitionSweep, BothStrategiesValidateOnLfr) {
   const auto csr = dg::build_csr(g.edges, g.num_vertices);
   EXPECT_TRUE(dp::validate_partition(dp::make_oned(csr, GetParam()), csr));
   EXPECT_TRUE(dp::validate_partition(dp::make_delegate(csr, GetParam()), csr));
+}
+
+// ---- validate_partition rejects every way a partition can be wrong -------
+
+namespace {
+
+/// Index into rank 0's arcs of an arc whose low-degree source also holds the
+/// next arc there (rank 0 owns that vertex's whole adjacency).
+std::size_t low_degree_pair(const dp::ArcPartition& part) {
+  const auto& arcs = part.rank_arcs[0];
+  for (std::size_t i = 0; i + 1 < arcs.size(); ++i)
+    if (!part.delegate(arcs[i].source) && arcs[i + 1].source == arcs[i].source)
+      return i;
+  ADD_FAILURE() << "no low-degree vertex with two arcs on rank 0";
+  return 0;
+}
+
+void expect_rejections(const dg::GraphView& g, const dp::ArcPartition& good) {
+  ASSERT_TRUE(dp::validate_partition(good, g));
+  ASSERT_GE(good.num_ranks, 2);
+  const std::size_t i = low_degree_pair(good);
+  const dg::VertexId u = good.rank_arcs[0][i].source;
+  // A vertex u is not adjacent to, for the extra arc.
+  dg::VertexId stranger = 0;
+  auto cursor = g.cursor();
+  const auto row = g.neighbors(u, cursor);
+  const auto adjacent = [&](dg::VertexId w) {
+    for (const auto& nb : row)
+      if (nb.target == w) return true;
+    return false;
+  };
+  while (stranger == u || adjacent(stranger)) ++stranger;
+
+  struct Case {
+    const char* name;
+    std::function<void(std::vector<std::vector<dp::Arc>>&)> mutate;
+  };
+  const Case cases[] = {
+      {"missing arc",
+       [&](auto& ra) { ra[0].erase(ra[0].begin() + static_cast<long>(i)); }},
+      // Same per-source count, so only the bucket comparison can catch it.
+      {"duplicated arc", [&](auto& ra) { ra[0][i + 1] = ra[0][i]; }},
+      {"changed weight", [&](auto& ra) { ra[0][i].weight += 0.5; }},
+      {"retargeted arc", [&](auto& ra) { ra[0][i].target = stranger; }},
+      {"extra arc", [&](auto& ra) { ra[0].push_back({u, stranger, 1.0}); }},
+      {"out-of-range source",
+       [&](auto& ra) { ra[0][i].source = g.num_vertices(); }},
+      {"low-degree source on a non-owner rank",
+       [&](auto& ra) {
+         ra[1].push_back(ra[0][i]);
+         ra[0].erase(ra[0].begin() + static_cast<long>(i));
+       }},
+  };
+  for (const Case& c : cases) {
+    dp::ArcPartition bad = good;
+    c.mutate(bad.rank_arcs);
+    EXPECT_FALSE(dp::validate_partition(bad, g)) << c.name;
+  }
+}
+
+}  // namespace
+
+TEST(ValidatePartition, RejectsEveryCorruptionOnCsr) {
+  const auto g = scale_free(7);
+  expect_rejections(g, dp::make_delegate(g, 3));
+  expect_rejections(g, dp::make_oned(g, 2));
+}
+
+TEST(ValidatePartition, RejectsEveryCorruptionOnBlocks) {
+  const auto csr = scale_free(7);
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("dinfomap_validate_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const std::string file = (dir / "g.blockgraph").string();
+  dg::blockgraph::write_block_file(file, csr);
+  {
+    const auto bg = dg::blockgraph::BlockGraph::open(file);
+    const dg::GraphView g(bg);
+    expect_rejections(g, dp::make_delegate(g, 3));
+    expect_rejections(g, dp::make_oned(g, 2));
+  }
+  std::filesystem::remove_all(dir);
 }

@@ -13,6 +13,10 @@
 //                     reductions, message layouts, label assignment — silently
 //                     breaks the bit-reproducibility contract. Fix with
 //                     util::sorted_keys / util::sorted_elems, or justify.
+//                     A .cpp also inherits the unordered names of its paired
+//                     headers (same stem, or declaring a class whose members
+//                     the .cpp defines), so loops over header-declared
+//                     members are caught too.
 //                     Note — shared-round-counter: the same hidden-coupling
 //                     bug also hides in *shared counters*: keying a per-pair
 //                     decision on a global round index (e.g. the old
@@ -505,6 +509,58 @@ bool load_source(const std::string& path, std::vector<std::string>& raw,
   return true;
 }
 
+/// Add to `names` the unordered-container names a .cpp file inherits from
+/// its paired headers. Members are declared in a header but iterated in the
+/// .cpp, so a per-file scan misses them. A quoted include is paired when it
+/// shares the file's stem or declares a class/struct the file defines
+/// members of (`Name::`). Includes resolve against the file's directory and
+/// then each ancestor (covering `#include "core/x.hpp"` from src/core/y.cpp).
+void add_paired_header_names(const std::string& path,
+                             const std::vector<std::string>& raw,
+                             const std::vector<std::string>& code,
+                             std::vector<std::string>& names) {
+  const fs::path file(path);
+  const std::string ext = file.extension().string();
+  if (ext != ".cpp" && ext != ".cc") return;
+  std::string all;
+  for (const auto& l : code) {
+    all += l;
+    all += '\n';
+  }
+  static const std::regex include_re(R"re(^\s*#\s*include\s*"([^"]+)")re");
+  static const std::regex decl_re(R"(\b(?:class|struct)\s+(\w+))");
+  for (const auto& line : raw) {
+    std::smatch m;
+    if (!std::regex_search(line, m, include_re)) continue;
+    fs::path header;
+    for (fs::path dir = file.parent_path(); !dir.empty(); dir = dir.parent_path()) {
+      std::error_code ec;
+      if (fs::is_regular_file(dir / m[1].str(), ec)) {
+        header = dir / m[1].str();
+        break;
+      }
+      if (dir == dir.parent_path()) break;
+    }
+    std::vector<std::string> hraw, hcode;
+    if (header.empty() || !load_source(header.string(), hraw, hcode)) continue;
+    bool paired = header.stem() == file.stem();
+    for (std::size_t i = 0; i < hcode.size() && !paired; ++i) {
+      for (std::sregex_iterator it(hcode[i].begin(), hcode[i].end(), decl_re), end;
+           it != end && !paired; ++it) {
+        const std::string qual = (*it)[1].str() + "::";
+        for (std::size_t pos = all.find(qual); pos != std::string::npos && !paired;
+             pos = all.find(qual, pos + 1))
+          paired = pos == 0 || !(std::isalnum(static_cast<unsigned char>(all[pos - 1])) ||
+                                 all[pos - 1] == '_');
+      }
+    }
+    if (!paired) continue;
+    for (const std::string& n : unordered_names(hcode))
+      if (std::find(names.begin(), names.end(), n) == names.end())
+        names.push_back(n);
+  }
+}
+
 void scan_file(const std::string& display_path, const Options& opt,
                std::vector<Finding>& findings, std::size_t& io_errors) {
   std::vector<std::string> raw, code;
@@ -574,7 +630,8 @@ void scan_file(const std::string& display_path, const Options& opt,
   }
 
   // ---- unordered-iter & float-accum-order -------------------------------
-  const std::vector<std::string> names = unordered_names(code);
+  std::vector<std::string> names = unordered_names(code);
+  add_paired_header_names(display_path, raw, code, names);
   if (!names.empty()) {
     const bool order_sensitive =
         std::any_of(opt.order_dirs.begin(), opt.order_dirs.end(),
