@@ -51,6 +51,10 @@ static_assert(sizeof(WireHeader) == 48, "wire header layout drifted");
 constexpr std::uint64_t kReplyRedelivered = 0;
 constexpr std::uint64_t kReplyNoneSafe = 1;
 constexpr std::uint64_t kReplyNoneEvicted = 2;
+/// Local verdict of rpc(), never on the wire: the peer exited before
+/// answering. A frame it sent before exiting may still be queued, so a
+/// receive leaves the diagnosis to check_liveness on its next attempt.
+constexpr std::uint64_t kReplyPeerGone = 3;
 
 /// Read exactly n bytes; false on EOF or error (both mean the peer is gone).
 bool read_exact(int fd, void* buf, std::size_t n) {
@@ -467,10 +471,11 @@ std::uint64_t SocketTransport::rpc(int peer, std::uint8_t kind, int tag,
     return peer_eof_[static_cast<std::size_t>(peer)].load(
         std::memory_order_acquire);
   };
-  if (peer_gone() || !write_control(peer, kind, tag, seq, payload))
-    throw CommFault("retransmit request: connection to rank " +
-                        std::to_string(peer) + " is gone (peer exited)",
-                    peer, tag, CommFault::Kind::kPeerExited);
+  if (peer_gone() || !write_control(peer, kind, tag, seq, payload)) {
+    peer_eof_[static_cast<std::size_t>(peer)].store(true,
+                                                    std::memory_order_release);
+    return kReplyPeerGone;
+  }
   // A frozen peer still answers — its reader threads service retransmits
   // even while its comm thread sleeps (mirroring the in-process backend,
   // where a stalled rank's send log stays queryable in shared memory). So a
@@ -484,10 +489,7 @@ std::uint64_t SocketTransport::rpc(int peer, std::uint8_t kind, int tag,
   while (!rpc_have_reply_) {
     if (shutdown_.load(std::memory_order_acquire))
       throw CommAborted("retransmit request aborted: transport shut down");
-    if (peer_gone())
-      throw CommFault("retransmit request: rank " + std::to_string(peer) +
-                          " exited before answering",
-                      peer, tag, CommFault::Kind::kPeerExited);
+    if (peer_gone()) return kReplyPeerGone;
     if (lock.wait_until(rpc_cv_, deadline) == std::cv_status::timeout &&
         std::chrono::steady_clock::now() >= deadline) {
       throw CommFault("retransmit request: rank " + std::to_string(peer) +
@@ -522,6 +524,7 @@ RetransmitOutcome SocketTransport::request_retransmit(
                 seqs.size() * sizeof(std::uint64_t)));
     if (verdict == kReplyRedelivered) return RetransmitOutcome::kRedelivered;
     if (verdict == kReplyNoneEvicted) evicted = true;
+    // kReplyPeerGone: the liveness check owns that case, as above.
   }
   if (!any_alive && source == kAnySource)
     throw CommFault("retransmit request: every peer's connection is gone",
@@ -531,7 +534,12 @@ RetransmitOutcome SocketTransport::request_retransmit(
 }
 
 bool SocketTransport::request_retransmit_seq(int source, std::uint64_t seq) {
-  return rpc(source, kRetxSeq, /*tag=*/0, seq, {}) == kReplyRedelivered;
+  const auto verdict = rpc(source, kRetxSeq, /*tag=*/0, seq, {});
+  if (verdict == kReplyPeerGone)
+    throw CommFault("retransmit request: rank " + std::to_string(source) +
+                        " exited before answering",
+                    source, /*tag=*/0, CommFault::Kind::kPeerExited);
+  return verdict == kReplyRedelivered;
 }
 
 // ---- reader threads -------------------------------------------------------

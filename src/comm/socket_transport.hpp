@@ -169,7 +169,9 @@ class SocketTransport final : public Transport {
                      std::span<const std::byte> payload);
   /// Single-outstanding retransmit RPC to `peer`; encodes the consumed-seq
   /// set for that channel and waits for the verdict (frames arrive via the
-  /// reader before the verdict does).
+  /// reader before the verdict does). A peer that is gone yields
+  /// kReplyPeerGone and is marked exited, so a waiting receive still
+  /// consumes frames already queued before check_liveness diagnoses it.
   std::uint64_t rpc(int peer, std::uint8_t kind, int tag, std::uint64_t seq,
                     std::span<const std::byte> payload);
   /// EOF / watchdog checks run between receive attempts; throws the typed

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <map>
-#include <unordered_map>
 
 #include "comm/runtime.hpp"
 #include "core/dist_internal.hpp"
@@ -1354,48 +1353,63 @@ VertexId DistRank::merge_level() {
   obs::SpanScope merge_span(trace_buf_, "MergeLevel");
   const int p = comm_.size();
 
-  // 1. Dense relabeling of live modules: homes announce theirs; ids are
-  //    disjoint across homes, so the sorted concatenation is global and a
-  //    module's dense id is its position in it.
+  // 1. Dense relabeling of live modules: homes announce theirs, and a
+  //    module's dense id is its rank among all live ids. Module ids are
+  //    current-level vertex ids, so a slot array of level_n_ entries ranks
+  //    them without a sort.
   std::vector<ModuleId> mine;
   mine.reserve(homed_.size());
   for (const ModuleId slot : homed_.keys())
     if (homed_.find(slot)->num_members > 0) mine.push_back(homed_id(slot));
-  std::sort(mine.begin(), mine.end());
-  auto announced = comm_.allgatherv(mine);
-  std::vector<ModuleId> all_ids;
+  const auto announced = comm_.allgatherv(mine);
+  constexpr VertexId kDead = ~VertexId{0};
+  std::vector<VertexId> dense_of(level_n_, kDead);
   for (const auto& batch : announced)
-    all_ids.insert(all_ids.end(), batch.begin(), batch.end());
-  std::sort(all_ids.begin(), all_ids.end());
-  const auto dense_of = [&all_ids](ModuleId m) {
-    const auto it = std::lower_bound(all_ids.begin(), all_ids.end(), m);
-    DINFOMAP_REQUIRE_MSG(it != all_ids.end() && *it == m,
-                         "module " << m << " missing from the live-id list");
-    return static_cast<VertexId>(it - all_ids.begin());
-  };
-  const auto k = static_cast<VertexId>(all_ids.size());
+    for (const ModuleId m : batch) dense_of[m] = 0;
+  VertexId k = 0;
+  for (VertexId& d : dense_of)
+    if (d != kDead) d = k++;
   // Dense id of every local vertex's module, looked up once per vertex.
   std::vector<VertexId> coarse(verts_.size());
-  for (std::uint32_t li = 0; li < verts_.size(); ++li)
-    coarse[li] = dense_of(verts_[li].module);
-
-  // 2. Coarse arcs to their new 1D owners (source-owner rule); intra-module
-  //    flow becomes self flow, halved because both directions survive the
-  //    global arc multiset.
-  std::vector<std::vector<CoarseArc>> coarse_out(p);
   for (std::uint32_t li = 0; li < verts_.size(); ++li) {
-    const VertexId cu = coarse[li];
-    const int dest = static_cast<int>(cu % static_cast<VertexId>(p));
-    for (std::uint32_t a = arc_off_[li]; a < arc_off_[li + 1]; ++a) {
-      const VertexId cv = coarse[arcs_[a].target];
-      if (cu == cv)
-        coarse_out[dest].push_back({cu, cu, arcs_[a].flow / 2.0});
-      else
-        coarse_out[dest].push_back({cu, cv, arcs_[a].flow});
+    coarse[li] = dense_of[verts_[li].module];
+    DINFOMAP_REQUIRE_MSG(coarse[li] != kDead,
+                         "module " << verts_[li].module
+                                   << " missing from the live-id list");
+  }
+
+  // 2. Coarse arcs to their new 1D owners (source-owner rule), combined at
+  //    the sender: local vertices are grouped by coarse id and each group's
+  //    flow per coarse target is summed in (local vertex, arc) order, so
+  //    every (cu, cv) pair ships once and each outbox is sorted by
+  //    (cu, cv). Intra-module flow becomes self flow, halved because both
+  //    directions survive the global arc multiset; carried self flow follows
+  //    its vertex's module. Ghosts hold no arcs and no self flow.
+  std::vector<std::uint64_t> by_module;  // (cu << 32) | li
+  for (std::uint32_t li = 0; li < verts_.size(); ++li)
+    if (verts_[li].kind != Kind::kGhost)
+      by_module.push_back(std::uint64_t{coarse[li]} << 32 | li);
+  std::sort(by_module.begin(), by_module.end());
+  std::vector<std::vector<CoarseArc>> coarse_out(p);
+  util::SparseAccumulator<VertexId, double> pair_flow(k);
+  std::vector<VertexId> targets;
+  std::uint64_t shipped = 0;
+  for (std::size_t g = 0; g < by_module.size();) {
+    const auto cu = static_cast<VertexId>(by_module[g] >> 32);
+    pair_flow.clear();
+    for (; g < by_module.size() && (by_module[g] >> 32) == cu; ++g) {
+      const auto li = static_cast<std::uint32_t>(by_module[g]);
+      for (std::uint32_t a = arc_off_[li]; a < arc_off_[li + 1]; ++a) {
+        const VertexId cv = coarse[arcs_[a].target];
+        pair_flow[cv] += cu == cv ? arcs_[a].flow / 2.0 : arcs_[a].flow;
+      }
+      if (verts_[li].self_flow > 0) pair_flow[cu] += verts_[li].self_flow;
     }
-    // Carried self flow follows its vertex's module.
-    if (verts_[li].self_flow > 0 && verts_[li].kind != Kind::kGhost)
-      coarse_out[dest].push_back({cu, cu, verts_[li].self_flow});
+    targets.assign(pair_flow.keys().begin(), pair_flow.keys().end());
+    std::sort(targets.begin(), targets.end());
+    auto& box = coarse_out[cu % static_cast<VertexId>(p)];
+    for (const VertexId cv : targets) box.push_back({cu, cv, *pair_flow.find(cv)});
+    shipped += targets.size();
   }
 
   // 3. Coarse node flows from module homes to new owners.
@@ -1403,7 +1417,7 @@ VertexId DistRank::merge_level() {
   for (const ModuleId slot : homed_.keys()) {
     const ModuleStats& stats = *homed_.find(slot);
     if (stats.num_members == 0) continue;
-    const VertexId cu = dense_of(homed_id(slot));
+    const VertexId cu = dense_of[homed_id(slot)];
     info_out[cu % static_cast<VertexId>(p)].push_back({cu, 0, stats.sum_pr});
   }
 
@@ -1421,12 +1435,17 @@ VertexId DistRank::merge_level() {
   obs::SpanScope redist_span(trace_buf_, "Redistribute");
   auto [queries_in, coarse_in, info_in] =
       comm_.alltoallv_packed(queries, coarse_out, info_out);
+  std::vector<std::vector<CoarseArc>>().swap(coarse_out);
 
   // Answer against the *pre-rebuild* state, and register each querier's
   // interest with the answered vertex's new 1D owner (dense % p, computable
-  // here) so the final projection becomes a single unsolicited push.
+  // here) so the final projection becomes a single unsolicited push. Many
+  // level-0 vertices project onto the same coarse vertex; one registration
+  // per (vertex, rank) pair suffices, and registered_by[next] names the last
+  // querier registered for `next` (queriers are walked in rank order).
   std::vector<std::vector<ProjectionAnswer>> answers(p);
   std::vector<std::vector<ProjectionInterest>> interest_out(p);
+  std::vector<int> registered_by(k, -1);
   for (int src = 0; src < p; ++src) {
     answers[src].reserve(queries_in[src].size());
     for (const ProjectionQuery& q : queries_in[src]) {
@@ -1435,23 +1454,10 @@ VertexId DistRank::merge_level() {
                            "projection query for non-owned vertex");
       const VertexId next = coarse[it->second];
       answers[src].push_back({next});
+      if (registered_by[next] == src) continue;
+      registered_by[next] = src;
       interest_out[next % static_cast<VertexId>(p)].push_back({next, src});
     }
-  }
-  // Many level-0 vertices project onto the same coarse vertex; one
-  // registration per (vertex, rank) pair suffices for the final push.
-  for (auto& box : interest_out) {
-    std::sort(box.begin(), box.end(),
-              [](const ProjectionInterest& a, const ProjectionInterest& b) {
-                return a.vertex != b.vertex ? a.vertex < b.vertex
-                                            : a.rank < b.rank;
-              });
-    box.erase(std::unique(box.begin(), box.end(),
-                          [](const ProjectionInterest& a,
-                             const ProjectionInterest& b) {
-                            return a.vertex == b.vertex && a.rank == b.rank;
-                          }),
-              box.end());
   }
   auto [answers_in, interest_in] = comm_.alltoallv_packed(answers, interest_out);
   for (int src = 0; src < p; ++src) {
@@ -1466,11 +1472,11 @@ VertexId DistRank::merge_level() {
   if (metrics_ != nullptr) metrics_->counter("comm.packed_exchanges").inc(2);
 
   // 5. Rebuild from the shipped streams.
-
-  std::vector<CoarseArc> triples;
-  for (auto& batch : coarse_in)
-    triples.insert(triples.end(), batch.begin(), batch.end());
-  build_local_graph(triples, p, k);
+  build_local_graph(coarse_in, p, k);
+  if (metrics_ != nullptr) {
+    metrics_->counter("merge.coarse_arcs_shipped").inc(shipped);
+    metrics_->counter("merge.coarse_arcs_built").inc(arcs_.size());
+  }
 
   const int r = comm_.rank();
   for (auto& lv : verts_)
@@ -1610,19 +1616,26 @@ void DistRank::execute() {
           {sub.vertex, 0, verts_[it->second].module});
     }
     auto pushed_in = comm_.alltoallv(push);
-    std::unordered_map<VertexId, ModuleId> module_of;
-    module_of.reserve(proj_.size());
+    // A vertex may be pushed by several registrations; all carry its one
+    // final module, so the sorted records are searched by vertex alone.
+    std::vector<FinalModuleRecord> module_of;
     for (const auto& batch : pushed_in)
-      for (const FinalModuleRecord& rec : batch)
-        module_of.emplace(rec.vertex, rec.module);
+      module_of.insert(module_of.end(), batch.begin(), batch.end());
+    const auto by_vertex = [](const FinalModuleRecord& a,
+                              const FinalModuleRecord& b) {
+      return a.vertex < b.vertex;
+    };
+    std::sort(module_of.begin(), module_of.end(), by_vertex);
     final_assignment_.clear();
     final_assignment_.reserve(owned0_.size());
     for (std::size_t i = 0; i < proj_.size(); ++i) {
-      auto it = module_of.find(proj_[i]);
-      DINFOMAP_REQUIRE_MSG(it != module_of.end(),
+      const auto it = std::lower_bound(module_of.begin(), module_of.end(),
+                                       FinalModuleRecord{proj_[i], 0, 0},
+                                       by_vertex);
+      DINFOMAP_REQUIRE_MSG(it != module_of.end() && it->vertex == proj_[i],
                            "no pushed module for projected vertex");
       final_assignment_.emplace_back(owned0_[i],
-                                     static_cast<VertexId>(it->second));
+                                     static_cast<VertexId>(it->module));
     }
   }
 }
@@ -1744,13 +1757,13 @@ obs::RunReport build_run_report(const graph::GraphView& graph,
 /// driver and the multi-process rank-0 assembly, so both backends produce
 /// the same labels bit-for-bit.
 graph::Partition densify_assignment(const std::vector<graph::VertexId>& raw) {
-  std::unordered_map<graph::VertexId, graph::VertexId> remap;
   std::vector<graph::VertexId> sorted = raw;
   std::sort(sorted.begin(), sorted.end());
   sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  for (graph::VertexId i = 0; i < sorted.size(); ++i) remap[sorted[i]] = i;
   graph::Partition dense(raw.size(), 0);
-  for (std::size_t v = 0; v < raw.size(); ++v) dense[v] = remap.at(raw[v]);
+  for (std::size_t v = 0; v < raw.size(); ++v)
+    dense[v] = static_cast<graph::VertexId>(
+        std::lower_bound(sorted.begin(), sorted.end(), raw[v]) - sorted.begin());
   return dense;
 }
 

@@ -93,10 +93,14 @@ class DistRank {
 
   // ---- setup -------------------------------------------------------------
   void setup_stage1(const partition::ArcPartition& part);
-  /// Build verts_/arcs_ from (source,target,flow) triples; callers must then
-  /// fill kinds/flows. Sources must all be local-movable.
-  void build_local_graph(std::vector<CoarseArc>& triples, int num_ranks_mod,
-                         VertexId level_n);
+  /// Build verts_/arcs_ from runs of (source,target,flow) triples, one run
+  /// per sender in rank order; callers must then fill kinds/flows. Sources
+  /// must all be local-movable. Each run only needs a (source,target)-sorted
+  /// prefix — its unsorted suffix is sorted and merged in — and the runs are
+  /// merged stably, so a pair's duplicates sum in run order, then in
+  /// within-run order. Consumes `runs`.
+  void build_local_graph(std::vector<std::vector<CoarseArc>>& runs,
+                         int num_ranks_mod, VertexId level_n);
   void setup_subscriptions();
   void init_singleton_modules();
 

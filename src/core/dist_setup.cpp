@@ -52,11 +52,12 @@ void DistRank::setup_stage1(const partition::ArcPartition& part) {
   const double two_w = comm_.allreduce(local_w, comm::ReduceOp::kSum);
   DINFOMAP_REQUIRE_MSG(two_w > 0, "distributed infomap: graph has no edges");
 
-  std::vector<CoarseArc> triples;
-  triples.reserve(part.rank_arcs[r].size());
+  // One run in source-scan order: only the rebalanced tail is unsorted.
+  std::vector<std::vector<CoarseArc>> runs(1);
+  runs[0].reserve(part.rank_arcs[r].size());
   for (const auto& arc : part.rank_arcs[r])
-    triples.push_back({arc.source, arc.target, arc.weight / two_w});
-  build_local_graph(triples, p, n0_);
+    runs[0].push_back({arc.source, arc.target, arc.weight / two_w});
+  build_local_graph(runs, p, n0_);
 
   // Kinds.
   for (auto& lv : verts_) {
@@ -118,17 +119,52 @@ void DistRank::setup_stage1(const partition::ArcPartition& part) {
   level_n_ = n0_;
 }
 
-void DistRank::build_local_graph(std::vector<CoarseArc>& triples,
+void DistRank::build_local_graph(std::vector<std::vector<CoarseArc>>& runs,
                                  int num_ranks_mod, VertexId level_n) {
   const auto r = static_cast<VertexId>(comm_.rank());
+  const auto by_pair = [](const CoarseArc& a, const CoarseArc& b) {
+    return a.source != b.source ? a.source < b.source : a.target < b.target;
+  };
 
-  // Combine duplicate (source, target) pairs — merging produces them when
-  // several fine arcs collapse onto one coarse pair.
-  std::sort(triples.begin(), triples.end(),
-            [](const CoarseArc& a, const CoarseArc& b) {
-              return a.source != b.source ? a.source < b.source
-                                          : a.target < b.target;
-            });
+  // One (source, target)-sorted sequence: sort each run's unsorted suffix
+  // and merge it into the sorted prefix, then merge adjacent runs pairwise.
+  // Every merge is stable, so a pair's duplicates keep run order, then
+  // within-run order — the order they are summed in below.
+  std::size_t total = 0;
+  for (auto& run : runs) {
+    const auto mid = std::is_sorted_until(run.begin(), run.end(), by_pair);
+    std::stable_sort(mid, run.end(), by_pair);
+    std::inplace_merge(run.begin(), mid, run.end(), by_pair);
+    total += run.size();
+  }
+  std::vector<CoarseArc> triples;
+  std::vector<std::size_t> bounds{0};
+  if (runs.size() == 1) {
+    triples.swap(runs.front());
+    bounds.push_back(triples.size());
+  } else {
+    triples.reserve(total);
+    for (auto& run : runs) {
+      triples.insert(triples.end(), run.begin(), run.end());
+      std::vector<CoarseArc>().swap(run);
+      bounds.push_back(triples.size());
+    }
+  }
+  while (bounds.size() > 2) {
+    std::vector<std::size_t> merged{0};
+    for (std::size_t i = 2; i < bounds.size(); i += 2) {
+      std::inplace_merge(triples.begin() + static_cast<std::ptrdiff_t>(bounds[i - 2]),
+                         triples.begin() + static_cast<std::ptrdiff_t>(bounds[i - 1]),
+                         triples.begin() + static_cast<std::ptrdiff_t>(bounds[i]),
+                         by_pair);
+      merged.push_back(bounds[i]);
+    }
+    if (bounds.size() % 2 == 0) merged.push_back(bounds.back());
+    bounds.swap(merged);
+  }
+
+  // Combine duplicate (source, target) pairs. After a merge each sender has
+  // combined its own, so duplicates there come from different senders.
   std::size_t out = 0;
   for (std::size_t i = 0; i < triples.size(); ++i) {
     if (out > 0 && triples[out - 1].source == triples[i].source &&
@@ -141,42 +177,45 @@ void DistRank::build_local_graph(std::vector<CoarseArc>& triples,
   triples.resize(out);
 
   // Vertex universe: arc endpoints plus every vertex owned here (so isolated
-  // owned vertices stay addressable and countable).
-  std::vector<VertexId> ids;
-  ids.reserve(triples.size() * 2 + level_n / num_ranks_mod + 1);
+  // owned vertices stay addressable and countable). Local indices ascend
+  // with global ids; slot[v] holds v's local index once assigned.
+  constexpr std::uint32_t kAbsent = ~std::uint32_t{0};
+  std::vector<std::uint32_t> slot(level_n, kAbsent);
   for (const auto& t : triples) {
-    ids.push_back(t.source);
-    ids.push_back(t.target);
+    slot[t.source] = 0;
+    slot[t.target] = 0;
   }
   for (VertexId v = r; v < level_n; v += static_cast<VertexId>(num_ranks_mod))
-    ids.push_back(v);
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    slot[v] = 0;
+  std::uint32_t num_local = 0;
+  for (VertexId v = 0; v < level_n; ++v)
+    if (slot[v] != kAbsent) slot[v] = num_local++;
 
   verts_.clear();
-  verts_.resize(ids.size());
+  verts_.resize(num_local);
   index_.clear();
-  index_.reserve(ids.size());
-  for (std::uint32_t i = 0; i < ids.size(); ++i) {
-    verts_[i].global = ids[i];
-    verts_[i].module = ids[i];
-    index_.emplace(ids[i], i);
+  index_.reserve(num_local);
+  for (VertexId v = 0; v < level_n; ++v) {
+    if (slot[v] == kAbsent) continue;
+    verts_[slot[v]].global = v;
+    verts_[slot[v]].module = v;
+    index_.emplace(v, slot[v]);
   }
 
   // Group non-self arcs by source; accumulate self flows. Triples are sorted
-  // by source, so sources advance through `ids` monotonically and only the
-  // targets need the index.
+  // by source, so each source's arcs are contiguous and sources ascend.
   arc_off_.assign(verts_.size() + 1, 0);
   arcs_.clear();
   arcs_.reserve(triples.size());
   std::uint32_t si = 0;
   for (const auto& t : triples) {
-    while (ids[si] != t.source) arc_off_[++si] = static_cast<std::uint32_t>(arcs_.size());
+    const std::uint32_t src = slot[t.source];
+    while (si < src) arc_off_[++si] = static_cast<std::uint32_t>(arcs_.size());
     if (t.source == t.target) {
       verts_[si].self_flow += t.flow;
       continue;
     }
-    arcs_.push_back({local_index(t.target), t.flow});
+    arcs_.push_back({slot[t.target], t.flow});
   }
   while (si < verts_.size()) arc_off_[++si] = static_cast<std::uint32_t>(arcs_.size());
   for (std::uint32_t li = 0; li < verts_.size(); ++li) {

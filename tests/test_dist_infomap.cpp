@@ -1,8 +1,10 @@
 // End-to-end and invariant tests of the distributed Infomap (Alg. 2 + 3).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <set>
 #include <vector>
 
 #include "comm/runtime.hpp"
@@ -12,6 +14,7 @@
 #include "core/seq_infomap.hpp"
 #include "graph/builder.hpp"
 #include "graph/gen/generators.hpp"
+#include "obs/recorder.hpp"
 #include "quality/metrics.hpp"
 #include "util/check.hpp"
 
@@ -33,6 +36,56 @@ struct DistRankTestPeer {
   }
   static std::uint64_t local_arcs(const DistRank& rank) {
     return rank.arcs_.size();
+  }
+
+  /// Run execute()'s prologue and `rounds` synchronous stage-1 rounds, then
+  /// count by brute force the distinct (module(u), module(v)) pairs of the
+  /// local graph — the coarse arcs this rank should ship, self pairs for
+  /// carried self flow included — and merge the level. Dense relabeling is
+  /// monotone in the module id, so module pairs and coarse pairs correspond.
+  static std::uint64_t distinct_pairs_then_merge(DistRank& rank, int rounds) {
+    util::Xoshiro256 rng(util::derive_seed(rank.cfg_.seed, rank.comm_.rank()));
+    rank.setup_subscriptions();
+    rank.init_singleton_modules();
+    rank.swap_boundary_info();
+    (void)rank.other_update(0, 0);
+    for (int i = 0; i < rounds; ++i) (void)rank.round(/*with_delegates=*/true, rng);
+    std::set<std::pair<ModuleId, ModuleId>> pairs;
+    for (std::uint32_t li = 0; li < rank.verts_.size(); ++li) {
+      const ModuleId m = rank.verts_[li].module;
+      for (std::uint32_t a = rank.arc_off_[li]; a < rank.arc_off_[li + 1]; ++a)
+        pairs.emplace(m, rank.verts_[rank.arcs_[a].target].module);
+      if (rank.verts_[li].self_flow > 0 && rank.verts_[li].kind != Kind::kGhost)
+        pairs.emplace(m, m);
+    }
+    (void)rank.merge_level();
+    return pairs.size();
+  }
+
+  /// The rank's local graph in plain form, for comparison with a reference.
+  struct LocalGraph {
+    std::vector<VertexId> global;
+    std::vector<double> self_flow;
+    std::vector<double> out_flow;
+    std::vector<std::uint32_t> arc_off;
+    std::vector<std::pair<std::uint32_t, double>> arcs;
+    bool operator==(const LocalGraph&) const = default;
+  };
+  static LocalGraph build(DistRank& rank,
+                          std::vector<std::vector<CoarseArc>> runs,
+                          VertexId level_n) {
+    rank.build_local_graph(runs, rank.comm_.size(), level_n);
+    LocalGraph g;
+    for (const auto& lv : rank.verts_) {
+      g.global.push_back(lv.global);
+      g.self_flow.push_back(lv.self_flow);
+      g.out_flow.push_back(lv.out_flow);
+    }
+    g.arc_off = rank.arc_off_;
+    for (const auto& a : rank.arcs_) g.arcs.emplace_back(a.target, a.flow);
+    for (std::uint32_t li = 0; li < rank.verts_.size(); ++li)
+      EXPECT_EQ(rank.local_index(rank.verts_[li].global), li);
+    return g;
   }
 };
 }  // namespace dinfomap::core::detail
@@ -355,4 +408,151 @@ TEST(DistInfomap, ExactAndOrderIndependentAcrossRanksEnginesThreads) {
       }
     }
   }
+}
+
+TEST(DistInfomap, MergeShipsEachCoarsePairOncePerSender) {
+  // merge_level combines coarse arcs at the sender: each rank ships one
+  // triple per distinct (coarse source, coarse target) pair of its local
+  // graph, and the rebuilt graph's arc count is charged as built.
+  const auto gg = gen::sbm(400, 8, 0.2, 0.01, 17);
+  const auto g = dg::build_csr(gg.edges, gg.num_vertices);
+  constexpr int p = 4;
+  auto cfg = config_for(p);
+  const auto part = dinfomap::partition::make_delegate(
+      g, p, dc::resolve_degree_threshold(g, cfg));
+  dinfomap::obs::ObsOptions opt;
+  opt.enabled = true;
+  opt.trace = false;
+  opt.watchdog = false;
+  dinfomap::obs::Recorder recorder(p, opt);
+  std::vector<std::uint64_t> expected(p), fine(p), built(p);
+  dinfomap::comm::Runtime::run(p, [&](dinfomap::comm::Comm& comm) {
+    dc::detail::DistRank rank(comm, part, cfg, &recorder);
+    fine[comm.rank()] = dc::detail::DistRankTestPeer::local_arcs(rank);
+    expected[comm.rank()] =
+        dc::detail::DistRankTestPeer::distinct_pairs_then_merge(rank, 2);
+    built[comm.rank()] = dc::detail::DistRankTestPeer::local_arcs(rank);
+  });
+  for (int r = 0; r < p; ++r) {
+    const auto& counters = recorder.all_metrics()[r].counters();
+    EXPECT_EQ(counters.at("merge.coarse_arcs_shipped").value, expected[r])
+        << "rank " << r;
+    EXPECT_EQ(counters.at("merge.coarse_arcs_built").value, built[r])
+        << "rank " << r;
+    // Two rounds on a planted partition leave real modules to combine.
+    EXPECT_LT(expected[r], fine[r]) << "rank " << r;
+  }
+}
+
+namespace {
+using dc::CoarseArc;
+using Peer = dc::detail::DistRankTestPeer;
+
+/// The global-sort construction build_local_graph replaced, kept as the
+/// oracle: sort every triple, combine duplicates, take the vertex universe
+/// from a sort of all endpoints plus the owned vertices.
+Peer::LocalGraph global_sort_reference(
+    const std::vector<std::vector<CoarseArc>>& runs, int p, int r,
+    dg::VertexId level_n) {
+  std::vector<CoarseArc> triples;
+  for (const auto& run : runs) triples.insert(triples.end(), run.begin(), run.end());
+  std::sort(triples.begin(), triples.end(),
+            [](const CoarseArc& a, const CoarseArc& b) {
+              return a.source != b.source ? a.source < b.source
+                                          : a.target < b.target;
+            });
+  std::vector<CoarseArc> combined;
+  for (const auto& t : triples) {
+    if (!combined.empty() && combined.back().source == t.source &&
+        combined.back().target == t.target)
+      combined.back().flow += t.flow;
+    else
+      combined.push_back(t);
+  }
+  Peer::LocalGraph g;
+  for (const auto& t : combined) {
+    g.global.push_back(t.source);
+    g.global.push_back(t.target);
+  }
+  for (auto v = static_cast<dg::VertexId>(r); v < level_n;
+       v += static_cast<dg::VertexId>(p))
+    g.global.push_back(v);
+  std::sort(g.global.begin(), g.global.end());
+  g.global.erase(std::unique(g.global.begin(), g.global.end()), g.global.end());
+  const auto local = [&g](dg::VertexId v) {
+    return static_cast<std::uint32_t>(
+        std::lower_bound(g.global.begin(), g.global.end(), v) - g.global.begin());
+  };
+  g.self_flow.assign(g.global.size(), 0.0);
+  g.out_flow.assign(g.global.size(), 0.0);
+  g.arc_off.assign(g.global.size() + 1, 0);
+  for (const auto& t : combined) {
+    if (t.source == t.target) {
+      g.self_flow[local(t.source)] += t.flow;
+    } else {
+      ++g.arc_off[local(t.source) + 1];
+      g.arcs.emplace_back(local(t.target), t.flow);
+      g.out_flow[local(t.source)] += t.flow;
+    }
+  }
+  for (std::size_t i = 1; i < g.arc_off.size(); ++i) g.arc_off[i] += g.arc_off[i - 1];
+  return g;
+}
+}  // namespace
+
+TEST(DistInfomap, BuildLocalGraphMatchesGlobalSortReference) {
+  // Runs with unsorted suffixes, duplicates within and across runs, self-flow
+  // triples and isolated owned vertices build the same local graph as the
+  // global sort. Flows are dyadic and small, so every sum is exact in any
+  // order and the comparison can be bitwise.
+  constexpr int p = 2;
+  constexpr dg::VertexId level_n = 40;
+  const auto gg = gen::ring_of_cliques(4, 4, 0);
+  const auto g = dg::build_csr(gg.edges, gg.num_vertices);
+  const auto cfg = config_for(p);
+  const auto part = dinfomap::partition::make_delegate(
+      g, p, dc::resolve_degree_threshold(g, cfg));
+  dinfomap::comm::Runtime::run(p, [&](dinfomap::comm::Comm& comm) {
+    const auto r = static_cast<dg::VertexId>(comm.rank());
+    dc::detail::DistRank rank(comm, part, cfg);
+    // Hand-written case: owned sources r, r+2, r+4, r+6; r+8.. stay isolated
+    // unless some arc reaches them.
+    const std::vector<std::vector<CoarseArc>> fixed = {
+        {{r, 3, 0.5}, {r, 5, 0.25}, {r + 2, r + 2, 0.125}, {r + 4, 1, 1.0},
+         // unsorted suffix, with a duplicate of (r, 3) inside the run
+         {r, 7, 0.5}, {r + 2, 9, 0.75}, {r, 3, 0.25}},
+        {{r, 3, 0.125}, {r + 2, r + 2, 0.25}, {r + 6, 11, 0.5}},
+        {},
+        {{r + 6, 11, 2.0}, {r + 2, 9, 0.0625}, {r, 5, 1.5}, {r + 4, r + 4, 0.5}},
+    };
+    const auto want = global_sort_reference(fixed, p, static_cast<int>(r), level_n);
+    ASSERT_EQ(Peer::build(rank, fixed, level_n), want) << "rank " << r;
+    ASSERT_EQ(want.arcs.size(), 6u);  // (r,3) (r,5) (r,7) (r+2,9) (r+4,1) (r+6,11)
+
+    // Randomized runs: each a sorted prefix plus a shuffled suffix.
+    dinfomap::util::Xoshiro256 rng(1234 + r);
+    for (int trial = 0; trial < 50; ++trial) {
+      std::vector<std::vector<CoarseArc>> runs(1 + rng.bounded(5));
+      for (auto& run : runs) {
+        const auto len = rng.bounded(30);
+        for (std::uint64_t i = 0; i < len; ++i) {
+          const auto src = static_cast<dg::VertexId>(
+              r + p * rng.bounded(level_n / p));
+          const auto dst = rng.bounded(4) == 0
+                               ? src
+                               : static_cast<dg::VertexId>(rng.bounded(level_n));
+          run.push_back({src, dst, static_cast<double>(1 + rng.bounded(8)) / 8});
+        }
+        const auto cut = static_cast<std::ptrdiff_t>(rng.bounded(len + 1));
+        std::sort(run.begin(), run.begin() + cut,
+                  [](const CoarseArc& a, const CoarseArc& b) {
+                    return a.source != b.source ? a.source < b.source
+                                                : a.target < b.target;
+                  });
+      }
+      EXPECT_EQ(Peer::build(rank, runs, level_n),
+                global_sort_reference(runs, p, static_cast<int>(r), level_n))
+          << "rank " << r << " trial " << trial;
+    }
+  });
 }
