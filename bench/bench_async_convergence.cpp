@@ -1,13 +1,11 @@
 // Move-scheduling engine comparison (DESIGN.md §12): the synchronous full
-// sweep, the synchronous active-set fast path, and the asynchronous
-// priority-worklist engine on the standard small/medium test graphs. For each
-// engine the table reports the move evaluations actually performed (ΔL
-// candidate scans), the evaluations pruned by the active set, the stage-1
-// rounds (epochs for the async engine, which reconciles every async_max_lag
-// epochs), wall-clock, and the final MDL. The contracts being measured:
-// active-set is bit-identical to full sweeps with fewer evaluations where
-// convergence is localized, and async stays within 1% of the synchronous MDL
-// while spending its evaluations in priority order instead of sweep order.
+// sweep and the asynchronous priority-worklist engine on the standard
+// small/medium test graphs. For each engine the table reports the move
+// evaluations actually performed (ΔL candidate scans), the stage-1 rounds
+// (epochs for the async engine, which reconciles every async_max_lag
+// epochs), wall-clock, and the final MDL. The contract being measured: async
+// stays within 1% of the synchronous MDL while spending its evaluations in
+// priority order instead of sweep order.
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -21,13 +19,6 @@ std::uint64_t total_delta_evals(const dinfomap::core::DistInfomapResult& r) {
   return n;
 }
 
-std::uint64_t total_pruned_evals(const dinfomap::core::DistInfomapResult& r) {
-  std::uint64_t n = 0;
-  for (const auto& per_rank : r.work)
-    for (const auto& wc : per_rank) n += wc.pruned_evals;
-  return n;
-}
-
 }  // namespace
 
 int main() {
@@ -35,8 +26,7 @@ int main() {
   bench::banner("Async convergence — engine comparison",
                 "DESIGN.md S12 (beyond the paper: async priority worklist)");
   bench::CsvSink csv("async_convergence",
-                     {"dataset", "ranks", "engine", "move_evals", "pruned_evals",
-                      "rounds", "wall_ms", "final_L", "vs_sync_pct", "wait_pct",
+                     {"dataset", "ranks", "engine", "move_evals", "rounds", "wall_ms", "final_L", "vs_sync_pct", "wait_pct",
                       "critical_path_ms"});
   bench::JsonSink json("async");
 
@@ -44,21 +34,19 @@ int main() {
     const auto data = bench::load(name);
     std::printf("\n--- %s (n=%u) ---\n", data.spec.paper_name.c_str(),
                 data.csr.num_vertices());
-    std::printf("%-3s %-16s %-12s %-12s %-7s %-10s %-10s %-9s\n", "p", "engine",
-                "move_evals", "pruned", "rounds", "wall (ms)", "final_L",
-                "vs_sync");
+    std::printf("%-3s %-16s %-12s %-7s %-10s %-10s %-9s\n", "p", "engine",
+                "move_evals", "rounds", "wall (ms)", "final_L", "vs_sync");
     for (int p : {4, 8}) {
       double sync_l = 0;
-      for (const char* engine : {"sync-full", "sync-active-set", "async"}) {
+      for (const char* engine : {"sync-full", "async"}) {
+        const bool async = engine[0] == 'a';
         core::DistInfomapConfig cfg;
         cfg.num_ranks = p;
         cfg.obs.enabled = true;  // causal profile; results are unchanged
-        if (engine[0] == 's' && engine[5] == 'a') cfg.active_set = true;
-        if (engine[0] == 'a') cfg.async = true;
+        cfg.async = async;
         const auto r = core::distributed_infomap(data.csr, cfg);
-        if (engine[0] == 's' && engine[5] == 'f') sync_l = r.codelength;
+        if (!async) sync_l = r.codelength;
         const std::uint64_t evals = total_delta_evals(r);
-        const std::uint64_t pruned = total_pruned_evals(r);
         const double wall =
             1000.0 * (r.stage1_wall_seconds + r.stage2_wall_seconds);
         const double vs_sync =
@@ -77,19 +65,17 @@ int main() {
           wait_pct = wall_us > 0 ? 100.0 * wait_us / wall_us : 0.0;
           critical_ms = r.report.profile.critical_path_us / 1000.0;
         }
-        std::printf("%-3d %-16s %-12llu %-12llu %-7d %-10.1f %-10.5f %+8.2f%% "
+        std::printf("%-3d %-16s %-12llu %-7d %-10.1f %-10.5f %+8.2f%% "
                     "wait %4.1f%%\n",
                     p, engine, static_cast<unsigned long long>(evals),
-                    static_cast<unsigned long long>(pruned), r.stage1_rounds,
-                    wall, r.codelength, vs_sync, wait_pct);
-        csv.row(name, p, engine, evals, pruned, r.stage1_rounds, wall,
-                r.codelength, vs_sync, wait_pct, critical_ms);
+                    r.stage1_rounds, wall, r.codelength, vs_sync, wait_pct);
+        csv.row(name, p, engine, evals, r.stage1_rounds, wall, r.codelength,
+                vs_sync, wait_pct, critical_ms);
         json.begin_row()
             .field("dataset", name)
             .field("ranks", p)
             .field("engine", engine)
             .field("move_evals", evals)
-            .field("pruned_evals", pruned)
             .field("rounds", r.stage1_rounds)
             .field("wall_ms", wall)
             .field("final_L", r.codelength)
@@ -100,10 +86,8 @@ int main() {
     }
   }
   std::printf(
-      "\nexpected shape: sync-active-set matches sync-full's final_L bitwise "
-      "(vs_sync exactly +0.00%%) with pruned > 0 where convergence is "
-      "localized; async lands within +-1%% of sync-full, usually below it, "
-      "with rounds counting epochs (async_max_lag of them per "
+      "\nexpected shape: async lands within +-1%% of sync-full, usually "
+      "below it, with rounds counting epochs (async_max_lag of them per "
       "reconciliation).\n");
   return 0;
 }

@@ -111,14 +111,14 @@ int usage() {
                "usage:\n"
                "  dinfomap_cli generate <lfr|ba|rmat|sbm|ring|er> <out.txt> [seed]\n"
                "  dinfomap_cli cluster <edges.txt> <out.clu> [--algo seq|dist|louvain|lpa|relaxmap]\n"
-               "                [--ranks N] [--threads T] [--seed S] [--tree out.tree]\n"
+               "                [--ranks N] [--seed S] [--tree out.tree]\n"
+               "                [--threads T]  (seq/louvain/relaxmap only; dist scales by --ranks)\n"
                "                [--transport inproc|socket]  (dist only; socket = one worker\n"
                "                 process per rank over Unix-domain sockets)\n"
                "                [--trace out.trace.json] [--report out.report.json]  (dist only)\n"
                "                [--profile out.profile.json] [--profile-summary]  (dist, inproc only)\n"
                "                [--faults drop=P,dup=P,reorder=P,corrupt=P[,stall=R][,exit=R][,seed=S]]\n"
                "                [--watchdog-ms N]  (dist only; e.g. --faults drop=0.01,dup=0.01)\n"
-               "                [--active-set]  (dist only: exact pruning of unchanged vertices)\n"
                "                [--async [--async-max-lag K]]  (dist only: priority-worklist engine)\n"
                "                [--graph-backend resident|blocks] [--block-cache-mb N]\n"
                "                 (dist/dist-louvain; blocks streams an mmap-ed .blockgraph file\n"
@@ -384,7 +384,6 @@ int cmd_cluster(int argc, char** argv) {
   std::uint64_t seed = 42;
   std::string fault_spec;
   unsigned watchdog_ms = 0;
-  bool active_set = false;
   bool use_async = false;
   int async_max_lag = 4;
   std::string transport = "inproc";
@@ -399,11 +398,6 @@ int cmd_cluster(int argc, char** argv) {
   // Boolean switches consume one token, valued flags consume two.
   for (int i = 4; i < argc;) {
     const char* flag = argv[i];
-    if (!std::strcmp(flag, "--active-set")) {
-      active_set = true;
-      ++i;
-      continue;
-    }
     if (!std::strcmp(flag, "--async")) {
       use_async = true;
       ++i;
@@ -545,9 +539,7 @@ int cmd_cluster(int argc, char** argv) {
   } else if (algo == "dist") {
     core::DistInfomapConfig cfg;
     cfg.num_ranks = ranks;
-    cfg.threads_per_rank = threads;
     cfg.seed = seed;
-    cfg.active_set = active_set;
     cfg.async = use_async;
     cfg.async_max_lag = async_max_lag;
     cfg.faults = faults;
@@ -600,7 +592,8 @@ int cmd_cluster(int argc, char** argv) {
     cfg.seed = seed;
     const auto r = core::relaxmap(g, cfg);
     assignment = r.assignment;
-    std::printf("RelaxMap (%d threads): L = %.6f\n", ranks, r.codelength);
+    std::printf("RelaxMap (%d threads): L = %.6f\n", cfg.num_threads,
+                r.codelength);
   } else if (algo == "dist-louvain") {
     core::DistLouvainConfig cfg;
     cfg.num_ranks = ranks;

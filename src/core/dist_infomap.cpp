@@ -14,7 +14,7 @@ namespace dinfomap::core::detail {
 
 namespace {
 
-/// Absolute slack added to the active-set margin bound: the analytic q-drift
+/// Absolute slack added to can_prune's margin bound: the analytic q-drift
 /// bound holds over the reals, while the ΔL sums are evaluated in floating
 /// point. Every intermediate is O(1), so a few hundred ulps of 1.0 dominates
 /// the accumulated rounding; margins below this never prune (conservative).
@@ -31,10 +31,10 @@ bool DistRank::min_label_yields(ModuleId cur, ModuleId target) {
   // minimum-label strategy gated larger-label boundary moves on the parity
   // of a shared round counter — a hidden global input that stops being
   // meaningful when vertices are evaluated at different effective times
-  // (active-set pruning, async drains). Replace the counter with a
-  // *consistent orientation* over the module pair: a boundary move yields
-  // iff it goes into the smaller module (by flow mass, ties broken by the
-  // label order). Of any conflicting pair of swaps exactly one
+  // (async drains). Replace the counter with a *consistent orientation*
+  // over the module pair: a boundary move yields iff it goes into the
+  // smaller module (by flow mass, ties broken by the label order). Of any
+  // conflicting pair of swaps exactly one
   // direction is admissible at a time — the order is total, so oscillation
   // cannot sustain and there are no preference cycles — and the decision is
   // a pure function of state every rank holds identically (module stats are
@@ -194,10 +194,9 @@ void DistRank::apply_local_move(std::uint32_t li, const BestMove& mv) {
   modules_[lv.module] = mv.outcome.old_after;
   modules_[mv.target] = mv.outcome.new_after;
   q_total_ += mv.outcome.delta_q_total;
-  if (track_activity_) {
+  if (cfg_.async) {
     // One event: the vertex changed assignment and both module tables
-    // changed statistics. All three share the tick so the relative order of
-    // stamps vs evaluations is identical in serial and parallel commits.
+    // changed statistics, so all three share the tick.
     const std::uint64_t t = tick();
     stamp_assign(li, t);
     stamp_stats(lv.module, t);
@@ -213,23 +212,15 @@ std::uint64_t DistRank::find_best_modules(bool with_delegates,
   PhaseScope scope(*this, Phase::kFindBestModule);
   std::vector<std::uint32_t> order = movable_;
   util::deterministic_shuffle(order, rng);
-  if (pool_ != nullptr)
-    return find_best_modules_parallel(with_delegates, order, proposals);
 
   std::uint64_t moves = 0;
   std::vector<std::uint8_t> dirty_flag(verts_.size(), 0);
   for (std::uint32_t li : dirty_owned_) dirty_flag[li] = 1;
 
-  const bool prune = track_activity_ && cfg_.active_set;
   for (std::uint32_t li : order) {
     const bool is_hub = verts_[li].kind == Kind::kDelegate;
     if (is_hub && !with_delegates) continue;
     if (is_hub && cfg_.exact_hub_moves) continue;  // handled by the exact phase
-    if (prune && !is_hub && can_prune(li)) {
-      ++pruned_round_;
-      ++wk(Phase::kFindBestModule).pruned_evals;
-      continue;
-    }
     BestMove mv;
     if (!best_move_for(li, mv)) continue;
     if (is_hub) {
@@ -244,214 +235,6 @@ std::uint64_t DistRank::find_best_modules(bool with_delegates,
       }
     }
   }
-  return moves;
-}
-
-bool DistRank::select_best_cached(std::uint32_t li, const GatherSpan& span,
-                                  const std::vector<CachedFlow>& entries,
-                                  BestMove& best) {
-  const LocalVertex& lv = verts_[li];
-  const ModuleId cur = lv.module;
-  auto cur_it = modules_.find(cur);
-  DINFOMAP_REQUIRE_MSG(cur_it != modules_.end(),
-                       "vertex's own module missing from local table");
-
-  double best_delta = -cfg_.move_epsilon;
-  ModuleId best_target = cur;
-  MoveOutcome best_outcome;
-  double reject_margin = std::numeric_limits<double>::infinity();
-
-  // Exact replica of best_move_for's candidate loop over the cached gather:
-  // entries are in the accumulator's first-touch (= arc) order, so every
-  // floating-point operation, skip condition, margin update, and tie-break
-  // happens in the same sequence a fresh serial scan would produce.
-  for (std::uint32_t i = 0; i < span.count; ++i) {
-    const CachedFlow& e = entries[span.begin + i];
-    const ModuleId mod = e.mod;
-    if (mod == cur) continue;
-    auto it = modules_.find(mod);
-    if (it == modules_.end()) {
-      ++skipped_unsynced_round_;
-      continue;
-    }
-    if (cfg_.min_label && e.boundary && min_label_yields(cur, mod)) continue;
-    MoveDelta d;
-    d.p_u = lv.node_flow;
-    d.f_u = lv.out_flow;
-    d.f_to_old = span.f_to_old;
-    d.f_to_new = e.flow;
-    d.old_stats = cur_it->second;
-    d.new_stats = it->second;
-    d.q_total = q_total_;
-    const MoveOutcome out = eval_move(d);
-    ++wk(Phase::kFindBestModule).delta_evals;
-    if (out.delta_codelength >= -cfg_.move_epsilon) {
-      const double m = out.delta_codelength + cfg_.move_epsilon;
-      if (m < reject_margin) reject_margin = m;
-      continue;
-    }
-    reject_margin = 0.0;
-    if (out.delta_codelength < best_delta - 1e-15 ||
-        (out.delta_codelength < best_delta + 1e-15 && mod < best_target)) {
-      best_delta = out.delta_codelength;
-      best_target = mod;
-      best_outcome = out;
-    }
-  }
-  const bool found = best_target != cur;
-  note_evaluated(li, found, reject_margin);
-  if (!found) return false;
-  best.target = best_target;
-  best.delta_l = best_delta;
-  best.outcome = best_outcome;
-  return true;
-}
-
-void DistRank::note_pool_dispatch(Phase ph) {
-  std::uint64_t arcs = 0;
-  for (auto& ts : scratch_) {
-    arcs += ts.arcs_scanned;
-    ts.arcs_scanned = 0;
-  }
-  wk(ph).arcs_scanned += arcs;
-  if (metrics_ == nullptr) return;
-  metrics_->counter("pool.tasks")
-      .inc(static_cast<std::uint64_t>(pool_->num_threads()));
-  metrics_->counter("pool.dispatches").inc();
-  const auto& secs = pool_->last_slot_seconds();
-  double max_s = 0;
-  double sum_s = 0;
-  for (double s : secs) {
-    max_s = std::max(max_s, s);
-    sum_s += s;
-  }
-  if (sum_s > 0) {
-    const double mean = sum_s / static_cast<double>(secs.size());
-    metrics_->histogram("pool.imbalance_pct")
-        .observe(static_cast<std::uint64_t>(max_s / mean * 100.0));
-  }
-  std::size_t bytes = 0;
-  for (const auto& ts : scratch_) bytes += ts.memory_bytes();
-  metrics_->gauge("pool.scratch_bytes").set(static_cast<double>(bytes));
-}
-
-std::uint64_t DistRank::find_best_modules_parallel(
-    bool with_delegates, const std::vector<std::uint32_t>& order,
-    std::vector<HubProposal>& proposals) {
-  // --- propose (parallel) -------------------------------------------------
-  // Each slot gathers neighbor flows for its contiguous chunk of the
-  // shuffled order against the frozen pass-start module assignment. Only
-  // slot-local scratch is written; verts_/arcs_/modules_ are read-only here.
-  // Clear every slot's output up front: slots whose chunk is empty are never
-  // dispatched and must not leak a previous pass's spans into the commit.
-  for (auto& ts : scratch_) {
-    if (ts.nbflow.capacity() < level_n_) ts.nbflow.reset(level_n_);
-    ts.entries.clear();
-    ts.spans.clear();
-  }
-  const bool prune = track_activity_ && cfg_.active_set;
-  {
-    obs::SpanScope span(trace_buf_, "parallel_for");
-    pool_->parallel_for(order.size(), [&](int slot, std::size_t b,
-                                          std::size_t e) {
-      ThreadScratch& ts = scratch_[static_cast<std::size_t>(slot)];
-      for (std::size_t pos = b; pos < e; ++pos) {
-        const std::uint32_t li = order[pos];
-        const bool is_hub = verts_[li].kind == Kind::kDelegate;
-        if (is_hub && !with_delegates) continue;
-        if (is_hub && cfg_.exact_hub_moves) continue;
-        if (prune && !is_hub && can_prune(li)) {
-          // Pass-start stamps say the last evaluation still stands. Emit a
-          // gather-free marker span; the commit re-checks against the live
-          // stamps (activation is monotone within a round, so a vertex that
-          // is prunable at pass start can only *lose* that status by commit
-          // time — in which case the commit falls back to a fresh rescan).
-          GatherSpan sp;
-          sp.pos = pos;
-          sp.li = li;
-          sp.pruned = 1;
-          ts.spans.push_back(sp);
-          continue;
-        }
-        const ModuleId cur = verts_[li].module;
-        ts.nbflow.clear();
-        for (std::uint32_t a = arc_off_[li]; a < arc_off_[li + 1]; ++a) {
-          const LocalVertex& nb = verts_[arcs_[a].target];
-          NeighborFlow& nf = ts.nbflow[nb.module];
-          nf.flow += arcs_[a].flow;
-          if (nb.kind != Kind::kOwned) nf.boundary = 1;
-          ++ts.arcs_scanned;
-        }
-        if (ts.nbflow.empty()) continue;  // isolated vertex; never movable
-        GatherSpan sp;
-        sp.pos = pos;
-        sp.li = li;
-        sp.begin = static_cast<std::uint32_t>(ts.entries.size());
-        sp.count = static_cast<std::uint32_t>(ts.nbflow.size());
-        sp.f_to_old = ts.nbflow.value_or(cur, {}).flow;
-        for (const ModuleId mod : ts.nbflow.keys()) {
-          const NeighborFlow& nf = *ts.nbflow.find(mod);
-          ts.entries.push_back({mod, nf.flow, nf.boundary});
-        }
-        ts.spans.push_back(sp);
-      }
-    });
-  }
-  note_pool_dispatch(Phase::kFindBestModule);
-
-  // --- commit (serial, deterministic order) -------------------------------
-  // Chunks are contiguous, so walking slots in index order replays the exact
-  // shuffled vertex order. A cached gather stays valid until a neighbor of
-  // the vertex commits a move; committed movers stamp their arc targets,
-  // which covers every local reader because movers are owned vertices and
-  // owned vertices carry their full local adjacency (graph symmetry).
-  if (stale_stamp_.size() != verts_.size()) {
-    stale_stamp_.assign(verts_.size(), 0);
-    pass_epoch_ = 0;
-  }
-  ++pass_epoch_;
-
-  std::uint64_t moves = 0;
-  std::vector<std::uint8_t> dirty_flag(verts_.size(), 0);
-  for (std::uint32_t li : dirty_owned_) dirty_flag[li] = 1;
-
-  for (const ThreadScratch& ts : scratch_) {
-    for (const GatherSpan& sp : ts.spans) {
-      const std::uint32_t li = sp.li;
-      BestMove mv;
-      bool found;
-      if (sp.pruned) {
-        if (can_prune(li)) {  // live stamps: same verdict the serial sweep makes
-          ++pruned_round_;
-          ++wk(Phase::kFindBestModule).pruned_evals;
-          continue;
-        }
-        ++stale_rescans_;
-        found = best_move_for(li, mv);  // a commit this round re-activated it
-      } else if (stale_stamp_[li] == pass_epoch_) {
-        ++stale_rescans_;
-        found = best_move_for(li, mv);  // fresh serial rescan
-      } else {
-        found = select_best_cached(li, sp, ts.entries, mv);
-      }
-      if (!found) continue;
-      if (verts_[li].kind == Kind::kDelegate) {
-        proposals.push_back(
-            {verts_[li].global, comm_.rank(), mv.target, mv.delta_l});
-      } else {
-        apply_local_move(li, mv);
-        ++moves;
-        for (std::uint32_t a = arc_off_[li]; a < arc_off_[li + 1]; ++a)
-          stale_stamp_[arcs_[a].target] = pass_epoch_;
-        if (!dirty_flag[li]) {
-          dirty_flag[li] = 1;
-          dirty_owned_.push_back(li);
-        }
-      }
-    }
-  }
-  if (metrics_ != nullptr)
-    metrics_->counter("pool.stale_rescans").set(stale_rescans_);
   return moves;
 }
 
@@ -476,7 +259,7 @@ std::uint64_t DistRank::apply_hub_winners(const std::vector<HubProposal>& winner
     auto& new_m = modules_[win.target];
     new_m.sum_pr += lv.node_flow;
     new_m.num_members += 1;
-    if (track_activity_) {
+    if (cfg_.async) {
       const std::uint64_t t = tick();
       stamp_assign(it->second, t);
       stamp_stats(lv.module, t);
@@ -519,27 +302,22 @@ std::uint64_t DistRank::broadcast_delegates_exact() {
   const int r = comm_.rank();
 
   // Ship each local hub's per-module flow partials (with the sender's
-  // post-sync module stats attached) to the hub's owner. The per-hub gather
-  // is embarrassingly parallel (each hub's accumulation is slot-local and
-  // module tables are frozen); per-destination record order is preserved by
-  // merging the contiguous hub chunks in slot order.
+  // post-sync module stats attached) to the hub's owner, in hub order.
   std::vector<std::vector<HubFlowRecord>> out(p);
-  const auto scan_hub = [&](std::uint32_t li,
-                            util::SparseAccumulator<ModuleId, NeighborFlow>& acc,
-                            std::uint64_t& arcs,
-                            std::vector<std::vector<HubFlowRecord>>& sink) {
+  if (nbflow_.capacity() < level_n_) nbflow_.reset(level_n_);
+  for (std::uint32_t li : hubs_) {
     const LocalVertex& hv = verts_[li];
-    acc.clear();
-    for (std::uint32_t a = arc_off_[li]; a < arc_off_[li + 1]; ++a) {
-      acc[verts_[arcs_[a].target].module].flow += arcs_[a].flow;
-      ++arcs;
-    }
-    const int dest = owner_of(hv.global);
-    for (const ModuleId mod : acc.keys()) {
+    nbflow_.clear();
+    for (std::uint32_t a = arc_off_[li]; a < arc_off_[li + 1]; ++a)
+      nbflow_[verts_[arcs_[a].target].module].flow += arcs_[a].flow;
+    wk(Phase::kBroadcastDelegates).arcs_scanned +=
+        arc_off_[li + 1] - arc_off_[li];
+    auto& sink = out[static_cast<std::size_t>(owner_of(hv.global))];
+    for (const ModuleId mod : nbflow_.keys()) {
       HubFlowRecord rec;
       rec.hub = hv.global;
       rec.module = mod;
-      rec.flow = acc.find(mod)->flow;
+      rec.flow = nbflow_.find(mod)->flow;
       auto it = modules_.find(mod);
       if (it != modules_.end()) {
         rec.sum_pr = it->second.sum_pr;
@@ -548,36 +326,8 @@ std::uint64_t DistRank::broadcast_delegates_exact() {
       } else {
         rec.num_members = -1;  // stats unknown to the sender
       }
-      sink[static_cast<std::size_t>(dest)].push_back(rec);
+      sink.push_back(rec);
     }
-  };
-  if (pool_ != nullptr) {
-    for (auto& ts : scratch_) {  // pre-clear: empty chunks are not dispatched
-      if (ts.nbflow.capacity() < level_n_) ts.nbflow.reset(level_n_);
-      ts.hub_out.resize(static_cast<std::size_t>(p));
-      for (auto& v : ts.hub_out) v.clear();
-    }
-    {
-      obs::SpanScope span(trace_buf_, "parallel_for");
-      pool_->parallel_for(hubs_.size(), [&](int slot, std::size_t b,
-                                            std::size_t e) {
-        ThreadScratch& ts = scratch_[static_cast<std::size_t>(slot)];
-        for (std::size_t i = b; i < e; ++i)
-          scan_hub(hubs_[i], ts.nbflow, ts.arcs_scanned, ts.hub_out);
-      });
-    }
-    for (auto& ts : scratch_) {
-      for (int dest = 0; dest < p; ++dest) {
-        auto& src = ts.hub_out[static_cast<std::size_t>(dest)];
-        out[dest].insert(out[dest].end(), src.begin(), src.end());
-      }
-    }
-    note_pool_dispatch(Phase::kBroadcastDelegates);
-  } else {
-    if (nbflow_.capacity() < level_n_) nbflow_.reset(level_n_);
-    std::uint64_t arcs = 0;
-    for (std::uint32_t li : hubs_) scan_hub(li, nbflow_, arcs, out);
-    wk(Phase::kBroadcastDelegates).arcs_scanned += arcs;
   }
   auto incoming = comm_.alltoallv(out);
 
@@ -738,7 +488,7 @@ void DistRank::swap_boundary_info() {
       }
       auto it = index_.find(rec.vertex);
       if (it == index_.end()) continue;
-      if (track_activity_ && verts_[it->second].module != rec.info.mod_id)
+      if (cfg_.async && verts_[it->second].module != rec.info.mod_id)
         stamp_assign(it->second, tick());
       verts_[it->second].module = rec.info.mod_id;
       if (modules_.count(rec.info.mod_id)) continue;  // existing module
@@ -749,7 +499,7 @@ void DistRank::swap_boundary_info() {
       stats.num_members = static_cast<std::uint64_t>(
           std::max<std::int32_t>(rec.info.num_members, 0));
       modules_.emplace(rec.info.mod_id, stats);
-      if (track_activity_) stamp_stats(rec.info.mod_id, tick());
+      if (cfg_.async) stamp_stats(rec.info.mod_id, tick());
       ++wk(Phase::kSwapBoundaryInfo).module_updates;
     }
   }
@@ -762,98 +512,33 @@ void DistRank::swap_boundary_info() {
   if (partial_acc_.capacity() < level_n_) partial_acc_.reset(level_n_);
   partial_acc_.clear();
   const int r = comm_.rank();
-  if (pool_ != nullptr) {
-    // Parallel scan, serial reduce: each slot emits its chunk's individual
-    // (module, contribution) records; the rank thread replays them in slot
-    // order. Chunks are contiguous, so the replay performs the exact adds of
-    // the serial loops in the exact order — per-slot *subtotals* would
-    // re-associate the floating-point sums and break bit-identity across
-    // thread counts. The parallel phase absorbs the traversal, module loads,
-    // and boundary filtering; only the (far fewer) surviving adds serialize.
-    for (auto& ts : scratch_) {  // pre-clear: empty chunks are not dispatched
-      ts.vertex_stream.clear();
-      ts.arc_stream.clear();
-      ts.interest_stream.clear();
-    }
-    {
-      obs::SpanScope span(trace_buf_, "parallel_for");
-      pool_->parallel_for(verts_.size(), [&](int slot, std::size_t b,
-                                             std::size_t e) {
-        ThreadScratch& ts = scratch_[static_cast<std::size_t>(slot)];
-        for (std::size_t li = b; li < e; ++li) {
-          const LocalVertex& lv = verts_[li];
-          const bool controlled =
-              lv.kind == Kind::kOwned ||
-              (lv.kind == Kind::kDelegate && owner_of(lv.global) == r);
-          if (controlled) {
-            ModulePartial mp;
-            mp.mod_id = lv.module;
-            mp.sum_pr = lv.node_flow;
-            mp.num_members = 1;
-            ts.vertex_stream.push_back(mp);
-          }
-          const ModuleId mu = lv.module;
-          for (std::uint32_t a = arc_off_[li]; a < arc_off_[li + 1]; ++a) {
-            const ModuleId mv = verts_[arcs_[a].target].module;
-            if (mu == mv) continue;
-            ModulePartial mp;
-            mp.mod_id = mu;
-            mp.exit_pr = arcs_[a].flow;
-            ts.arc_stream.push_back(mp);
-          }
-          ts.arcs_scanned += arc_off_[li + 1] - arc_off_[li];
-          ts.interest_stream.push_back(lv.module);
-        }
-      });
-    }
-    note_pool_dispatch(Phase::kSwapBoundaryInfo);
-    const auto replay = [&](const ModulePartial& rec) {
-      ModulePartial& mp = partial_acc_[rec.mod_id];
-      mp.mod_id = rec.mod_id;
-      mp.sum_pr += rec.sum_pr;
-      mp.exit_pr += rec.exit_pr;
-      mp.num_members += rec.num_members;
-    };
-    for (const auto& ts : scratch_)
-      for (const ModulePartial& rec : ts.vertex_stream) replay(rec);
-    for (const auto& ts : scratch_)
-      for (const ModulePartial& rec : ts.arc_stream) replay(rec);
-    // Zero partials double as interest declarations for every module any
-    // local vertex currently references.
-    for (const auto& ts : scratch_)
-      for (const ModuleId m : ts.interest_stream) {
-        ModulePartial& mp = partial_acc_[m];
-        mp.mod_id = m;  // no-op unless this touch created the entry
-      }
-  } else {
-    for (const auto& lv : verts_) {
-      const bool controlled =
-          lv.kind == Kind::kOwned ||
-          (lv.kind == Kind::kDelegate && owner_of(lv.global) == r);
-      if (controlled) {
-        ModulePartial& mp = partial_acc_[lv.module];
-        mp.mod_id = lv.module;
-        mp.sum_pr += lv.node_flow;
-        mp.num_members += 1;
-      }
-    }
-    for (std::uint32_t li = 0; li < verts_.size(); ++li) {
-      const ModuleId mu = verts_[li].module;
-      for (std::uint32_t a = arc_off_[li]; a < arc_off_[li + 1]; ++a) {
-        const ModuleId mv = verts_[arcs_[a].target].module;
-        if (mu == mv) continue;
-        ModulePartial& mp = partial_acc_[mu];
-        mp.mod_id = mu;
-        mp.exit_pr += arcs_[a].flow;
-      }
-    }
-    wk(Phase::kSwapBoundaryInfo).arcs_scanned += arcs_.size();
-    // Zero partials double as interest declarations for every module any
-    // local vertex currently references.
-    for (const auto& lv : verts_) {
+  for (const auto& lv : verts_) {
+    const bool controlled =
+        lv.kind == Kind::kOwned ||
+        (lv.kind == Kind::kDelegate && owner_of(lv.global) == r);
+    if (controlled) {
       ModulePartial& mp = partial_acc_[lv.module];
-      mp.mod_id = lv.module;  // no-op unless this touch created the entry
+      mp.mod_id = lv.module;
+      mp.sum_pr += lv.node_flow;
+      mp.num_members += 1;
     }
+  }
+  for (std::uint32_t li = 0; li < verts_.size(); ++li) {
+    const ModuleId mu = verts_[li].module;
+    for (std::uint32_t a = arc_off_[li]; a < arc_off_[li + 1]; ++a) {
+      const ModuleId mv = verts_[arcs_[a].target].module;
+      if (mu == mv) continue;
+      ModulePartial& mp = partial_acc_[mu];
+      mp.mod_id = mu;
+      mp.exit_pr += arcs_[a].flow;
+    }
+  }
+  wk(Phase::kSwapBoundaryInfo).arcs_scanned += arcs_.size();
+  // Zero partials double as interest declarations for every module any
+  // local vertex currently references.
+  for (const auto& lv : verts_) {
+    ModulePartial& mp = partial_acc_[lv.module];
+    mp.mod_id = lv.module;  // no-op unless this touch created the entry
   }
 
   std::vector<std::vector<ModulePartial>> to_home(p);
@@ -900,13 +585,13 @@ void DistRank::swap_boundary_info() {
   // and drift — §3.4's predicted failure. (The home aggregation above still
   // runs either way; merging and the reported L need it.)
   if (cfg_.whole_module_swap) {
-    if (track_activity_) std::swap(modules_, prev_modules_);
+    if (cfg_.async) std::swap(modules_, prev_modules_);
     modules_.clear();
     // One tick for the whole table refresh; a module only gets the stamp if
     // the authoritative statistics differ bitwise from what the table held
     // before (vanished modules need no stamp: a module vanishes only when
     // its last local member moved away, and that assignment was stamped).
-    const std::uint64_t t = track_activity_ ? tick() : 0;
+    const std::uint64_t t = cfg_.async ? tick() : 0;
     for (const auto& batch : replies_in) {
       for (const ModuleInfo& info : batch) {
         ModuleStats stats;
@@ -914,7 +599,7 @@ void DistRank::swap_boundary_info() {
         stats.exit_pr = info.exit_pr;
         stats.num_members = static_cast<std::uint64_t>(info.num_members);
         modules_.emplace(info.mod_id, stats);
-        if (track_activity_) {
+        if (cfg_.async) {
           auto prev = prev_modules_.find(info.mod_id);
           const bool changed = prev == prev_modules_.end() ||
                                prev->second.sum_pr != stats.sum_pr ||
@@ -973,7 +658,6 @@ void DistRank::sample_table_metrics() {
 
 DistRank::RoundResult DistRank::round(bool with_delegates,
                                       util::Xoshiro256& rng) {
-  if (track_activity_) ensure_activity_state();
   const std::uint64_t arcs0 = wk(Phase::kFindBestModule).arcs_scanned;
   RoundResult rr;
   std::vector<HubProposal> proposals;
@@ -992,7 +676,6 @@ DistRank::RoundResult DistRank::round(bool with_delegates,
     sample.moves = rr.global_moves;
     sample.rank_work = wk(Phase::kFindBestModule).arcs_scanned - arcs0;
     sample.skipped_unsynced = skipped_unsynced_round_;
-    sample.pruned = pruned_round_;
     recorder_->record_round(comm_.rank(), sample);
     if (trace_buf_ != nullptr) {
       trace_buf_->counter("codelength", codelength_);
@@ -1002,13 +685,11 @@ DistRank::RoundResult DistRank::round(bool with_delegates,
     if (metrics_ != nullptr) {
       metrics_->histogram("round.moves").observe(rr.global_moves);
       metrics_->counter("moves.skipped_unsynced").inc(skipped_unsynced_round_);
-      metrics_->counter("moves.pruned").inc(pruned_round_);
       sample_table_metrics();
     }
   }
   skipped_unsynced_total_ += skipped_unsynced_round_;
   skipped_unsynced_round_ = 0;
-  pruned_round_ = 0;
   ++round_index_;
   return rr;
 }
@@ -1649,7 +1330,6 @@ perf::WorkCounters DistRank::stage_work(int stage) const {
   perf::WorkCounters stage2;
   stage2.arcs_scanned = total.arcs_scanned - stage1.arcs_scanned;
   stage2.delta_evals = total.delta_evals - stage1.delta_evals;
-  stage2.pruned_evals = total.pruned_evals - stage1.pruned_evals;
   stage2.module_updates = total.module_updates - stage1.module_updates;
   stage2.messages = total.messages - stage1.messages;
   stage2.bytes = total.bytes - stage1.bytes;
@@ -1674,7 +1354,6 @@ obs::RunReport build_run_report(const graph::GraphView& graph,
                                 const obs::Recorder& recorder) {
   obs::RunReport rep;
   rep.add_config("num_ranks", config.num_ranks);
-  rep.add_config("threads_per_rank", config.threads_per_rank);
   rep.add_config("degree_threshold",
                  static_cast<std::uint64_t>(config.degree_threshold));
   rep.add_config("theta", config.theta);
@@ -1687,15 +1366,11 @@ obs::RunReport build_run_report(const graph::GraphView& graph,
   rep.add_config("min_label", config.min_label);
   rep.add_config("whole_module_swap", config.whole_module_swap);
   rep.add_config("exact_hub_moves", config.exact_hub_moves);
-  rep.add_config("active_set", config.active_set);
   rep.add_config("async", config.async);
   if (config.async)
     rep.add_config("async_max_lag",
                    static_cast<std::uint64_t>(config.async_max_lag));
   rep.add_config("plogp_memo", config.plogp_memo);
-  if (config.module_table_max_load_pct > 0)
-    rep.add_config("module_table_max_load_pct",
-                   config.module_table_max_load_pct);
   rep.add_config("chaos_delay_us",
                  static_cast<std::uint64_t>(config.chaos_delay_us));
   if (config.faults.any()) {
@@ -1752,6 +1427,16 @@ obs::RunReport build_run_report(const graph::GraphView& graph,
   return rep;
 }
 
+/// Ranks are the distributed core's only parallel axis; the stub
+/// threads_per_rank field accepts nothing but 1.
+void require_one_thread_per_rank(const DistInfomapConfig& config) {
+  DINFOMAP_REQUIRE_MSG(config.threads_per_rank == 1,
+                       "threads_per_rank must be 1 (got "
+                           << config.threads_per_rank
+                           << "): ranks are the distributed core's only "
+                              "parallel axis; add ranks instead");
+}
+
 /// Dense-relabel a raw per-vertex module array (final module ids are
 /// arbitrary VertexIds) into contiguous [0, k) — shared by the in-process
 /// driver and the multi-process rank-0 assembly, so both backends produce
@@ -1796,6 +1481,7 @@ void publish_blockgraph_stats(const graph::GraphView& graph,
 DistInfomapResult distributed_infomap(const graph::GraphView& graph,
                                       const partition::ArcPartition& part,
                                       const DistInfomapConfig& config) {
+  require_one_thread_per_rank(config);
   DINFOMAP_REQUIRE_MSG(config.num_ranks == part.num_ranks,
                        "config/partition rank mismatch");
   DINFOMAP_REQUIRE_MSG(part.round_robin_ownership(),
@@ -1922,6 +1608,7 @@ DistInfomapResult distributed_infomap(const graph::GraphView& graph,
 DistInfomapResult distributed_infomap_rank(const graph::GraphView& graph,
                                            const DistInfomapConfig& config,
                                            comm::Transport& transport) {
+  require_one_thread_per_rank(config);
   DINFOMAP_REQUIRE_MSG(config.num_ranks == transport.size(),
                        "worker bootstrap: config.num_ranks ("
                            << config.num_ranks << ") != transport size ("

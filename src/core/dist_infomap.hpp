@@ -43,11 +43,10 @@ inline constexpr std::array<const char*, kNumPhases> kPhaseNames = {
 
 struct DistInfomapConfig {
   int num_ranks = 4;
-  /// Worker threads per rank for the O(V+E) hot loops (move search, hub flow
-  /// scan, swap aggregation). 1 = the exact single-threaded code path; any
-  /// value produces bit-identical partitions and codelengths (the threaded
-  /// path proposes in parallel but commits serially in the deterministic
-  /// vertex order — see DESIGN.md §10).
+  /// Must be 1: ranks are the distributed core's only parallel axis
+  /// (DESIGN.md §10). The field stays only so callers that set it to 1 keep
+  /// compiling; distributed_infomap and distributed_infomap_rank reject any
+  /// other value.
   int threads_per_rank = 1;
   /// Hub threshold d_high; 0 → the paper's default d_high = num_ranks.
   graph::EdgeIndex degree_threshold = 0;
@@ -80,15 +79,6 @@ struct DistInfomapConfig {
   /// alltoallv of (hub, module, flow) records per round; improves quality on
   /// hub-dominated graphs (see bench_ablation_hubmoves).
   bool exact_hub_moves = false;
-  /// Deterministic active-set fast path for the synchronous engine: rounds
-  /// after the first skip vertices whose neighborhood (neighbor assignments,
-  /// candidate-module statistics, own stats) is unchanged since their last
-  /// evaluation *and* whose recorded rejection margin provably survives the
-  /// global q_total drift since then (DESIGN.md §12). Same fixed point, same
-  /// bits: the partition and MDL are bit-identical to full sweeps for any
-  /// thread count (asserted by tests/test_async.cpp); skipped evaluations are
-  /// counted in the `moves.pruned` metric.
-  bool active_set = false;
   /// Asynchronous priority-driven engine: per-rank deterministic worklist
   /// (max-heap on (|ΔL| gain estimate, vertex id)) drained in epochs that
   /// exchange module deltas through one packed collective instead of the
@@ -106,13 +96,6 @@ struct DistInfomapConfig {
   /// the uncached path by construction; asserted under chaos by the
   /// determinism regression test). Off selects the memo-free reference path.
   bool plogp_memo = true;
-  /// Maximum fill (percent) of the per-rank FlatMap module tables before
-  /// they grow; 0 keeps the built-in 7/8 default. Lower values trade memory
-  /// for shorter probe chains on hub-heavy graphs. Purely a performance
-  /// knob: the tables are never iterated on a result-bearing path, so any
-  /// value produces identical results (rehash work is surfaced through the
-  /// `flatmap.rehashes` metric).
-  int module_table_max_load_pct = 0;
   /// Chaos testing: random per-message delivery delay (µs). The synchronous
   /// protocol must produce identical results under any delivery timing —
   /// asserted by tests. 0 disables.
@@ -204,7 +187,7 @@ DistInfomapResult distributed_infomap(const graph::Csr& graph,
 /// injected-fault tallies) are gathered to rank 0 over the transport itself;
 /// rank 0 returns the fully assembled DistInfomapResult, other ranks return
 /// a skeleton carrying only their locally visible fields. Bit-identical to
-/// the in-process driver for a fixed (seed, ranks, threads): same partition,
+/// the in-process overloads for a fixed (seed, ranks): same partition,
 /// codelengths, round traces, and comm counters.
 ///
 /// Observability: the recorder only sees this rank's track, so per-process

@@ -16,11 +16,8 @@
 #include "util/flat_map.hpp"
 #include "util/random.hpp"
 #include "util/sparse_accumulator.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 #include "util/worklist.hpp"
-
-#include <memory>
 
 namespace dinfomap::core::detail {
 
@@ -144,17 +141,16 @@ class DistRank {
 
   void apply_local_move(std::uint32_t li, const BestMove& mv);
 
-  // ---- event clock & active-set pruning (DESIGN.md §12) -------------------
   /// §3.4 anti-bouncing, per-pair deterministic tiebreak: (mass, label)
   /// defines a total order over modules and a non-singleton boundary move
   /// yields iff it goes downhill in that order. A pure function of module
   /// state — no shared round counter — so the decision is identical on every
-  /// rank at any time: sound under full sweeps, active-set pruning, and
-  /// async epochs alike.
+  /// rank at any time: sound under full sweeps and async epochs alike.
   [[nodiscard]] bool min_label_yields(ModuleId cur, ModuleId target);
 
+  // ---- event clock of the async engine (DESIGN.md §12) --------------------
   /// (Re)size the stamp arrays for the current level; called lazily at the
-  /// top of every round/epoch so merge_level never has to know about them.
+  /// top of every async level so merge_level never has to know about them.
   void ensure_activity_state();
   std::uint64_t tick() { return ++clock_; }
   void stamp_assign(std::uint32_t li, std::uint64_t t) {
@@ -162,10 +158,10 @@ class DistRank {
     // clears the arrays on a level change) and the next ensure_activity_state;
     // a missed stamp there is harmless because the arrays are rebuilt with
     // "everything active" anyway.
-    if (track_activity_ && li < assign_stamp_.size()) assign_stamp_[li] = t;
+    if (cfg_.async && li < assign_stamp_.size()) assign_stamp_[li] = t;
   }
   void stamp_stats(ModuleId m, std::uint64_t t) {
-    if (track_activity_ && m < stat_stamp_.size()) stat_stamp_[m] = t;
+    if (cfg_.async && m < stat_stamp_.size()) stat_stamp_[m] = t;
   }
   /// True when re-evaluating `li` provably reproduces its last (no-move)
   /// outcome: no neighbor assignment, candidate-module statistic, or own
@@ -179,7 +175,7 @@ class DistRank {
   /// The min-label guard needs no extra state here: its verdict is a pure
   /// function of the module pair, itself covered by the assignment stamps.
   void note_evaluated(std::uint32_t li, bool found, double margin) {
-    if (!track_activity_) return;
+    if (!cfg_.async) return;
     last_eval_[li] = clock_;
     last_q_[li] = q_total_;
     last_margin_[li] = found ? 0.0 : margin;
@@ -200,42 +196,6 @@ class DistRank {
   /// clear. Returns the epoch's global move count (allreduced).
   std::uint64_t async_reconcile(bool with_delegates,
                                 std::uint64_t local_moves_since);
-
-  // ---- intra-rank thread parallelism (threads_per_rank > 1) --------------
-  /// One cached neighbor-flow entry from the parallel propose phase: the
-  /// per-module flow gather of best_move_for, frozen against the pass-start
-  /// snapshot of the module assignment.
-  struct CachedFlow {
-    ModuleId mod = 0;
-    double flow = 0;
-    std::uint8_t boundary = 0;
-  };
-  /// One proposed vertex: its position in the shuffled order plus the slice
-  /// of the slot's `entries` cache holding its gathered neighbor flows.
-  struct GatherSpan {
-    std::size_t pos = 0;      ///< index into the shuffled order
-    std::uint32_t li = 0;
-    std::uint32_t begin = 0;  ///< first entry in the slot's cache
-    std::uint32_t count = 0;
-    double f_to_old = 0;      ///< flow into the vertex's own module
-    /// Active-set: can_prune held against the pass-start stamps, so no
-    /// gather was taken. The serial commit re-checks against live stamps
-    /// (activation is monotone within a round) and either skips — exactly as
-    /// the serial sweep would — or falls back to a fresh full evaluation.
-    std::uint8_t pruned = 0;
-  };
-  /// Parallel propose / serial commit move pass — bit-identical to the
-  /// serial find_best_modules loop for any thread count (DESIGN.md §10).
-  std::uint64_t find_best_modules_parallel(bool with_delegates,
-                                           const std::vector<std::uint32_t>& order,
-                                           std::vector<HubProposal>& proposals);
-  /// Candidate argmin over a cached gather; exact replica of the serial
-  /// candidate loop in best_move_for (same FP ops, same tie-breaking).
-  bool select_best_cached(std::uint32_t li, const GatherSpan& span,
-                          const std::vector<CachedFlow>& entries, BestMove& best);
-  /// Flight-recorder epilogue for one pool dispatch (tasks, imbalance,
-  /// scratch bytes); folds per-slot arc counts into the phase counters.
-  void note_pool_dispatch(Phase ph);
 
   /// ΔL evaluation routed through the plogp memo when enabled (exact either
   /// way; the flag keeps a memo-free reference path selectable).
@@ -326,52 +286,13 @@ class DistRank {
   util::SparseAccumulator<ModuleId, ModulePartial> partial_acc_;
   PlogpMemo plogp_memo_;
 
-  /// Intra-rank worker pool (threads_per_rank > 1; null selects the exact
-  /// single-threaded code paths).
-  std::unique_ptr<util::ThreadPool> pool_;
-  /// Per-slot scratch arena, persistent across rounds and levels. A slot
-  /// owns scratch_[slot] exclusively during a dispatch; the rank thread
-  /// merges the outputs serially in slot order afterwards.
-  struct ThreadScratch {
-    util::SparseAccumulator<ModuleId, NeighborFlow> nbflow;
-    std::vector<CachedFlow> entries;
-    std::vector<GatherSpan> spans;
-    std::uint64_t arcs_scanned = 0;
-    /// swap_boundary_info: individual (module, contribution) records from
-    /// the vertex / arc / interest scans, replayed serially in slot order so
-    /// the floating-point accumulation order matches the serial scan
-    /// bit-for-bit (per-slot subtotals would re-associate the sums).
-    std::vector<ModulePartial> vertex_stream;
-    std::vector<ModulePartial> arc_stream;
-    std::vector<ModuleId> interest_stream;
-    /// broadcast_delegates_exact: per-destination hub flow records.
-    std::vector<std::vector<HubFlowRecord>> hub_out;
-    [[nodiscard]] std::size_t memory_bytes() const {
-      return nbflow.memory_bytes() + entries.capacity() * sizeof(CachedFlow) +
-             spans.capacity() * sizeof(GatherSpan) +
-             (vertex_stream.capacity() + arc_stream.capacity()) *
-                 sizeof(ModulePartial) +
-             interest_stream.capacity() * sizeof(ModuleId);
-    }
-  };
-  std::vector<ThreadScratch> scratch_;
-  /// Commit-phase staleness: stale_stamp_[li] == pass_epoch_ marks a vertex
-  /// whose cached gather was invalidated by a neighbor's committed move.
-  std::vector<std::uint32_t> stale_stamp_;
-  std::uint32_t pass_epoch_ = 0;
-  /// Gathers invalidated at commit time and recomputed serially (diagnostic).
-  std::uint64_t stale_rescans_ = 0;
-
   /// modules_.find misses in the move search (candidate module not yet
   /// synced locally → vertex skipped this round). Previously silent; now
   /// counted so the invariant watchdog can flag pathological skip rates.
   std::uint64_t skipped_unsynced_round_ = 0;
   std::uint64_t skipped_unsynced_total_ = 0;
 
-  // ---- event clock & active-set state (cfg_.active_set || cfg_.async) -----
-  /// Master switch resolved once in the ctor; false keeps every stamp site a
-  /// dead branch and the arrays empty.
-  bool track_activity_ = false;
+  // ---- event clock state (cfg_.async; empty otherwise) -------------------
   std::uint64_t clock_ = 1;  ///< per-rank monotone event clock
   /// Per local vertex: clock at its last module-assignment change (own move,
   /// hub winner, ghost update).
@@ -390,10 +311,9 @@ class DistRank {
   std::vector<double> last_q_;
   /// Pre-swap module table kept for the refresh diff: whole_module_swap
   /// replaces the table wholesale, and only entries that actually changed
-  /// bitwise may stamp (otherwise every module would reactivate every round
-  /// and the fast path would never prune).
+  /// bitwise may stamp (otherwise every reconciliation would reactivate
+  /// every vertex).
   util::FlatMap<ModuleId, ModuleStats> prev_modules_;
-  std::uint64_t pruned_round_ = 0;  ///< active-set skips this round
 
   // ---- async worklist state (cfg_.async) ----------------------------------
   /// Lazy-deletion priority queue over local vertex indices (extracted to

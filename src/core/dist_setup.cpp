@@ -24,19 +24,6 @@ DistRank::DistRank(comm::Comm& comm, const partition::ArcPartition& part,
     trace_buf_ = recorder_->track(comm_.rank());
     metrics_ = recorder_->metrics(comm_.rank());
   }
-  if (cfg_.threads_per_rank > 1) {
-    pool_ = std::make_unique<util::ThreadPool>(cfg_.threads_per_rank);
-    scratch_.resize(static_cast<std::size_t>(cfg_.threads_per_rank));
-  }
-  if (cfg_.module_table_max_load_pct > 0 &&
-      cfg_.module_table_max_load_pct < 100) {
-    const auto pct = static_cast<std::size_t>(cfg_.module_table_max_load_pct);
-    modules_.set_max_load(pct, 100);
-    prev_modules_.set_max_load(pct, 100);
-  }
-  // Event-clock activity tracking feeds both the active-set fast path and
-  // the async worklist; off (the default) every stamp site is a dead branch.
-  track_activity_ = cfg_.active_set || cfg_.async;
   obs::SpanScope span(trace_buf_, "Setup");
   setup_stage1(part);
 }
@@ -261,7 +248,7 @@ void DistRank::init_singleton_modules() {
   modules_.clear();
   dirty_owned_.clear();
   round_index_ = 0;
-  if (track_activity_) {
+  if (cfg_.async) {
     // Force a full activity reset at the next round/epoch: vertex and module
     // id spaces change across levels, so stamps must not carry over (the
     // stamp helpers bounds-check, making the window between here and the

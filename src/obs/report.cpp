@@ -31,7 +31,6 @@ std::string num(double v) {
 void append_work(std::ostream& os, const perf::WorkCounters& w) {
   os << "{\"arcs_scanned\": " << w.arcs_scanned
      << ", \"delta_evals\": " << w.delta_evals
-     << ", \"pruned_evals\": " << w.pruned_evals
      << ", \"module_updates\": " << w.module_updates
      << ", \"messages\": " << w.messages << ", \"bytes\": " << w.bytes << "}";
 }

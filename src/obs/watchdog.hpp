@@ -25,9 +25,6 @@ struct RoundSample {
   /// module churn; a persistently high rate means the swap protocol is
   /// starving the move search.
   std::uint64_t skipped_unsynced = 0;
-  /// Vertex evaluations the active-set fast path skipped this round (sync
-  /// engine; 0 when the fast path is off).
-  std::uint64_t pruned = 0;
   /// True when `codelength` is an exact post-allreduce global value (every
   /// synchronous round; async reconciliation epochs). Async drain epochs
   /// record the last reconciled value instead and mark it stale here, so the

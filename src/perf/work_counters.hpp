@@ -21,17 +21,12 @@ struct WorkCounters {
   std::uint64_t module_updates = 0;  ///< module-table mutations
   std::uint64_t messages = 0;        ///< transport messages sent
   std::uint64_t bytes = 0;           ///< transport bytes sent
-  /// Vertex evaluations skipped by the active-set fast path (each one a full
-  /// candidate scan that provably reproduces its last no-move outcome).
-  /// Last field: existing positional aggregate initializers stay valid.
-  std::uint64_t pruned_evals = 0;
 
   void reset() { *this = WorkCounters{}; }
 
   WorkCounters& operator+=(const WorkCounters& o) {
     arcs_scanned += o.arcs_scanned;
     delta_evals += o.delta_evals;
-    pruned_evals += o.pruned_evals;
     module_updates += o.module_updates;
     messages += o.messages;
     bytes += o.bytes;

@@ -1,4 +1,6 @@
-// Deterministic intra-rank thread parallelism for the O(V+E) hot loops.
+// Deterministic thread parallelism for the shared-memory engines' hot loops
+// (sequential Infomap, Louvain, RelaxMap). The distributed core does not use
+// it: its only parallel axis is ranks.
 //
 // A ThreadPool owns `num_threads - 1` persistent workers (the calling thread
 // always executes slot 0), dispatched with *static* slot assignment: every
@@ -9,10 +11,8 @@
 // are merged in slot order replays the exact serial iteration (and hence
 // floating-point accumulation) order, for any thread count.
 //
-// The pool is rank-local — with ranks-as-threads (comm::Runtime), a p-rank
-// run with t threads per rank holds p pools of t-1 workers each. Workers are
-// reused across rounds and levels; one dispatch costs two mutex handoffs,
-// which is noise against the O(V/p + E/p) chunks it carries.
+// Workers are reused across passes and levels; one dispatch costs two mutex
+// handoffs, which is noise against the O(V) chunks it carries.
 //
 // Exceptions thrown inside a slot are captured and rethrown on the calling
 // thread (lowest slot wins) after all slots finish. Nested use from inside a

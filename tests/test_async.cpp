@@ -1,13 +1,7 @@
-// Tests for the two move-scheduling fast paths (DESIGN.md §12):
-//  - the deterministic active-set fast path of the synchronous engine, whose
-//    contract is *bit-identity* with full sweeps (same partition, same MDL,
-//    for any thread count, also under transport faults), and
-//  - the asynchronous priority-worklist engine, whose contract is bounded
-//    divergence (MDL within 1% of the synchronous reference) plus exact
-//    determinism for a fixed (graph, seed, ranks, lag).
+// Tests for the asynchronous priority-worklist engine (DESIGN.md §12), whose
+// contract is bounded divergence (MDL within 1% of the synchronous
+// reference) plus exact determinism for a fixed (graph, seed, ranks, lag).
 #include <gtest/gtest.h>
-
-#include <cstdint>
 
 #include "core/dist_infomap.hpp"
 #include "core/flowgraph.hpp"
@@ -26,97 +20,7 @@ dc::DistInfomapConfig config_for(int p) {
   return cfg;
 }
 
-std::uint64_t total_pruned(const dc::DistInfomapResult& r) {
-  std::uint64_t n = 0;
-  for (const auto& per_rank : r.work)
-    for (const auto& wc : per_rank) n += wc.pruned_evals;
-  return n;
-}
-
-void expect_bit_identical(const dc::DistInfomapResult& a,
-                          const dc::DistInfomapResult& b, const char* what) {
-  EXPECT_EQ(a.assignment, b.assignment) << what;
-  EXPECT_DOUBLE_EQ(a.codelength, b.codelength) << what;
-  EXPECT_DOUBLE_EQ(a.singleton_codelength, b.singleton_codelength) << what;
-  ASSERT_EQ(a.stage1_round_codelengths.size(),
-            b.stage1_round_codelengths.size())
-      << what;
-  for (std::size_t i = 0; i < a.stage1_round_codelengths.size(); ++i)
-    EXPECT_DOUBLE_EQ(a.stage1_round_codelengths[i],
-                     b.stage1_round_codelengths[i])
-        << what << " round " << i;
-}
-
 }  // namespace
-
-// --- active-set fast path ---------------------------------------------------
-
-TEST(ActiveSet, BitIdenticalToFullSweeps) {
-  const auto gg = gen::lfr_lite({}, 47);
-  const auto g = dg::build_csr(gg.edges, gg.num_vertices);
-  for (int p : {4, 5}) {
-    auto full_cfg = config_for(p);
-    const auto full = dc::distributed_infomap(g, full_cfg);
-    auto fast_cfg = full_cfg;
-    fast_cfg.active_set = true;
-    for (int threads : {1, 2, 4}) {
-      fast_cfg.threads_per_rank = threads;
-      const auto fast = dc::distributed_infomap(g, fast_cfg);
-      expect_bit_identical(full, fast, "active-set vs full");
-      // The fast path must actually skip work, not just match trivially.
-      EXPECT_GT(total_pruned(fast), 0u) << "p=" << p << " t=" << threads;
-      EXPECT_EQ(total_pruned(full), 0u);
-    }
-  }
-}
-
-TEST(ActiveSet, BitIdenticalOnHubGraph) {
-  // Delegates take the hub-consensus path (apply_hub_winners); their stamping
-  // must keep the pruning exact too.
-  const auto gg = gen::barabasi_albert(900, 2, 51);
-  const auto g = dg::build_csr(gg.edges, gg.num_vertices);
-  auto cfg = config_for(4);
-  const auto full = dc::distributed_infomap(g, cfg);
-  cfg.active_set = true;
-  const auto fast = dc::distributed_infomap(g, cfg);
-  expect_bit_identical(full, fast, "active-set on hubs");
-  EXPECT_GT(total_pruned(fast), 0u);
-}
-
-TEST(ActiveSet, BitIdenticalUnderTransportFaults) {
-  // Fault recovery is transparent (PR 3); layering the active-set on top must
-  // not change that — the triple (full, fast, fast-under-faults) collapses to
-  // one partition.
-  const auto gg = gen::sbm(240, 6, 0.25, 0.01, 53);
-  const auto g = dg::build_csr(gg.edges, gg.num_vertices);
-  auto cfg = config_for(4);
-  const auto full = dc::distributed_infomap(g, cfg);
-  cfg.active_set = true;
-  const auto fast = dc::distributed_infomap(g, cfg);
-  cfg.faults.drop = 0.05;
-  cfg.faults.duplicate = 0.05;
-  cfg.faults.reorder = 0.05;
-  cfg.faults.seed = 7;
-  const auto faulty = dc::distributed_infomap(g, cfg);
-  expect_bit_identical(full, fast, "active-set, fault-free");
-  expect_bit_identical(full, faulty, "active-set under faults");
-}
-
-TEST(ActiveSet, PrunesHeavilyOnConvergedRounds) {
-  // On a community-structured graph whose convergence is localized, the
-  // skipped evaluations must add up to more than one full sweep's worth —
-  // the fast path pays for itself. (Graphs that converge in a single round
-  // prune nothing — every vertex moves, then the level ends on the first
-  // quiet round — and mushy overlapping structure churns every
-  // neighborhood; the invariant contract there is bit-identity, not
-  // savings.)
-  const auto gg = gen::sbm(2000, 40, 0.20, 0.002, 5);
-  const auto g = dg::build_csr(gg.edges, gg.num_vertices);
-  auto cfg = config_for(4);
-  cfg.active_set = true;
-  const auto r = dc::distributed_infomap(g, cfg);
-  EXPECT_GT(total_pruned(r), g.num_vertices());
-}
 
 // --- async priority-worklist engine -----------------------------------------
 
@@ -201,19 +105,4 @@ TEST(Async, HubGraphStaysInBand) {
   EXPECT_NEAR(as.codelength, dc::codelength_of_partition(fg, as.assignment),
               1e-9);
   EXPECT_LT(as.codelength, sync.codelength * 1.01);
-}
-
-TEST(Async, ThreadsDoNotChangeResult) {
-  // The async drain itself is single-threaded per rank (the heap order is the
-  // schedule); threads only parallelize reconciliation sweeps. Results must
-  // be independent of the thread count.
-  const auto gg = gen::lfr_lite({}, 73);
-  const auto g = dg::build_csr(gg.edges, gg.num_vertices);
-  auto cfg = config_for(4);
-  cfg.async = true;
-  const auto t1 = dc::distributed_infomap(g, cfg);
-  cfg.threads_per_rank = 4;
-  const auto t4 = dc::distributed_infomap(g, cfg);
-  EXPECT_EQ(t1.assignment, t4.assignment);
-  EXPECT_DOUBLE_EQ(t1.codelength, t4.codelength);
 }

@@ -370,18 +370,14 @@ TEST_F(BackendIdentity, DistInfomapBitIdenticalAcrossEnginesAndThreads) {
   const auto blocks = bg::BlockGraph::open(path("g.blockgraph"), bopts);
 
   for (const bool use_async : {false, true}) {
-    for (const int threads : {1, 2, 4}) {
-      dc::DistInfomapConfig cfg;
-      cfg.num_ranks = 4;
-      cfg.threads_per_rank = threads;
-      cfg.async = use_async;
-      const auto res = dc::distributed_infomap(dg::GraphView(csr), cfg);
-      const auto blk = dc::distributed_infomap(dg::GraphView(blocks), cfg);
-      EXPECT_EQ(res.assignment, blk.assignment)
-          << "async=" << use_async << " threads=" << threads;
-      EXPECT_EQ(res.codelength, blk.codelength)  // bit-identical, not NEAR
-          << "async=" << use_async << " threads=" << threads;
-    }
+    dc::DistInfomapConfig cfg;
+    cfg.num_ranks = 4;
+    cfg.async = use_async;
+    const auto res = dc::distributed_infomap(dg::GraphView(csr), cfg);
+    const auto blk = dc::distributed_infomap(dg::GraphView(blocks), cfg);
+    EXPECT_EQ(res.assignment, blk.assignment) << "async=" << use_async;
+    EXPECT_EQ(res.codelength, blk.codelength)  // bit-identical, not NEAR
+        << "async=" << use_async;
   }
 }
 
@@ -393,7 +389,6 @@ TEST_F(BackendIdentity, DistInfomapBitIdenticalUnderFaultPlan) {
 
   dc::DistInfomapConfig cfg;
   cfg.num_ranks = 5;
-  cfg.threads_per_rank = 2;
   cfg.faults.drop = 0.02;
   cfg.faults.duplicate = 0.02;
   cfg.faults.reorder = 0.01;
@@ -418,23 +413,6 @@ TEST_F(BackendIdentity, DistLouvainBitIdenticalAcrossBackends) {
     const auto blk = dc::distributed_louvain(dg::GraphView(blocks), p);
     EXPECT_EQ(res.assignment, blk.assignment) << "p=" << p;
     EXPECT_EQ(res.modularity, blk.modularity) << "p=" << p;
-  }
-}
-
-TEST_F(BackendIdentity, ModuleTableLoadFactorDoesNotChangeResults) {
-  // module_table_max_load_pct is a pure perf knob: denser tables, same
-  // partition and MDL bits.
-  const auto gg = gen::lfr_lite({}, 29);
-  const auto csr = dg::build_csr(gg.edges, gg.num_vertices);
-  dc::DistInfomapConfig base;
-  base.num_ranks = 4;
-  const auto ref = dc::distributed_infomap(csr, base);
-  for (const int pct : {50, 95}) {
-    dc::DistInfomapConfig cfg = base;
-    cfg.module_table_max_load_pct = pct;
-    const auto got = dc::distributed_infomap(csr, cfg);
-    EXPECT_EQ(got.assignment, ref.assignment) << "pct=" << pct;
-    EXPECT_EQ(got.codelength, ref.codelength) << "pct=" << pct;
   }
 }
 

@@ -643,6 +643,8 @@ TEST(RunReport, FilledByDistributedRun) {
     EXPECT_NE(doc->get("histograms")->get("comm.msg_bytes"), nullptr);
     EXPECT_NE(doc->get("histograms")->get("module_table.probe_len"), nullptr);
     EXPECT_NE(doc->get("counters")->get("comm.p2p_messages"), nullptr);
+    EXPECT_NE(doc->get("counters")->get("moves.skipped_unsynced"), nullptr);
+    EXPECT_NE(doc->get("counters")->get("comm.packed_exchanges"), nullptr);
   }
   // Conflicting synchronous moves can overshoot L by a hair, so a real run
   // may legitimately trip the MDL watchdog — and a test-scale run is all

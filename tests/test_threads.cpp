@@ -1,10 +1,10 @@
-// Intra-rank thread parallelism (util::ThreadPool + the threaded hot loops):
-// the central claim under test is bit-reproducibility — for any thread count,
-// the distributed pipeline, sequential Infomap, and Louvain must produce
-// partitions and objective values *identical* (==, not close) to the
-// single-threaded run, including under seeded transport fault plans. Plus
-// unit coverage of the pool itself: exact chunk coverage, caller-runs-slot-0,
-// exception propagation, nested-use inline fallback, and reuse.
+// Thread parallelism of the shared-memory engines (util::ThreadPool): the
+// central claim under test is bit-reproducibility — for any thread count,
+// sequential Infomap and Louvain must produce partitions and objective values
+// *identical* (==, not close) to the single-threaded run. Plus unit coverage
+// of the pool itself: exact chunk coverage, caller-runs-slot-0, exception
+// propagation, nested-use inline fallback, and reuse; and the distributed
+// pipeline's bit-identity under a seeded transport fault plan.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -150,46 +150,11 @@ TEST(ThreadPool, ReusedAcrossManyDispatches) {
   EXPECT_EQ(pool.last_slot_seconds().size(), 4u);
 }
 
-// ---- distributed pipeline: bit-identical across thread counts ---------------
-
-TEST(ThreadDeterminism, DistPartitionAndMdlBitIdenticalAcrossThreadCounts) {
-  const auto g = test_graph();
-  core::DistInfomapConfig base;
-  base.num_ranks = 4;
-  const auto serial = core::distributed_infomap(g, base);
-
-  for (const int threads : {2, 4}) {
-    auto cfg = base;
-    cfg.threads_per_rank = threads;
-    const auto threaded = core::distributed_infomap(g, cfg);
-    EXPECT_EQ(threaded.assignment, serial.assignment) << threads << " threads";
-    EXPECT_EQ(threaded.codelength, serial.codelength) << threads << " threads";
-    EXPECT_EQ(threaded.stage1_round_codelengths,
-              serial.stage1_round_codelengths)
-        << threads << " threads";
-  }
-}
-
-TEST(ThreadDeterminism, ExactHubMovesBitIdenticalAcrossThreadCounts) {
-  // exact_hub_moves routes hub decisions through the threaded hub flow scan
-  // (broadcast_delegates_exact) — the second parallelized hot loop.
-  const auto g = test_graph();
-  core::DistInfomapConfig base;
-  base.num_ranks = 4;
-  base.exact_hub_moves = true;
-  const auto serial = core::distributed_infomap(g, base);
-
-  auto cfg = base;
-  cfg.threads_per_rank = 4;
-  const auto threaded = core::distributed_infomap(g, cfg);
-  EXPECT_EQ(threaded.assignment, serial.assignment);
-  EXPECT_EQ(threaded.codelength, serial.codelength);
-}
+// ---- distributed pipeline under a fault plan -------------------------------
 
 TEST(ThreadDeterminism, ThreadedRunBitIdenticalUnderFaultPlan) {
-  // Threads + transport faults together: recovery must stay invisible and
-  // the threaded commit order must stay exact while retransmits reshuffle
-  // the wire underneath it.
+  // Ranks are threads: recovery must stay invisible while retransmits
+  // reshuffle the wire between them.
   const auto g = test_graph();
   core::DistInfomapConfig base;
   base.num_ranks = 4;
@@ -201,34 +166,14 @@ TEST(ThreadDeterminism, ThreadedRunBitIdenticalUnderFaultPlan) {
   plan.reorder = 0.01;
   plan.corrupt = 0.01;
   plan.seed = 321;
-  for (const int threads : {1, 4}) {
-    auto cfg = base;
-    cfg.threads_per_rank = threads;
-    cfg.faults = plan;
-    const auto faulted = core::distributed_infomap(g, cfg);
-    EXPECT_EQ(faulted.assignment, clean.assignment) << threads << " threads";
-    EXPECT_EQ(faulted.codelength, clean.codelength) << threads << " threads";
-    dc::FaultCounters injected;
-    for (const auto& f : faulted.report.faults_injected) injected += f;
-    EXPECT_GT(injected.total(), 0u) << "plan never fired";
-  }
-}
-
-TEST(ThreadDeterminism, ThreadCountEchoedInRunReportWithPoolMetrics) {
-  const auto gg = gen::ring_of_cliques(8, 5, 2);
-  const auto g = dg::build_csr(gg.edges, gg.num_vertices);
-  core::DistInfomapConfig cfg;
-  cfg.num_ranks = 4;
-  cfg.threads_per_rank = 2;
-  cfg.obs.enabled = true;
-  const auto result = core::distributed_infomap(g, cfg);
-  const auto json = result.report.to_json();
-  EXPECT_NE(json.find("\"threads_per_rank\": 2"), std::string::npos);
-  EXPECT_NE(json.find("\"pool.tasks\""), std::string::npos);
-  EXPECT_NE(json.find("\"pool.dispatches\""), std::string::npos);
-  EXPECT_NE(json.find("\"pool.scratch_bytes\""), std::string::npos);
-  EXPECT_NE(json.find("\"moves.skipped_unsynced\""), std::string::npos);
-  EXPECT_NE(json.find("\"comm.packed_exchanges\""), std::string::npos);
+  auto cfg = base;
+  cfg.faults = plan;
+  const auto faulted = core::distributed_infomap(g, cfg);
+  EXPECT_EQ(faulted.assignment, clean.assignment);
+  EXPECT_EQ(faulted.codelength, clean.codelength);
+  dc::FaultCounters injected;
+  for (const auto& f : faulted.report.faults_injected) injected += f;
+  EXPECT_GT(injected.total(), 0u) << "plan never fired";
 }
 
 // ---- packed alltoallv (merge-phase exchange coalescing) ---------------------

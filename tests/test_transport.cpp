@@ -460,6 +460,16 @@ TEST_F(TransportCli, RejectsMalformedNumericArguments) {
   }
 }
 
+TEST_F(TransportCli, RelaxMapBannerReportsThreadCount) {
+  // --threads sets RelaxMap's worker count; the banner must print that
+  // count, not the rank count.
+  const auto res = run_cli("cluster " + *edges_ + " " + *dir_ +
+                           "/r.clu --algo relaxmap --ranks 4 --threads 2");
+  EXPECT_EQ(res.exit_code, 0) << res.output;
+  EXPECT_NE(res.output.find("RelaxMap (2 threads)"), std::string::npos)
+      << res.output;
+}
+
 TEST_F(TransportCli, RejectsInvalidFaultPlansAtConfigTime) {
   const std::string base = "cluster " + *edges_ + " " + *dir_ + "/z.clu ";
   const struct {
