@@ -369,35 +369,6 @@ void emit_hotpath_json() {
                 kEvals, plain * 1e6, memoized * 1e6, plain / memoized);
   }
 
-  // End-to-end FindBestModule check on the distributed path: one small LFR
-  // run, wall-clock per phase (the modeled Fig. 8 numbers live in
-  // BENCH_fig8_time_breakdown.json).
-  {
-    const auto gg = graph::gen::lfr_lite({}, 7);
-    const auto g = graph::build_csr(gg.edges, gg.num_vertices);
-    core::DistInfomapConfig cfg;
-    cfg.num_ranks = 4;
-    const auto findbest_wall = [&](bool memo) {
-      core::DistInfomapConfig c = cfg;
-      c.plogp_memo = memo;
-      return best_seconds(3, [&] {
-        const auto result = core::distributed_infomap(g, c);
-        double find_best = 0;
-        for (double s : result.phase_seconds[0]) find_best += s;
-        return find_best;
-      });
-    };
-    const double with_memo = findbest_wall(true);
-    const double without_memo = findbest_wall(false);
-    json.begin_row()
-        .field("kernel", "dist_findbestmodule_wall")
-        .field("graph", "lfr_lite_default")
-        .field("ranks", 4)
-        .field("findbest_wall_memo_s", with_memo)
-        .field("findbest_wall_plain_s", without_memo);
-    std::printf("dist FindBestModule wall: memo %.2fms plain %.2fms\n",
-                with_memo * 1e3, without_memo * 1e3);
-  }
   json.write();
   std::printf("wrote bench_results/BENCH_hotpath.json\n");
 }

@@ -112,7 +112,8 @@ int usage() {
                "  dinfomap_cli generate <lfr|ba|rmat|sbm|ring|er> <out.txt> [seed]\n"
                "  dinfomap_cli cluster <edges.txt> <out.clu> [--algo seq|dist|louvain|lpa|relaxmap]\n"
                "                [--ranks N] [--seed S] [--tree out.tree]\n"
-               "                [--threads T]  (seq/louvain/relaxmap only; dist scales by --ranks)\n"
+               "                [--threads T]  (relaxmap only; the other engines run one thread,\n"
+               "                 dist and dist-louvain scale by --ranks)\n"
                "                [--transport inproc|socket]  (dist only; socket = one worker\n"
                "                 process per rank over Unix-domain sockets)\n"
                "                [--trace out.trace.json] [--report out.report.json]  (dist only)\n"
@@ -432,6 +433,10 @@ int cmd_cluster(int argc, char** argv) {
     else return usage();
   }
 
+  if (threads > 1 && algo != "relaxmap")
+    throw CliParseError("--threads " + std::to_string(threads) +
+                        " requires --algo relaxmap (only RelaxMap runs on "
+                        "threads; the dist engines scale by --ranks)");
   if (transport != "inproc" && transport != "socket")
     throw CliParseError("--transport: expected 'inproc' or 'socket', got '" +
                         transport + "'");
@@ -527,7 +532,6 @@ int cmd_cluster(int argc, char** argv) {
     const graph::Csr& g = *resident;
     core::InfomapConfig cfg;
     cfg.seed = seed;
-    cfg.num_threads = threads;
     const auto r = core::sequential_infomap(g, cfg);
     assignment = r.assignment;
     std::printf("sequential Infomap: L = %.6f, %u modules\n", r.codelength,
@@ -574,7 +578,6 @@ int cmd_cluster(int argc, char** argv) {
     const graph::Csr& g = *resident;
     core::LouvainConfig cfg;
     cfg.seed = seed;
-    cfg.num_threads = threads;
     const auto r = core::louvain(g, cfg);
     assignment = r.assignment;
     std::printf("Louvain: Q = %.6f\n", r.modularity);

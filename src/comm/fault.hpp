@@ -143,7 +143,7 @@ struct FaultCounters {
   }
 };
 
-/// SplitMix64 output mixer — the same stream shape Runtime::maybe_delay uses.
+/// SplitMix64 output mixer.
 [[nodiscard]] inline std::uint64_t splitmix64(std::uint64_t z) {
   z += 0x9E3779B97F4A7C15ULL;
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;

@@ -10,9 +10,7 @@
 namespace dinfomap::comm {
 
 Runtime::Runtime(int nranks, const Options& options)
-    : options_(options),
-      faults_enabled_(options.faults.any()),
-      chaos_state_(options.chaos_seed) {
+    : options_(options), faults_enabled_(options.faults.any()) {
   mailboxes_.reserve(nranks);
   rank_state_.reserve(nranks);
   endpoints_.reserve(nranks);
@@ -27,17 +25,6 @@ Runtime::Runtime(int nranks, const Options& options)
     for (std::size_t i = 0; i < n * n; ++i)
       channels_.push_back(std::make_unique<Channel>());
   }
-}
-
-void Runtime::maybe_delay() {
-  if (options_.chaos_max_delay_us == 0) return;
-  // SplitMix64 step on a shared atomic: races only shuffle the schedule,
-  // which is the point.
-  const std::uint64_t z = splitmix64(chaos_state_.fetch_add(
-      0x9E3779B97F4A7C15ULL, std::memory_order_relaxed));
-  const auto delay = chaos_delay_us(z, options_.chaos_max_delay_us);
-  // dlint:allow(sleep-sync): chaos fault injection — the delay IS the feature
-  if (delay > 0) std::this_thread::sleep_for(std::chrono::microseconds(delay));
 }
 
 Mailbox& Runtime::mailbox(int rank) {
@@ -93,7 +80,6 @@ void Runtime::deliver(int src, int dest, int tag,
   if (!faults_enabled_ || dest == src) {
     // Fault-free fast path. Self-delivery always takes it too: a local copy
     // cannot be lost or corrupted by any real transport.
-    maybe_delay();
     mailbox(dest).deliver(std::move(m));
     return;
   }
@@ -112,7 +98,7 @@ void Runtime::deliver(int src, int dest, int tag,
 
   // Frames to put on the wire this call, in order. Built under the channel
   // lock (sequencing + dice must be atomic per channel), delivered after it
-  // drops so a chaos sleep never holds the lane.
+  // drops so the lane lock is never held across a mailbox lock.
   std::vector<Message> out;
   {
     Channel& ch = channel(src, dest);
@@ -163,10 +149,7 @@ void Runtime::deliver(int src, int dest, int tag,
     }
     if (had_held) out.push_back(std::move(old_held));
   }
-  for (auto& f : out) {
-    maybe_delay();
-    mailbox(dest).deliver(std::move(f));
-  }
+  for (auto& f : out) mailbox(dest).deliver(std::move(f));
 }
 
 RetransmitOutcome Runtime::request_retransmit(

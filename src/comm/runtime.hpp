@@ -55,19 +55,11 @@ class Runtime {
 
   /// TransportTuning carries the recovery knobs shared by every backend
   /// (fault plan, retry budget/backoff, retransmit window, watchdog
-  /// timeout); this in-process runtime adds its chaos scheduler on top. The
-  /// watchdog here is a monitor thread that aborts the job with a
-  /// CommFault{kStalled} naming the stalled rank once *no* unfinished rank
-  /// has made transport progress for the timeout; it must exceed the longest
-  /// compute gap between comm calls of the job.
-  struct Options : TransportTuning {
-    /// Chaos testing: delay each message delivery by a random 0..N µs
-    /// (seeded, per-message). A correct bulk-synchronous algorithm must
-    /// produce bit-identical results under any delivery timing; tests run
-    /// the full pipeline with chaos on and compare.
-    unsigned chaos_max_delay_us = 0;
-    std::uint64_t chaos_seed = 1;
-  };
+  /// timeout). The watchdog here is a monitor thread that aborts the job
+  /// with a CommFault{kStalled} naming the stalled rank once *no* unfinished
+  /// rank has made transport progress for the timeout; it must exceed the
+  /// longest compute gap between comm calls of the job.
+  using Options = TransportTuning;
 
   /// Run `fn` on `nranks` ranks; blocks until all complete. If any rank
   /// throws, the runtime poisons every mailbox (unblocking peers), joins, and
@@ -92,7 +84,7 @@ class Runtime {
 
   /// Transport entry point: frame, roll the fault dice, and deliver into
   /// `dest`'s mailbox (self-sends bypass injection — a local copy cannot be
-  /// lost). May sleep (chaos / stall) and may deliver zero, one, or several
+  /// lost). May stall (fault plan) and may deliver zero, one, or several
   /// frames.
   void deliver(int src, int dest, int tag, std::span<const std::byte> data);
 
@@ -119,15 +111,6 @@ class Runtime {
   /// "frozen mid-send".
   void note_progress(int rank);
   void set_waiting(int rank, bool waiting);
-
-  /// Chaos hook: sleeps a seeded-random interval when chaos is enabled.
-  void maybe_delay();
-  /// Delay drawn from a mixed word — 64-bit math so `max_delay_us + 1`
-  /// cannot wrap to a zero modulus at UINT_MAX (that was live UB).
-  [[nodiscard]] static std::uint64_t chaos_delay_us(std::uint64_t mixed,
-                                                    unsigned max_delay_us) {
-    return mixed % (static_cast<std::uint64_t>(max_delay_us) + 1);
-  }
 
  private:
   Runtime(int nranks, const Options& options);
@@ -173,7 +156,6 @@ class Runtime {
   std::atomic<bool> aborted_{false};
   Options options_;
   bool faults_enabled_ = false;
-  std::atomic<std::uint64_t> chaos_state_;
 };
 
 /// The in-process backend's per-rank Transport endpoint: a thin adapter from

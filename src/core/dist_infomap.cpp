@@ -1184,6 +1184,26 @@ VertexId DistRank::merge_level() {
 // Driver
 // ---------------------------------------------------------------------------
 
+void DistRank::sync_level(bool with_delegates, OuterIterationInfo& info,
+                          util::Xoshiro256& rng) {
+  for (int i = 0; i < cfg_.max_rounds; ++i) {
+    const double before = codelength_;
+    const RoundResult rr = round(with_delegates, rng);
+    info.moves += rr.global_moves;
+    ++info.inner_passes;
+    if (with_delegates) {  // stage 1 keeps its per-round MDL series
+      ++stage1_rounds_;
+      round_mdl_.push_back(codelength_);
+    }
+    if (rr.global_moves == 0) break;
+    // Conflicting synchronous moves can overshoot; stop the level rather
+    // than keep trading regressions.
+    if (codelength_ > before + cfg_.round_theta) break;
+    if (i + 1 >= cfg_.min_rounds && before - codelength_ < cfg_.round_theta)
+      break;
+  }
+}
+
 void DistRank::execute() {
   util::Xoshiro256 rng(util::derive_seed(cfg_.seed, comm_.rank()));
 
@@ -1209,21 +1229,7 @@ void DistRank::execute() {
       info.moves += async_level(/*with_delegates=*/true, recons);
       info.inner_passes = recons;  // stage1_rounds_/round_mdl_ updated inside
     } else {
-      for (int i = 0; i < cfg_.max_rounds; ++i) {
-        const double before = codelength_;
-        const RoundResult rr = round(/*with_delegates=*/true, rng);
-        info.moves += rr.global_moves;
-        ++info.inner_passes;
-        ++stage1_rounds_;
-        round_mdl_.push_back(codelength_);
-        if (rr.global_moves == 0) break;
-        // Conflicting synchronous moves can overshoot; stop the level rather
-        // than keep trading regressions.
-        if (codelength_ > before + cfg_.round_theta) break;
-        if (i + 1 >= cfg_.min_rounds &&
-            before - codelength_ < cfg_.round_theta)
-          break;
-      }
+      sync_level(/*with_delegates=*/true, info, rng);
     }
     info.codelength_after = codelength_;
     info.num_modules = static_cast<VertexId>(alive_modules_);
@@ -1252,17 +1258,7 @@ void DistRank::execute() {
         info.moves += async_level(/*with_delegates=*/false, recons);
         info.inner_passes = recons;
       } else {
-        for (int i = 0; i < cfg_.max_rounds; ++i) {
-          const double before = codelength_;
-          const RoundResult rr = round(/*with_delegates=*/false, rng);
-          info.moves += rr.global_moves;
-          ++info.inner_passes;
-          if (rr.global_moves == 0) break;
-          if (codelength_ > before + cfg_.round_theta) break;
-          if (i + 1 >= cfg_.min_rounds &&
-              before - codelength_ < cfg_.round_theta)
-            break;
-        }
+        sync_level(/*with_delegates=*/false, info, rng);
       }
       info.codelength_after = codelength_;
       info.num_modules = static_cast<VertexId>(alive_modules_);
@@ -1370,9 +1366,6 @@ obs::RunReport build_run_report(const graph::GraphView& graph,
   if (config.async)
     rep.add_config("async_max_lag",
                    static_cast<std::uint64_t>(config.async_max_lag));
-  rep.add_config("plogp_memo", config.plogp_memo);
-  rep.add_config("chaos_delay_us",
-                 static_cast<std::uint64_t>(config.chaos_delay_us));
   if (config.faults.any()) {
     rep.add_config("fault_drop", config.faults.drop);
     rep.add_config("fault_duplicate", config.faults.duplicate);
@@ -1502,7 +1495,6 @@ DistInfomapResult distributed_infomap(const graph::GraphView& graph,
   obs::Recorder recorder(p, config.obs);
 
   comm::Runtime::Options rt_options;
-  rt_options.chaos_max_delay_us = config.chaos_delay_us;
   rt_options.faults = config.faults;
   rt_options.watchdog_timeout_ms = config.comm_watchdog_ms;
   auto report = comm::Runtime::run(
@@ -1739,30 +1731,6 @@ DistInfomapResult distributed_infomap_rank(const graph::GraphView& graph,
   if (recorder.enabled() && !config.obs.trace_path.empty())
     (void)recorder.trace().write(config.obs.trace_path);
   return result;
-}
-
-// ---- resident-backend wrappers -------------------------------------------
-
-DistInfomapResult distributed_infomap(const graph::Csr& graph,
-                                      const DistInfomapConfig& config) {
-  return distributed_infomap(graph::GraphView(graph), config);
-}
-
-DistInfomapResult distributed_infomap(const graph::Csr& graph,
-                                      const partition::ArcPartition& part,
-                                      const DistInfomapConfig& config) {
-  return distributed_infomap(graph::GraphView(graph), part, config);
-}
-
-DistInfomapResult distributed_infomap_rank(const graph::Csr& graph,
-                                           const DistInfomapConfig& config,
-                                           comm::Transport& transport) {
-  return distributed_infomap_rank(graph::GraphView(graph), config, transport);
-}
-
-graph::EdgeIndex resolve_degree_threshold(const graph::Csr& graph,
-                                          const DistInfomapConfig& config) {
-  return resolve_degree_threshold(graph::GraphView(graph), config);
 }
 
 }  // namespace dinfomap::core

@@ -91,15 +91,6 @@ struct DistInfomapConfig {
   /// consensus + whole-module swap + exact L) runs every `async_max_lag`
   /// epochs, bounding how far rank-local statistics may diverge.
   int async_max_lag = 4;
-  /// Route the hot-path plogp calls through a per-rank memo (exact cache of
-  /// x·log2(x) keyed on the bit pattern of x — results are bit-identical to
-  /// the uncached path by construction; asserted under chaos by the
-  /// determinism regression test). Off selects the memo-free reference path.
-  bool plogp_memo = true;
-  /// Chaos testing: random per-message delivery delay (µs). The synchronous
-  /// protocol must produce identical results under any delivery timing —
-  /// asserted by tests. 0 disables.
-  unsigned chaos_delay_us = 0;
   /// Seeded transport fault plan (drop / duplicate / reorder / corrupt /
   /// stall — see comm/fault.hpp). Recovery must be transparent: the final
   /// partition and MDL stay bit-identical to the fault-free run (asserted by
@@ -156,23 +147,17 @@ struct DistInfomapResult {
 };
 
 /// Run the full distributed pipeline on `graph` with `config.num_ranks`
-/// ranks. Deterministic for a fixed (graph, config) pair. The GraphView
-/// overloads are the implementation — they stream the input from either the
-/// resident CSR or the out-of-core block file and produce bit-identical
-/// partitions and codelengths on both backends (the ranks themselves only
-/// ever see the ArcPartition, which the view-based builders construct
-/// identically); the Csr overloads are thin wrappers.
+/// ranks. Deterministic for a fixed (graph, config) pair. The input streams
+/// from either the resident CSR (a `graph::Csr` converts implicitly) or the
+/// out-of-core block file, with bit-identical partitions and codelengths on
+/// both backends (the ranks themselves only ever see the ArcPartition, which
+/// the view-based builders construct identically).
 DistInfomapResult distributed_infomap(const graph::GraphView& graph,
-                                      const DistInfomapConfig& config);
-DistInfomapResult distributed_infomap(const graph::Csr& graph,
                                       const DistInfomapConfig& config);
 
 /// Same, but over an already-built stage-1 partition (lets benchmarks reuse
 /// one partitioning across runs and ablate the partitioner).
 DistInfomapResult distributed_infomap(const graph::GraphView& graph,
-                                      const partition::ArcPartition& part,
-                                      const DistInfomapConfig& config);
-DistInfomapResult distributed_infomap(const graph::Csr& graph,
                                       const partition::ArcPartition& part,
                                       const DistInfomapConfig& config);
 
@@ -197,16 +182,11 @@ DistInfomapResult distributed_infomap(const graph::Csr& graph,
 DistInfomapResult distributed_infomap_rank(const graph::GraphView& graph,
                                            const DistInfomapConfig& config,
                                            comm::Transport& transport);
-DistInfomapResult distributed_infomap_rank(const graph::Csr& graph,
-                                           const DistInfomapConfig& config,
-                                           comm::Transport& transport);
 
 /// The d_high actually used when `config.degree_threshold == 0`: the paper's
 /// d_high = p, floored at several times the mean degree so scaled-down runs
 /// do not delegate the whole graph (see DESIGN.md).
 graph::EdgeIndex resolve_degree_threshold(const graph::GraphView& graph,
-                                          const DistInfomapConfig& config);
-graph::EdgeIndex resolve_degree_threshold(const graph::Csr& graph,
                                           const DistInfomapConfig& config);
 
 }  // namespace dinfomap::core

@@ -108,6 +108,11 @@ class DistRank {
     std::uint64_t global_moves = 0;
   };
   RoundResult round(bool with_delegates, util::Xoshiro256& rng);
+  /// One level of synchronous rounds until a stop rule fires: no moves, an
+  /// overshoot, or a gain below round_theta after min_rounds. Stage 1
+  /// (`with_delegates`) also counts its rounds and records each round's MDL.
+  void sync_level(bool with_delegates, OuterIterationInfo& info,
+                  util::Xoshiro256& rng);
 
   /// Phase 1: greedy pass; immediate moves for owned, proposals for hubs.
   std::uint64_t find_best_modules(bool with_delegates, util::Xoshiro256& rng,
@@ -197,10 +202,9 @@ class DistRank {
   std::uint64_t async_reconcile(bool with_delegates,
                                 std::uint64_t local_moves_since);
 
-  /// ΔL evaluation routed through the plogp memo when enabled (exact either
-  /// way; the flag keeps a memo-free reference path selectable).
+  /// ΔL evaluation routed through this rank's plogp memo.
   MoveOutcome eval_move(const MoveDelta& d) {
-    return cfg_.plogp_memo ? evaluate_move(d, plogp_memo_) : evaluate_move(d);
+    return evaluate_move(d, memo_);
   }
 
   [[nodiscard]] int home_of(ModuleId m) const {
@@ -284,7 +288,7 @@ class DistRank {
   util::SparseAccumulator<ModuleId, NeighborFlow> nbflow_;
   /// Reusable per-module partial-stat scratch for swap_boundary_info.
   util::SparseAccumulator<ModuleId, ModulePartial> partial_acc_;
-  PlogpMemo plogp_memo_;
+  PlogpMemo memo_;
 
   /// modules_.find misses in the move search (candidate module not yet
   /// synced locally → vertex skipped this round). Previously silent; now
@@ -329,7 +333,9 @@ class DistRank {
   double codelength_ = 0;
   double singleton_codelength_ = 0;
   std::uint64_t alive_modules_ = 0;  ///< global module count (post-sync)
-  int round_index_ = 0;  ///< round counter (drives min-label alternation)
+  /// Rounds and async epochs run so far; stamps the flight recorder's round
+  /// samples and anomalies.
+  int round_index_ = 0;
   int current_level_ = 0;  ///< outer level (0 = stage 1) for round samples
 
   /// Owned vertices that changed module since the last swap.

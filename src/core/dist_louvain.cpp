@@ -293,13 +293,4 @@ DistLouvainResult distributed_louvain(const graph::GraphView& graph,
   return distributed_louvain(graph, config);
 }
 
-DistLouvainResult distributed_louvain(const graph::Csr& graph,
-                                      const DistLouvainConfig& config) {
-  return distributed_louvain(graph::GraphView(graph), config);
-}
-
-DistLouvainResult distributed_louvain(const graph::Csr& graph, int num_ranks) {
-  return distributed_louvain(graph::GraphView(graph), num_ranks);
-}
-
 }  // namespace dinfomap::core

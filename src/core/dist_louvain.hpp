@@ -33,17 +33,13 @@ struct DistLouvainResult {
   std::vector<perf::WorkCounters> work_per_rank;
 };
 
-/// The GraphView overloads are the implementation: level 0 streams flows
-/// straight from the view (resident CSR or out-of-core block file) without
-/// materializing a flow-weighted CSR, and coarser levels run on the
-/// vertex-proportional contracted FlowGraph. Results are bit-identical
-/// across backends; the Csr overloads are thin wrappers.
+/// Level 0 streams flows straight from the view (resident CSR or
+/// out-of-core block file) without materializing a flow-weighted CSR, and
+/// coarser levels run on the vertex-proportional contracted FlowGraph.
+/// Results are bit-identical across backends.
 DistLouvainResult distributed_louvain(const graph::GraphView& graph,
                                       int num_ranks);
 DistLouvainResult distributed_louvain(const graph::GraphView& graph,
-                                      const DistLouvainConfig& config);
-DistLouvainResult distributed_louvain(const graph::Csr& graph, int num_ranks);
-DistLouvainResult distributed_louvain(const graph::Csr& graph,
                                       const DistLouvainConfig& config);
 
 }  // namespace dinfomap::core

@@ -1,6 +1,5 @@
 #include "core/louvain.hpp"
 
-#include <memory>
 #include <numeric>
 #include <unordered_map>
 
@@ -9,7 +8,6 @@
 #include "util/check.hpp"
 #include "util/random.hpp"
 #include "util/sparse_accumulator.hpp"
-#include "util/thread_pool.hpp"
 
 namespace dinfomap::core {
 
@@ -43,167 +41,45 @@ struct LouvainState {
   }
 };
 
-/// Candidate argmax + move application for one vertex, over (community,
-/// flow) pairs in the accumulator's first-touch (= edge) order. Shared by
-/// the serial pass and the threaded commit so both perform the identical FP
-/// ops and tie-breaks. Returns true when the vertex moved.
-template <typename EntryRange>
-bool louvain_move(const FlowGraph& fg, LouvainState& st, VertexId u,
-                  double f_old, double min_gain, const EntryRange& entries) {
-  const VertexId cur = st.module_of[u];
-  const double p_u = fg.node_flow[u];
-  // Gain of moving u from cur to c (2W = 1 in flow units):
-  //   ΔQ = 2[f(u,c) − f(u,cur\u)] − 2 p_u [Σtot(c) − (Σtot(cur) − p_u)]
-  const double base = f_old - p_u * (st.sigma_tot[cur] - p_u);
-  double best_gain = min_gain;
-  VertexId best = cur;
-  double best_f = 0;
-  for (const auto& [c, f] : entries) {
-    if (c == cur) continue;
-    const double gain = 2.0 * ((f - p_u * st.sigma_tot[c]) - base);
-    if (gain > best_gain + 1e-15 ||
-        (gain > best_gain - 1e-15 && best != cur && c < best)) {
-      best_gain = gain;
-      best = c;
-      best_f = f;
-    }
-  }
-  if (best == cur) return false;
-  st.sigma_tot[cur] -= p_u;
-  st.internal[cur] -= 2.0 * (f_old + fg.self_flow(u));
-  st.sigma_tot[best] += p_u;
-  st.internal[best] += 2.0 * (best_f + fg.self_flow(u));
-  st.module_of[u] = best;
-  return true;
-}
-
-/// Adapter iterating a SparseAccumulator's touched keys as (key, value)
-/// pairs in first-touch order.
-struct AccRange {
-  const util::SparseAccumulator<VertexId, double>& acc;
-  struct It {
-    const AccRange* r;
-    std::size_t i;
-    bool operator!=(const It& o) const { return i != o.i; }
-    void operator++() { ++i; }
-    std::pair<VertexId, double> operator*() const {
-      const VertexId c = r->acc.keys()[i];
-      return {c, *r->acc.find(c)};
-    }
-  };
-  It begin() const { return {this, 0}; }
-  It end() const { return {this, acc.size()}; }
-};
-
-/// Threaded-pass scratch: pool, per-slot gather caches, staleness stamps.
-struct LouvainScratch {
-  struct CachedFlow {
-    VertexId mod = 0;
-    double flow = 0;
-  };
-  struct GatherSpan {
-    VertexId u = 0;
-    std::uint32_t begin = 0;
-    std::uint32_t count = 0;
-    double f_old = 0;
-  };
-  struct SlotScratch {
-    util::SparseAccumulator<VertexId, double> flow_to;
-    std::vector<CachedFlow> entries;
-    std::vector<GatherSpan> spans;
-  };
-  std::unique_ptr<util::ThreadPool> pool;  ///< null = serial passes
-  std::vector<SlotScratch> slots;
-  std::vector<std::uint32_t> stale_stamp;
-  std::uint32_t pass_epoch = 0;
-};
-
-/// Threaded pass: parallel gather over contiguous chunks of the frozen
-/// pass-start assignment, serial commit in the exact shuffled order with a
-/// fresh re-gather for vertices whose neighborhood changed under them.
-/// Bit-identical to the serial pass for any thread count (DESIGN.md §10).
-std::uint64_t louvain_pass_parallel(
-    const FlowGraph& fg, LouvainState& st, const std::vector<VertexId>& order,
-    double min_gain, util::SparseAccumulator<VertexId, double>& flow_to,
-    LouvainScratch& scratch) {
-  const VertexId n = fg.num_vertices();
-  for (auto& sl : scratch.slots) {  // pre-clear: empty chunks never dispatch
-    if (sl.flow_to.capacity() < n) sl.flow_to.reset(n);
-    sl.entries.clear();
-    sl.spans.clear();
-  }
-  scratch.pool->parallel_for(
-      order.size(), [&](int slot, std::size_t b, std::size_t e) {
-        auto& sl = scratch.slots[static_cast<std::size_t>(slot)];
-        for (std::size_t pos = b; pos < e; ++pos) {
-          const VertexId u = order[pos];
-          sl.flow_to.clear();
-          for (const auto& nb : fg.csr.neighbors(u))
-            sl.flow_to[st.module_of[nb.target]] += nb.weight;
-          if (sl.flow_to.empty()) continue;  // isolated vertex never moves
-          LouvainScratch::GatherSpan sp;
-          sp.u = u;
-          sp.begin = static_cast<std::uint32_t>(sl.entries.size());
-          sp.count = static_cast<std::uint32_t>(sl.flow_to.size());
-          sp.f_old = sl.flow_to.value_or(st.module_of[u], 0.0);
-          for (const VertexId c : sl.flow_to.keys())
-            sl.entries.push_back({c, *sl.flow_to.find(c)});
-          sl.spans.push_back(sp);
-        }
-      });
-
-  if (scratch.stale_stamp.size() != n) {
-    scratch.stale_stamp.assign(n, 0);
-    scratch.pass_epoch = 0;
-  }
-  ++scratch.pass_epoch;
-
-  std::uint64_t moves = 0;
-  for (const auto& sl : scratch.slots) {
-    for (const LouvainScratch::GatherSpan& sp : sl.spans) {
-      const VertexId u = sp.u;
-      bool moved;
-      if (scratch.stale_stamp[u] == scratch.pass_epoch) {
-        flow_to.clear();  // fresh re-gather; a neighbor moved before our turn
-        for (const auto& nb : fg.csr.neighbors(u))
-          flow_to[st.module_of[nb.target]] += nb.weight;
-        const double f_old = flow_to.value_or(st.module_of[u], 0.0);
-        moved = louvain_move(fg, st, u, f_old, min_gain, AccRange{flow_to});
-      } else {
-        struct CacheRange {
-          const LouvainScratch::CachedFlow* first;
-          std::uint32_t n;
-          const LouvainScratch::CachedFlow* begin() const { return first; }
-          const LouvainScratch::CachedFlow* end() const { return first + n; }
-        };
-        moved = louvain_move(fg, st, u, sp.f_old, min_gain,
-                             CacheRange{sl.entries.data() + sp.begin, sp.count});
-      }
-      if (moved) {
-        // The CSR is symmetric: u's adjacency names every reader of u.
-        for (const auto& nb : fg.csr.neighbors(u))
-          scratch.stale_stamp[nb.target] = scratch.pass_epoch;
-        ++moves;
-      }
-    }
-  }
-  return moves;
-}
-
+/// One pass over all vertices in `order`: gather each vertex's flow per
+/// neighbor community, move it to the best gain in the accumulator's
+/// first-touch (= edge) order. Returns the number of moves.
 std::uint64_t louvain_pass(const FlowGraph& fg, LouvainState& st,
                            const std::vector<VertexId>& order, double min_gain,
-                           util::SparseAccumulator<VertexId, double>& flow_to,
-                           LouvainScratch& scratch) {
+                           util::SparseAccumulator<VertexId, double>& flow_to) {
   if (flow_to.capacity() < fg.num_vertices()) flow_to.reset(fg.num_vertices());
-  if (scratch.pool != nullptr)
-    return louvain_pass_parallel(fg, st, order, min_gain, flow_to, scratch);
   std::uint64_t moves = 0;
   for (VertexId u : order) {
     flow_to.clear();
     for (const auto& nb : fg.csr.neighbors(u))
       flow_to[st.module_of[nb.target]] += nb.weight;
-    const double f_old = flow_to.value_or(st.module_of[u], 0.0);
-    if (louvain_move(fg, st, u, f_old, min_gain, AccRange{flow_to})) ++moves;
+    const VertexId cur = st.module_of[u];
+    const double f_old = flow_to.value_or(cur, 0.0);
+    const double p_u = fg.node_flow[u];
+    // Gain of moving u from cur to c (2W = 1 in flow units):
+    //   ΔQ = 2[f(u,c) − f(u,cur\u)] − 2 p_u [Σtot(c) − (Σtot(cur) − p_u)]
+    const double base = f_old - p_u * (st.sigma_tot[cur] - p_u);
+    double best_gain = min_gain;
+    VertexId best = cur;
+    double best_f = 0;
+    for (const VertexId c : flow_to.keys()) {
+      if (c == cur) continue;
+      const double f = *flow_to.find(c);
+      const double gain = 2.0 * ((f - p_u * st.sigma_tot[c]) - base);
+      if (gain > best_gain + 1e-15 ||
+          (gain > best_gain - 1e-15 && best != cur && c < best)) {
+        best_gain = gain;
+        best = c;
+        best_f = f;
+      }
+    }
+    if (best == cur) continue;
+    st.sigma_tot[cur] -= p_u;
+    st.internal[cur] -= 2.0 * (f_old + fg.self_flow(u));
+    st.sigma_tot[best] += p_u;
+    st.internal[best] += 2.0 * (best_f + fg.self_flow(u));
+    st.module_of[u] = best;
+    ++moves;
   }
   return moves;
 }
@@ -219,11 +95,6 @@ LouvainResult louvain(const graph::Csr& graph, const LouvainConfig& config) {
 
   util::Xoshiro256 rng(config.seed);
   util::SparseAccumulator<VertexId, double> flow_to;
-  LouvainScratch scratch;
-  if (config.num_threads > 1) {
-    scratch.pool = std::make_unique<util::ThreadPool>(config.num_threads);
-    scratch.slots.resize(static_cast<std::size_t>(config.num_threads));
-  }
   for (int level = 0; level < config.max_levels; ++level) {
     LouvainState st;
     st.init(fg);
@@ -234,8 +105,7 @@ LouvainResult louvain(const graph::Csr& graph, const LouvainConfig& config) {
     for (int pass = 0; pass < config.max_inner_passes; ++pass) {
       util::deterministic_shuffle(order, rng);
       const auto moves = louvain_pass(fg, st, order,
-                                      config.min_modularity_gain, flow_to,
-                                      scratch);
+                                      config.min_modularity_gain, flow_to);
       total_moves += moves;
       if (moves == 0) break;
     }

@@ -14,10 +14,6 @@ struct LouvainConfig {
   int max_levels = 20;
   int max_inner_passes = 64;
   std::uint64_t seed = 42;
-  /// Worker threads for the move-pass hot loop. 1 = the exact serial path;
-  /// any value yields bit-identical results (parallel propose over frozen
-  /// state, serial commit in the shuffled order — see DESIGN.md §10).
-  int num_threads = 1;
 };
 
 struct LouvainResult {

@@ -98,9 +98,9 @@ struct MoveOutcome {
 /// adding u to B changes q_B by +f_u − 2·f(u,B).
 MoveOutcome evaluate_move(const MoveDelta& d);
 
-/// Same evaluation with plogp calls routed through `memo`. Bit-identical to
-/// the plain overload (the memo caches exact values); callers gate it on a
-/// config flag anyway so a reference path stays one switch away.
+/// Same evaluation with plogp calls routed through `memo` — the one every
+/// move search uses. Bit-identical to the plain overload (the memo caches
+/// exact values), which stays as the reference the tests compare against.
 MoveOutcome evaluate_move(const MoveDelta& d, PlogpMemo& memo);
 
 }  // namespace dinfomap::core

@@ -1,7 +1,6 @@
 #include "core/seq_infomap.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <numeric>
 #include <unordered_map>
 
@@ -11,7 +10,6 @@
 #include "util/random.hpp"
 #include "util/sorted.hpp"
 #include "util/sparse_accumulator.hpp"
-#include "util/thread_pool.hpp"
 
 namespace dinfomap::core {
 
@@ -80,59 +78,41 @@ struct LevelState {
 
 /// Reusable scratch for move passes: the flow accumulator (module ids are
 /// always < the level's vertex count) and the plogp memo. One instance
-/// serves every pass of a level — no per-vertex allocation. With
-/// num_threads > 1 it also owns the worker pool, the per-slot gather caches,
-/// and the commit-phase staleness stamps.
+/// serves every pass of a level — no per-vertex allocation.
 struct MoveScratch {
   util::SparseAccumulator<VertexId, double> flow_to;  // module -> flow from u
   PlogpMemo memo;
-  bool use_memo = true;
-
-  struct CachedFlow {
-    VertexId mod = 0;
-    double flow = 0;
-  };
-  struct GatherSpan {
-    VertexId u = 0;
-    std::uint32_t begin = 0;  ///< first entry in the slot's cache
-    std::uint32_t count = 0;
-    double f_u = 0;
-    double f_to_old = 0;
-  };
-  struct SlotScratch {
-    util::SparseAccumulator<VertexId, double> flow_to;
-    std::vector<CachedFlow> entries;
-    std::vector<GatherSpan> spans;
-  };
-  std::unique_ptr<util::ThreadPool> pool;  ///< null = serial move passes
-  std::vector<SlotScratch> slots;
-  std::vector<std::uint32_t> stale_stamp;
-  std::uint32_t pass_epoch = 0;
 };
 
-/// Candidate argmin for one vertex over (module, flow) pairs delivered in the
-/// accumulator's first-touch (= edge) order. Shared by the serial pass and
-/// the threaded commit so both perform the identical FP ops and tie-breaks.
-template <typename EntryRange>
-bool select_best(const FlowGraph& fg, const LevelState& state, VertexId u,
-                 double f_u, double f_to_old, double eps, MoveScratch& scratch,
-                 const EntryRange& entries, VertexId& best_target,
-                 MoveOutcome& best_outcome) {
+/// Gather u's flow per neighbor module, then pick the best candidate in the
+/// accumulator's first-touch (= edge) order. Returns true when a strictly
+/// improving target exists.
+bool best_move(const FlowGraph& fg, const LevelState& state, VertexId u,
+               double eps, MoveScratch& scratch, VertexId& best_target,
+               MoveOutcome& best_outcome) {
+  auto& flow_to = scratch.flow_to;
+  flow_to.clear();
+  double f_u = 0;
+  for (const auto& nb : fg.csr.neighbors(u)) {
+    flow_to[state.module_of[nb.target]] += nb.weight;
+    f_u += nb.weight;
+  }
+  if (flow_to.empty()) return false;  // isolated vertex
   const VertexId cur = state.module_of[u];
+  const double f_to_old = flow_to.value_or(cur, 0.0);
   double best_delta = -eps;
   best_target = cur;
-  for (const auto& [mod, flow] : entries) {
+  for (const VertexId mod : flow_to.keys()) {
     if (mod == cur) continue;
     MoveDelta d;
     d.p_u = fg.node_flow[u];
     d.f_u = f_u;
     d.f_to_old = f_to_old;
-    d.f_to_new = flow;
+    d.f_to_new = *flow_to.find(mod);
     d.old_stats = state.modules[cur];
     d.new_stats = state.modules[mod];
     d.q_total = state.terms.q_total;
-    const MoveOutcome out = scratch.use_memo ? evaluate_move(d, scratch.memo)
-                                             : evaluate_move(d);
+    const MoveOutcome out = evaluate_move(d, scratch.memo);
     if (out.delta_codelength < best_delta - 1e-15 ||
         (out.delta_codelength < best_delta + 1e-15 && mod < best_target)) {
       best_delta = out.delta_codelength;
@@ -143,131 +123,17 @@ bool select_best(const FlowGraph& fg, const LevelState& state, VertexId u,
   return best_target != cur;
 }
 
-/// Fresh gather + argmin for one vertex (the serial pass body; also the
-/// threaded commit's fallback when a cached gather went stale).
-bool best_move_fresh(const FlowGraph& fg, const LevelState& state, VertexId u,
-                     double eps, MoveScratch& scratch, VertexId& best_target,
-                     MoveOutcome& best_outcome) {
-  auto& flow_to = scratch.flow_to;
-  flow_to.clear();
-  double f_u = 0;
-  for (const auto& nb : fg.csr.neighbors(u)) {
-    flow_to[state.module_of[nb.target]] += nb.weight;
-    f_u += nb.weight;
-  }
-  if (flow_to.empty()) return false;  // isolated vertex
-  const double f_to_old = flow_to.value_or(state.module_of[u], 0.0);
-
-  struct AccRange {
-    const util::SparseAccumulator<VertexId, double>& acc;
-    struct It {
-      const AccRange* r;
-      std::size_t i;
-      bool operator!=(const It& o) const { return i != o.i; }
-      void operator++() { ++i; }
-      std::pair<VertexId, double> operator*() const {
-        const VertexId mod = r->acc.keys()[i];
-        return {mod, *r->acc.find(mod)};
-      }
-    };
-    It begin() const { return {this, 0}; }
-    It end() const { return {this, acc.size()}; }
-  };
-  return select_best(fg, state, u, f_u, f_to_old, eps, scratch,
-                     AccRange{flow_to}, best_target, best_outcome);
-}
-
-/// Threaded pass: slots gather neighbor flows for contiguous chunks of
-/// `order` against the frozen pass-start assignment; the calling thread
-/// commits serially in the exact shuffled order, falling back to a fresh
-/// gather whenever a committed move touched one of the vertex's neighbors.
-/// Bit-identical to the serial pass for any thread count (DESIGN.md §10).
-std::uint64_t move_pass_parallel(const FlowGraph& fg, LevelState& state,
-                                 const std::vector<VertexId>& order, double eps,
-                                 MoveScratch& scratch) {
-  const VertexId n = fg.num_vertices();
-  for (auto& sl : scratch.slots) {  // pre-clear: empty chunks never dispatch
-    if (sl.flow_to.capacity() < n) sl.flow_to.reset(n);
-    sl.entries.clear();
-    sl.spans.clear();
-  }
-  scratch.pool->parallel_for(
-      order.size(), [&](int slot, std::size_t b, std::size_t e) {
-        auto& sl = scratch.slots[static_cast<std::size_t>(slot)];
-        for (std::size_t pos = b; pos < e; ++pos) {
-          const VertexId u = order[pos];
-          const VertexId cur = state.module_of[u];
-          sl.flow_to.clear();
-          double f_u = 0;
-          for (const auto& nb : fg.csr.neighbors(u)) {
-            sl.flow_to[state.module_of[nb.target]] += nb.weight;
-            f_u += nb.weight;
-          }
-          if (sl.flow_to.empty()) continue;
-          MoveScratch::GatherSpan sp;
-          sp.u = u;
-          sp.begin = static_cast<std::uint32_t>(sl.entries.size());
-          sp.count = static_cast<std::uint32_t>(sl.flow_to.size());
-          sp.f_u = f_u;
-          sp.f_to_old = sl.flow_to.value_or(cur, 0.0);
-          for (const VertexId mod : sl.flow_to.keys())
-            sl.entries.push_back({mod, *sl.flow_to.find(mod)});
-          sl.spans.push_back(sp);
-        }
-      });
-
-  if (scratch.stale_stamp.size() != n) {
-    scratch.stale_stamp.assign(n, 0);
-    scratch.pass_epoch = 0;
-  }
-  ++scratch.pass_epoch;
-
-  std::uint64_t moves = 0;
-  for (const auto& sl : scratch.slots) {
-    for (const MoveScratch::GatherSpan& sp : sl.spans) {
-      const VertexId u = sp.u;
-      VertexId best_target = 0;
-      MoveOutcome best_outcome;
-      bool found;
-      if (scratch.stale_stamp[u] == scratch.pass_epoch) {
-        found = best_move_fresh(fg, state, u, eps, scratch, best_target,
-                                best_outcome);
-      } else {
-        struct CacheRange {
-          const MoveScratch::CachedFlow* first;
-          std::uint32_t n;
-          const MoveScratch::CachedFlow* begin() const { return first; }
-          const MoveScratch::CachedFlow* end() const { return first + n; }
-        };
-        found = select_best(fg, state, u, sp.f_u, sp.f_to_old, eps, scratch,
-                            CacheRange{sl.entries.data() + sp.begin, sp.count},
-                            best_target, best_outcome);
-      }
-      if (!found) continue;
-      state.apply(u, best_target, best_outcome);
-      // Any neighbor's next gather is now invalid; the CSR is symmetric, so
-      // u's own adjacency names every reader of u.
-      for (const auto& nb : fg.csr.neighbors(u))
-        scratch.stale_stamp[nb.target] = scratch.pass_epoch;
-      ++moves;
-    }
-  }
-  return moves;
-}
-
 /// One pass over all vertices in `order`; returns the number of moves.
 std::uint64_t move_pass(const FlowGraph& fg, LevelState& state,
                         const std::vector<VertexId>& order, double eps,
                         MoveScratch& scratch) {
   auto& flow_to = scratch.flow_to;
   if (flow_to.capacity() < fg.num_vertices()) flow_to.reset(fg.num_vertices());
-  if (scratch.pool != nullptr)
-    return move_pass_parallel(fg, state, order, eps, scratch);
   std::uint64_t moves = 0;
   for (VertexId u : order) {
     VertexId best_target = 0;
     MoveOutcome best_outcome;
-    if (best_move_fresh(fg, state, u, eps, scratch, best_target, best_outcome)) {
+    if (best_move(fg, state, u, eps, scratch, best_target, best_outcome)) {
       state.apply(u, best_target, best_outcome);
       ++moves;
     }
@@ -298,11 +164,6 @@ InfomapResult sequential_infomap(const graph::Csr& graph,
 
   util::Xoshiro256 rng(config.seed);
   MoveScratch scratch;
-  scratch.use_memo = config.plogp_memo;
-  if (config.num_threads > 1) {
-    scratch.pool = std::make_unique<util::ThreadPool>(config.num_threads);
-    scratch.slots.resize(static_cast<std::size_t>(config.num_threads));
-  }
   for (int level = 0; level < config.max_outer_iterations; ++level) {
     LevelState state;
     state.init_singletons(fg);
@@ -358,8 +219,6 @@ InfomapResult sequential_infomap(const graph::Csr& graph,
       InfomapConfig sub_cfg = config;
       sub_cfg.fine_tune = false;
       sub_cfg.coarse_tune = false;
-      // Submodule problems are tiny; per-subcall pools would be all churn.
-      sub_cfg.num_threads = 1;
       // Sorted module order: submodule labels (and the downstream contraction)
       // must not depend on hash layout.
       for (const VertexId mod : util::sorted_keys(members)) {
@@ -479,11 +338,6 @@ graph::Partition cluster_flow_graph(const FlowGraph& fg,
   std::iota(order.begin(), order.end(), 0);
   util::Xoshiro256 rng(config.seed);
   MoveScratch scratch;
-  scratch.use_memo = config.plogp_memo;
-  if (config.num_threads > 1) {
-    scratch.pool = std::make_unique<util::ThreadPool>(config.num_threads);
-    scratch.slots.resize(static_cast<std::size_t>(config.num_threads));
-  }
   for (int pass = 0; pass < config.max_inner_passes; ++pass) {
     util::deterministic_shuffle(order, rng);
     if (move_pass(fg, state, order, config.move_epsilon, scratch) == 0) break;

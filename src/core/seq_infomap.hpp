@@ -30,14 +30,6 @@ struct InfomapConfig {
   /// module into candidate submodules and let whole submodules move between
   /// modules. Never worsens the result; off by default (see fine_tune).
   bool coarse_tune = false;
-  /// Route hot-path plogp calls through an exact bit-pattern memo (see
-  /// core::PlogpMemo). Bit-identical to the uncached path; off selects the
-  /// memo-free reference implementation.
-  bool plogp_memo = true;
-  /// Worker threads for the move-pass hot loop. 1 = the exact serial path;
-  /// any value yields bit-identical results (parallel propose over frozen
-  /// state, serial commit in the shuffled order — see DESIGN.md §10).
-  int num_threads = 1;
 };
 
 /// One row of the convergence trace (drives Figs. 4 and 5).

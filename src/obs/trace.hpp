@@ -6,7 +6,8 @@
 // job joins. When tracing is disabled the per-span cost is a single branch on
 // a bool captured once at SpanScope construction — recording never touches
 // the algorithm's RNG or communication, so traced and untraced runs produce
-// bit-identical results (asserted by the chaos determinism regression).
+// bit-identical results (asserted by the obs determinism regression, which
+// runs under a seeded fault plan).
 #pragma once
 
 #include <chrono>

@@ -267,18 +267,4 @@ ArcPartition make_delegate(const GraphView& graph, int num_ranks,
   return part;
 }
 
-ArcPartition make_oned(const Csr& graph, int num_ranks) {
-  return make_oned(GraphView(graph), num_ranks);
-}
-ArcPartition make_oned_balanced(const Csr& graph, int num_ranks) {
-  return make_oned_balanced(GraphView(graph), num_ranks);
-}
-ArcPartition make_hash(const Csr& graph, int num_ranks, std::uint64_t seed) {
-  return make_hash(GraphView(graph), num_ranks, seed);
-}
-ArcPartition make_delegate(const Csr& graph, int num_ranks,
-                           EdgeIndex degree_threshold) {
-  return make_delegate(GraphView(graph), num_ranks, degree_threshold);
-}
-
 }  // namespace dinfomap::partition

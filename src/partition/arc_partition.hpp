@@ -111,18 +111,14 @@ struct DelegateDecodeCost {
 
 /// Plain 1D with round-robin ownership: every out-arc with its source's owner.
 ArcPartition make_oned(const GraphView& graph, int num_ranks);
-ArcPartition make_oned(const Csr& graph, int num_ranks);
 
 /// 1D over contiguous vertex ranges whose degree sums are balanced — the
 /// edge-count workload model of Zeng & Yu [29,30]. Balances arcs per rank
 /// but not the hub-induced ghost traffic.
 ArcPartition make_oned_balanced(const GraphView& graph, int num_ranks);
-ArcPartition make_oned_balanced(const Csr& graph, int num_ranks);
 
 /// 1D with hashed ownership (decorrelates vertex id from placement).
 ArcPartition make_hash(const GraphView& graph, int num_ranks,
-                       std::uint64_t seed = 0x9E3779B9u);
-ArcPartition make_hash(const Csr& graph, int num_ranks,
                        std::uint64_t seed = 0x9E3779B9u);
 
 /// Delegate partitioning; `degree_threshold` of 0 applies the paper's default
@@ -131,7 +127,5 @@ ArcPartition make_hash(const Csr& graph, int num_ranks,
 ArcPartition make_delegate(const GraphView& graph, int num_ranks,
                            EdgeIndex degree_threshold = 0,
                            const DelegateDecodeCost& decode_cost = {});
-ArcPartition make_delegate(const Csr& graph, int num_ranks,
-                           EdgeIndex degree_threshold = 0);
 
 }  // namespace dinfomap::partition

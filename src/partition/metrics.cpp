@@ -73,8 +73,4 @@ bool validate_partition(const ArcPartition& part, const GraphView& graph) {
   return true;
 }
 
-bool validate_partition(const ArcPartition& part, const Csr& graph) {
-  return validate_partition(part, GraphView(graph));
-}
-
 }  // namespace dinfomap::partition

@@ -20,6 +20,5 @@ std::vector<std::uint64_t> ghosts_per_rank(const ArcPartition& part);
 /// Structural audit used by tests: every CSR arc appears on exactly one rank,
 /// and (for delegate partitions) every low-degree source sits with its owner.
 bool validate_partition(const ArcPartition& part, const GraphView& graph);
-bool validate_partition(const ArcPartition& part, const Csr& graph);
 
 }  // namespace dinfomap::partition

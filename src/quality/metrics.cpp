@@ -98,8 +98,4 @@ double modularity(const graph::GraphView& graph, const Partition& partition) {
   return q;
 }
 
-double modularity(const graph::Csr& graph, const Partition& partition) {
-  return modularity(graph::GraphView(graph), partition);
-}
-
 }  // namespace dinfomap::quality

@@ -27,10 +27,8 @@ struct PairCounts {
 PairCounts pair_counts(const Contingency& table);
 
 /// Newman–Girvan modularity of `partition` on `graph` (self-loops included
-/// in community-internal weight). The GraphView overload is the
-/// implementation; both backends run the identical accumulation sequence,
-/// so the result is bit-identical across them.
+/// in community-internal weight). Both backends run the identical
+/// accumulation sequence, so the result is bit-identical across them.
 double modularity(const graph::GraphView& graph, const Partition& partition);
-double modularity(const graph::Csr& graph, const Partition& partition);
 
 }  // namespace dinfomap::quality

@@ -1,6 +1,7 @@
-// Deterministic thread parallelism for the shared-memory engines' hot loops
-// (sequential Infomap, Louvain, RelaxMap). The distributed core does not use
-// it: its only parallel axis is ranks.
+// Deterministic thread parallelism for RelaxMap, the parallel-Infomap
+// comparator, whose threads are part of the algorithm. The distributed core,
+// sequential Infomap and Louvain do not use it: they run one serial move
+// search (per rank, for the distributed core).
 //
 // A ThreadPool owns `num_threads - 1` persistent workers (the calling thread
 // always executes slot 0), dispatched with *static* slot assignment: every

@@ -147,19 +147,26 @@ TEST_P(DistSweep, DeterministicRepeat) {
 }
 
 TEST(DistChaos, DeliveryTimingDoesNotChangeResults) {
-  // The protocol is bulk-synchronous: random per-message delivery delays
+  // The protocol is bulk-synchronous: a fault plan that drops, duplicates
+  // and reorders frames changes when and in what order messages arrive, and
   // must not change a single bit of the outcome.
   const auto gg = gen::lfr_lite({}, 47);
   const auto g = dg::build_csr(gg.edges, gg.num_vertices);
   dc::DistInfomapConfig calm;
   calm.num_ranks = 4;
   auto chaotic = calm;
-  chaotic.chaos_delay_us = 50;
+  chaotic.faults.drop = 0.02;
+  chaotic.faults.duplicate = 0.02;
+  chaotic.faults.reorder = 0.05;
+  chaotic.faults.seed = 50;
   const auto a = dc::distributed_infomap(g, calm);
   const auto b = dc::distributed_infomap(g, chaotic);
   EXPECT_EQ(a.assignment, b.assignment);
   EXPECT_DOUBLE_EQ(a.codelength, b.codelength);
   EXPECT_EQ(a.stage1_rounds, b.stage1_rounds);
+  dinfomap::comm::FaultCounters injected;
+  for (const auto& f : b.report.faults_injected) injected += f;
+  EXPECT_GT(injected.total(), 0u);
 }
 
 TEST(DistFailureInjection, CorruptedPartitionRejected) {

@@ -2,7 +2,7 @@
 // in-test JSON parser, no external dependency), histogram bucket edges, the
 // run-report schema round-trip, watchdog verdicts on synthetic round streams,
 // the log-sink hook, and the determinism contract — tracing on vs off must
-// be bit-identical even under comm chaos.
+// be bit-identical even under a seeded fault plan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -715,15 +715,22 @@ TEST(ObsDeterminism, TracingOnOffBitIdenticalUnderChaos) {
   for (int p : {4, 5}) {
     dc::DistInfomapConfig cfg;
     cfg.num_ranks = p;
-    cfg.chaos_delay_us = 40;
+    cfg.faults.reorder = 0.05;
+    cfg.faults.duplicate = 0.02;
+    cfg.faults.seed = 40;
     cfg.obs.enabled = false;
     const auto off = dc::distributed_infomap(g, cfg);
     cfg.obs.enabled = true;
-    cfg.chaos_delay_us = 90;  // different timing AND tracing: same answer
+    cfg.faults.seed = 90;  // different delivery AND tracing: same answer
     const auto on = dc::distributed_infomap(g, cfg);
     EXPECT_EQ(off.assignment, on.assignment) << "p=" << p;
     EXPECT_DOUBLE_EQ(off.codelength, on.codelength) << "p=" << p;
     EXPECT_EQ(off.stage1_rounds, on.stage1_rounds) << "p=" << p;
+    for (const auto* run : {&off, &on}) {
+      dinfomap::comm::FaultCounters injected;
+      for (const auto& f : run->report.faults_injected) injected += f;
+      EXPECT_GT(injected.total(), 0u) << "p=" << p;
+    }
   }
 }
 

@@ -1,10 +1,8 @@
-// Thread parallelism of the shared-memory engines (util::ThreadPool): the
-// central claim under test is bit-reproducibility — for any thread count,
-// sequential Infomap and Louvain must produce partitions and objective values
-// *identical* (==, not close) to the single-threaded run. Plus unit coverage
-// of the pool itself: exact chunk coverage, caller-runs-slot-0, exception
-// propagation, nested-use inline fallback, and reuse; and the distributed
-// pipeline's bit-identity under a seeded transport fault plan.
+// Thread parallelism (util::ThreadPool, which RelaxMap runs on): unit
+// coverage of the pool itself — exact chunk coverage, caller-runs-slot-0,
+// exception propagation, nested-use inline fallback, and reuse — a RelaxMap
+// smoke run, and the distributed pipeline's bit-identity under a seeded
+// transport fault plan.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,9 +17,7 @@
 #include "comm/fault.hpp"
 #include "comm/runtime.hpp"
 #include "core/dist_infomap.hpp"
-#include "core/louvain.hpp"
 #include "core/relaxmap.hpp"
-#include "core/seq_infomap.hpp"
 #include "graph/builder.hpp"
 #include "graph/gen/generators.hpp"
 #include "util/thread_pool.hpp"
@@ -222,45 +218,6 @@ TEST(PackedExchange, RoundTripsUnderFaultPlan) {
   opt.faults.corrupt = 0.05;
   opt.faults.seed = 77;
   packed_exchange_roundtrip(opt);
-}
-
-// ---- sequential baselines: bit-identical across thread counts ---------------
-
-TEST(ThreadDeterminism, SeqInfomapBitIdenticalAcrossThreadCounts) {
-  const auto g = test_graph();
-  core::InfomapConfig base;
-  base.fine_tune = true;
-  base.coarse_tune = true;  // tuning sweeps must inherit determinism too
-  const auto serial = core::sequential_infomap(g, base);
-
-  for (const int threads : {2, 4}) {
-    auto cfg = base;
-    cfg.num_threads = threads;
-    const auto threaded = core::sequential_infomap(g, cfg);
-    EXPECT_EQ(threaded.assignment, serial.assignment) << threads << " threads";
-    EXPECT_EQ(threaded.codelength, serial.codelength) << threads << " threads";
-    ASSERT_EQ(threaded.trace.size(), serial.trace.size());
-    for (std::size_t i = 0; i < serial.trace.size(); ++i) {
-      EXPECT_EQ(threaded.trace[i].moves, serial.trace[i].moves) << "level " << i;
-      EXPECT_EQ(threaded.trace[i].codelength_after,
-                serial.trace[i].codelength_after)
-          << "level " << i;
-    }
-  }
-}
-
-TEST(ThreadDeterminism, LouvainBitIdenticalAcrossThreadCounts) {
-  const auto g = test_graph();
-  core::LouvainConfig base;
-  const auto serial = core::louvain(g, base);
-
-  for (const int threads : {2, 4}) {
-    auto cfg = base;
-    cfg.num_threads = threads;
-    const auto threaded = core::louvain(g, cfg);
-    EXPECT_EQ(threaded.assignment, serial.assignment) << threads << " threads";
-    EXPECT_EQ(threaded.modularity, serial.modularity) << threads << " threads";
-  }
 }
 
 TEST(ThreadSmoke, RelaxMapRunsOnPersistentPool) {

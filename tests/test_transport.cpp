@@ -470,6 +470,20 @@ TEST_F(TransportCli, RelaxMapBannerReportsThreadCount) {
       << res.output;
 }
 
+TEST_F(TransportCli, ThreadsAboveOneRequireRelaxMap) {
+  // Only RelaxMap runs on threads; every other engine must refuse a thread
+  // count it would silently ignore.
+  const std::string base = "cluster " + *edges_ + " " + *dir_ + "/t.clu ";
+  for (const char* algo :
+       {"seq", "dist", "louvain", "dist-louvain", "lpa", "hier"}) {
+    const auto res = run_cli(base + "--threads 2 --algo " + algo);
+    EXPECT_EQ(res.exit_code, 2) << algo << "\n" << res.output;
+    EXPECT_NE(res.output.find("requires --algo relaxmap"), std::string::npos)
+        << algo << "\n" << res.output;
+  }
+  EXPECT_EQ(run_cli(base + "--threads 1 --algo seq").exit_code, 0);
+}
+
 TEST_F(TransportCli, RejectsInvalidFaultPlansAtConfigTime) {
   const std::string base = "cluster " + *edges_ + " " + *dir_ + "/z.clu ";
   const struct {
