@@ -210,10 +210,13 @@ leg_asan() {
 run_leg "ASan+UBSan full suite" leg_asan
 
 # --- Leg 7 (full): TSan on the concurrency suites. -----------------------
-# Scope: the comm substrate, thread-pool, async-engine, and blockgraph tests
-# (the async worklist drain is single-threaded per rank, but its
-# reconciliation sweeps share the pooled hot loops; the decode cache hands
-# slots across threads through its lease mutex). RelaxMap is excluded by
+# Scope: the comm substrate, thread-pool, async-engine, and blockgraph tests.
+# What TSan covers there: the comm reader threads (socket backend) and the
+# rank threads sharing each in-process mailbox; the shared send channel,
+# which a sender and its receivers' retransmit requests (in-process) or the
+# peer's reader thread (sockets) touch concurrently; and the blockgraph
+# decode cache, which hands slots across threads through its lease mutex.
+# The async engine itself is single-threaded per rank. RelaxMap is excluded by
 # repo convention — its module reads are racy by design (published
 # consistency model; see the SharedLevel comment in src/core/relaxmap.cpp).
 leg_tsan() {

@@ -91,17 +91,39 @@ Message Comm::transport_recv(int source, int tag) {
   return m;
 }
 
+std::uint64_t Comm::consumed_count(int source, int tag) const {
+  const auto it = recv_ordinals_.find({source, tag});
+  return it == recv_ordinals_.end() ? 0 : it->second;
+}
+
 void Comm::drop_queued_twins(int source, int tag) {
+  const std::uint64_t consumed = consumed_count(source, tag);
   while (transport_->probe(source, tag)) {
     auto twin = transport_->timed_recv(source, tag, std::chrono::microseconds(0),
-                                       /*by_min_seq=*/true);
+                                       /*by_min_ordinal=*/true);
     if (!twin.has_value()) return;
-    if (!consumed_.contains(*twin)) {
+    if (twin->tag_seq >= consumed) {
       transport_->requeue(std::move(*twin));  // a live frame: leave it queued
       return;
     }
     counters_.dup_frames_dropped += 1;
   }
+}
+
+RetransmitOutcome Comm::request_next(int source, int tag) {
+  const int lo = source == kAnySource ? 0 : source;
+  const int hi = source == kAnySource ? size_ - 1 : source;
+  auto verdict = RetransmitOutcome::kNoneSafe;
+  for (int s = lo; s <= hi && verdict != RetransmitOutcome::kRedelivered;
+       ++s) {
+    if (s == rank_) continue;
+    const auto v =
+        transport_->request_retransmit(s, tag, consumed_count(s, tag));
+    if (v != RetransmitOutcome::kNoneSafe) verdict = v;
+  }
+  if (verdict != RetransmitOutcome::kNoneSafe) counters_.retransmit_requests += 1;
+  if (verdict == RetransmitOutcome::kRedelivered) counters_.retransmits += 1;
+  return verdict;
 }
 
 Message Comm::recv_with_recovery(int source, int tag) {
@@ -110,6 +132,15 @@ Message Comm::recv_with_recovery(int source, int tag) {
       std::chrono::microseconds(std::max(1u, opt.retry_backoff_us));
   constexpr auto kBackoffCap = std::chrono::microseconds(20'000);
   int retries = 0;
+  const auto charge = [&](int peer, const char* waiting_on) {
+    if (++retries > opt.max_recv_retries)
+      throw CommFault("recv: retry budget exhausted (" +
+                          std::to_string(opt.max_recv_retries) +
+                          " retransmit requests) " + waiting_on +
+                          " source " + std::to_string(peer) + " tag " +
+                          std::to_string(tag),
+                      peer, tag);
+  };
   // The whole loop counts as "blocked in recv" for the watchdog — including
   // the brief spells between timeout and retransmit request.
   transport_->set_waiting(true);
@@ -123,92 +154,57 @@ Message Comm::recv_with_recovery(int source, int tag) {
 
   for (;;) {
     auto msg = transport_->timed_recv(source, tag, backoff,
-                                      /*by_min_seq=*/true);
-    if (msg.has_value()) {
-      if (msg->source != rank_) {
-        if (consumed_.contains(*msg)) {
-          counters_.dup_frames_dropped += 1;  // duplicate or stale retransmit
-          continue;
-        }
-        // Gap check: min-seq matching alone cannot see a *missing* frame. If
-        // an earlier unconsumed frame of this (channel, tag) exists, it was
-        // dropped or is still in flight — requeue the candidate, pull the
-        // older frame, and charge the budget.
-        if (transport_->gap_before(*msg, consumed_)) {
-          const int gap_source = msg->source;
-          transport_->requeue(std::move(*msg));
-          if (transport_->request_retransmit(gap_source, tag, consumed_) ==
-              RetransmitOutcome::kRedelivered) {
-            counters_.retransmit_requests += 1;
-            counters_.retransmits += 1;
-          }
-          if (++retries > opt.max_recv_retries) {
-            throw CommFault(
-                "recv: retry budget exhausted (" +
-                    std::to_string(opt.max_recv_retries) +
-                    " retransmit requests) closing a sequence gap from "
-                    "source " +
-                    std::to_string(gap_source) + " tag " +
-                    std::to_string(tag),
-                gap_source, tag);
-          }
-          continue;
-        }
-        const auto expect =
-            frame_checksum(msg->source, msg->tag, msg->seq,
-                           msg->payload.data(), msg->payload.size());
-        if (expect != msg->checksum) {
-          counters_.checksum_failures += 1;
-          if (!transport_->request_retransmit_seq(msg->source, msg->seq)) {
-            throw CommFault(
-                "recv: corrupt frame (source " + std::to_string(msg->source) +
-                    ", tag " + std::to_string(tag) + ", seq " +
-                    std::to_string(msg->seq) +
-                    ") and its pristine copy already left the send log — "
-                    "unrecoverable",
-                msg->source, tag);
-          }
-          counters_.retransmits += 1;
-          continue;  // the pristine copy is on its way
-        }
-        consumed_.note(*msg);
-        drop_queued_twins(msg->source, msg->tag);
-      }
+                                      /*by_min_ordinal=*/true);
+    if (!msg.has_value()) {
+      // Timed out: ask for the next unconsumed ordinal. Only a proven loss
+      // charges the budget — a frame not sent yet is waited on patiently
+      // (liveness is the watchdog's job, not ours).
+      if (request_next(source, tag) != RetransmitOutcome::kNoneSafe)
+        charge(source, "waiting on");
+      backoff = std::min(backoff * 2, kBackoffCap);
+      continue;
+    }
+    if (msg->source == rank_) {
       transport_->note_progress();
-      // Only a consumed frame gets a flow stamp — dedup-dropped duplicates
-      // and requeued gap candidates never reach this point, so the recv
-      // ordinal stays aligned with the sender's per-(channel, tag) ordinal.
-      if (trace_ != nullptr && msg->source != rank_)
-        trace_->flow_recv(msg->source, msg->tag,
-                          recv_ordinals_[{msg->source, msg->tag}]++);
       return std::move(*msg);
     }
-
-    // Timed out. Ask the send log; only *provable* loss charges the budget —
-    // a sender that simply hasn't sent yet is waited on patiently (liveness
-    // is the watchdog's job, not ours).
-    switch (transport_->request_retransmit(source, tag, consumed_)) {
-      case RetransmitOutcome::kRedelivered:
-        counters_.retransmit_requests += 1;
-        counters_.retransmits += 1;
-        ++retries;
-        break;
-      case RetransmitOutcome::kNoneEvicted:
-        counters_.retransmit_requests += 1;
-        ++retries;
-        break;
-      case RetransmitOutcome::kNoneSafe:
-        break;
+    // A frame is named (source, tag, ordinal), and ordinals are consumed in
+    // order: below the count is a duplicate, above it leaves a gap.
+    const int from = msg->source;
+    std::uint64_t& consumed = recv_ordinals_[{from, msg->tag}];
+    if (msg->tag_seq < consumed) {
+      counters_.dup_frames_dropped += 1;  // duplicate or stale retransmit
+      continue;
     }
-    if (retries > opt.max_recv_retries) {
-      throw CommFault("recv: retry budget exhausted (" +
-                          std::to_string(opt.max_recv_retries) +
-                          " retransmit requests) waiting on source " +
-                          std::to_string(source) + " tag " +
-                          std::to_string(tag),
-                      source, tag);
+    if (msg->tag_seq > consumed) {
+      // The frame at the count was dropped or is still in flight: keep the
+      // candidate queued and pull the missing one.
+      transport_->requeue(std::move(*msg));
+      (void)request_next(from, tag);
+      charge(from, "closing a sequence gap from");
+      continue;
     }
-    backoff = std::min(backoff * 2, kBackoffCap);
+    const auto expect = frame_checksum(from, msg->tag, msg->seq,
+                                       msg->payload.data(), msg->payload.size());
+    if (expect != msg->checksum) {
+      counters_.checksum_failures += 1;
+      if (request_next(from, tag) == RetransmitOutcome::kNoneEvicted) {
+        throw CommFault(
+            "recv: corrupt frame (source " + std::to_string(from) + ", tag " +
+                std::to_string(tag) + ", ordinal " + std::to_string(consumed) +
+                ") and its pristine copy already left the send log — "
+                "unrecoverable",
+            from, tag);
+      }
+      continue;  // the pristine copy is on its way
+    }
+    const std::uint64_t ordinal = consumed++;
+    drop_queued_twins(from, msg->tag);
+    transport_->note_progress();
+    // Only a consumed frame gets a flow stamp, so the recv ordinal matches
+    // the sender's per-(channel, tag) ordinal.
+    if (trace_ != nullptr) trace_->flow_recv(from, msg->tag, ordinal);
+    return std::move(*msg);
   }
 }
 

@@ -46,8 +46,7 @@ class Comm {
   explicit Comm(Transport& transport)
       : transport_(&transport),
         rank_(transport.rank()),
-        size_(transport.size()),
-        consumed_(transport.size()) {}
+        size_(transport.size()) {}
 
   Comm(const Comm&) = delete;
   Comm& operator=(const Comm&) = delete;
@@ -376,11 +375,16 @@ class Comm {
   void transport_send(int dest, int tag, std::span<const std::byte> data,
                       bool collective);
   [[nodiscard]] Message transport_recv(int source, int tag);
-  /// Receive loop used when fault injection is active: seq dedup, checksum
-  /// verification, timeout-driven retransmit pulls with bounded retries.
-  /// Throws CommFault when the budget is exhausted or a corrupt frame's
-  /// pristine copy has left the send log.
+  /// Receive loop used when fault injection is active: consumes ordinals in
+  /// order (duplicates dropped, gaps and corrupt frames repaired from the
+  /// sender's send log), with timeout-driven retransmit pulls under a
+  /// bounded retry budget. Throws CommFault when the budget is exhausted or
+  /// a corrupt frame's pristine copy has left the send log.
   [[nodiscard]] Message recv_with_recovery(int source, int tag);
+  /// Ask `source`'s send log (every peer's, for kAnySource, until one
+  /// redelivers) for the next ordinal this rank has not consumed on `tag`.
+  RetransmitOutcome request_next(int source, int tag);
+  [[nodiscard]] std::uint64_t consumed_count(int source, int tag) const;
   /// Drop already-consumed copies of (source, tag) frames queued locally —
   /// a duplicated frame's twin. Collective tags are used once per step, so
   /// no later receive would ever pull such a twin out of the inbox.
@@ -392,9 +396,6 @@ class Comm {
   Transport* transport_;
   int rank_;
   int size_;
-  /// Frames already consumed — the dedup filter and gap-detection input under
-  /// fault injection (see transport.hpp).
-  ConsumedFrames consumed_;
   std::uint64_t collective_seq_ = 0;
   CommCounters counters_;
   /// Resolved once by set_metrics so the send path pays one null check.
@@ -402,12 +403,17 @@ class Comm {
   /// This rank's trace track (null when tracing is off); every
   /// instrumentation site below is a single null check.
   obs::TraceBuffer* trace_ = nullptr;
-  /// Flow-event ordinals, only touched while tracing: the nth send on a
+  /// Flow-event send ordinals, only touched while tracing: the nth send on a
   /// (dest, tag) channel pairs with the nth consumed receive on the matching
-  /// (source, tag) channel (consumption is in send order per channel both
-  /// fault-free and under recovery — see trace.hpp). std::map keeps lookups
-  /// deterministic and dlint-clean; this is never on the untraced hot path.
+  /// (source, tag) channel (see trace.hpp).
   std::map<std::pair<int, int>, std::uint64_t> send_ordinals_;
+  /// Remote frames consumed per (source, tag), only touched while fault
+  /// injection or tracing is on. Under faults it is the recovery protocol's
+  /// receiver state — the ordinal the next consumed frame must carry; while
+  /// tracing it is the flow-event receive ordinal. Consumption is in send
+  /// order per (channel, tag) both fault-free and under recovery, so the two
+  /// are the same count. std::map keeps lookups deterministic and
+  /// dlint-clean; neither use is on the fault-free untraced hot path.
   std::map<std::pair<int, int>, std::uint64_t> recv_ordinals_;
 };
 

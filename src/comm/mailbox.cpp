@@ -52,7 +52,7 @@ Message Mailbox::recv(int source, int tag) {
 
 std::optional<Message> Mailbox::try_recv_for(int source, int tag,
                                              std::chrono::microseconds timeout,
-                                             bool by_min_seq) {
+                                             bool by_min_ordinal) {
   DI_SCHED_REGION("mailbox.try_recv_for", this);
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   util::MutexLock lock(mutex_);
@@ -61,9 +61,10 @@ std::optional<Message> Mailbox::try_recv_for(int source, int tag,
     auto best = queue_.end();
     for (auto it = queue_.begin(); it != queue_.end(); ++it) {
       if (!matches(*it, source, tag)) continue;
-      if (best == queue_.end() || (by_min_seq && it->seq < best->seq))
+      if (best == queue_.end() ||
+          (by_min_ordinal && it->tag_seq < best->tag_seq))
         best = it;
-      if (!by_min_seq) break;
+      if (!by_min_ordinal) break;
     }
     if (best != queue_.end()) {
       Message out = std::move(*best);

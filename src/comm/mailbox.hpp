@@ -34,12 +34,13 @@ class Mailbox {
 
   /// Timed variant for the recovery layer: wait up to `timeout` for a match,
   /// returning nullopt on expiry so the caller can request a retransmit. With
-  /// `by_min_seq`, the *lowest-seq* queued match is taken instead of the
-  /// first — this restores per-channel sender order when the fault plan
-  /// reorders deliveries. Throws CommAborted if poisoned.
+  /// `by_min_ordinal`, the queued match with the lowest Message::tag_seq is
+  /// taken instead of the first — this restores per-(channel, tag) sender
+  /// order when the fault plan reorders deliveries. Throws CommAborted if
+  /// poisoned.
   std::optional<Message> try_recv_for(int source, int tag,
                                       std::chrono::microseconds timeout,
-                                      bool by_min_seq) DI_EXCLUDES(mutex_);
+                                      bool by_min_ordinal) DI_EXCLUDES(mutex_);
 
   /// Non-blocking probe: true if a matching message is queued.
   bool probe(int source, int tag) DI_EXCLUDES(mutex_);

@@ -15,16 +15,16 @@ inline constexpr int kAnySource = -1;
 inline constexpr int kCollectiveTagBase = 1 << 30;
 
 /// One in-flight message: source rank, tag, and an opaque payload, framed
-/// with the recovery header the fault-injection layer needs. `seq` numbers
-/// frames per (source, dest) channel so receivers can drop duplicates and
-/// restore sender order under reordering; `tag_seq` is the frame's ordinal
-/// among same-tag frames on that channel (0-based), the socket backend's
-/// local gap detector (the receiver knows a frame is early when its tag_seq
-/// exceeds the count of same-(source, tag) frames it has consumed);
-/// `checksum` covers header + payload (comm::frame_checksum) so corruption
-/// is detected rather than consumed. All three are written only when fault
-/// injection is active — the fault-free transport neither computes nor
-/// verifies them.
+/// with the recovery header the fault-injection layer needs. A frame is named
+/// by (source, tag, tag_seq): `tag_seq` is its 0-based ordinal among
+/// same-tag frames on the (source, dest) channel, and the receiver consumes
+/// ordinals in order — one below its consumed count is a duplicate, one above
+/// leaves a gap, and every retransmit request asks for (tag, count). `seq`
+/// numbers frames per channel across tags; it keys the fault dice and feeds
+/// the checksum. `checksum` covers header + payload (comm::frame_checksum)
+/// so corruption is detected rather than consumed. All three are written
+/// only when fault injection is active — the fault-free transport neither
+/// computes nor verifies them.
 struct Message {
   int source = 0;
   int tag = 0;

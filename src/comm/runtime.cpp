@@ -6,6 +6,7 @@
 
 #include "util/check.hpp"
 #include "util/logging.hpp"
+#include "util/mutex.hpp"
 
 namespace dinfomap::comm {
 
@@ -22,8 +23,10 @@ Runtime::Runtime(int nranks, const Options& options)
   if (faults_enabled_) {
     const auto n = static_cast<std::size_t>(nranks);
     channels_.reserve(n * n);
-    for (std::size_t i = 0; i < n * n; ++i)
-      channels_.push_back(std::make_unique<Channel>());
+    for (int src = 0; src < nranks; ++src)
+      for (int dst = 0; dst < nranks; ++dst)
+        channels_.push_back(std::make_unique<SendChannel>(
+            src, dst, options.faults, options.retransmit_window));
   }
 }
 
@@ -61,14 +64,6 @@ void Runtime::stall_forever(int rank) {
   throw CommAborted("stalled rank released by abort");
 }
 
-void Runtime::push_log(Channel& ch, const Message& m) {
-  ch.log.push_back(m);
-  while (ch.log.size() > options_.retransmit_window) {
-    ch.log.pop_front();
-    ch.evicted = true;
-  }
-}
-
 void Runtime::deliver(int src, int dest, int tag,
                       std::span<const std::byte> data) {
   Message m;
@@ -88,132 +83,22 @@ void Runtime::deliver(int src, int dest, int tag,
   RankState& rs = *rank_state_[static_cast<std::size_t>(src)];
   const auto nsent = rs.remote_sends.fetch_add(1, std::memory_order_relaxed);
   if (src == plan.stall_rank && nsent >= plan.stall_after_sends) {
-    {
-      Channel& ch = channel(src, dest);
-      util::MutexLock lock(ch.mutex);
-      ch.injected.stalls += 1;
-    }
+    channel(src, dest).count_stall();
     stall_forever(src);  // throws CommAborted once the watchdog pulls the cord
   }
-
-  // Frames to put on the wire this call, in order. Built under the channel
-  // lock (sequencing + dice must be atomic per channel), delivered after it
-  // drops so the lane lock is never held across a mailbox lock.
-  std::vector<Message> out;
-  {
-    Channel& ch = channel(src, dest);
-    util::MutexLock lock(ch.mutex);
-    m.seq = ch.next_seq++;
-    m.tag_seq = ch.tag_seq[tag]++;
-    m.checksum =
-        frame_checksum(src, tag, m.seq, m.payload.data(), m.payload.size());
-    push_log(ch, m);  // pristine copy, logged before any fault touches it
-
-    // Fault dice: a pure function of (seed, src, dest, seq) shared with the
-    // socket backend, so the plan injects identical faults on every run
-    // regardless of thread timing — and regardless of backend.
-    const FaultRoll roll = roll_fault(plan, src, dest, m.seq);
-
-    // A held (reordered) frame is released behind the channel's *next* frame,
-    // whatever that frame's own fate is.
-    const bool had_held = ch.holding;
-    Message old_held;
-    if (had_held) {
-      old_held = std::move(ch.held);
-      ch.holding = false;
-    }
-
-    switch (roll.action) {
-      case FaultAction::kDrop:
-        ch.injected.drops += 1;  // never delivered; the send log answers for it
-        break;
-      case FaultAction::kDuplicate:
-        ch.injected.duplicates += 1;
-        out.push_back(m);
-        out.push_back(std::move(m));
-        break;
-      case FaultAction::kReorder:
-        ch.injected.reorders += 1;
-        ch.held = std::move(m);
-        ch.holding = true;
-        break;
-      case FaultAction::kCorrupt:
-        ch.injected.corruptions += 1;
-        // Damage the wire copy (the log keeps the pristine frame).
-        corrupt_frame(m, roll.mix);
-        out.push_back(std::move(m));
-        break;
-      case FaultAction::kNone:
-        out.push_back(std::move(m));
-        break;
-    }
-    if (had_held) out.push_back(std::move(old_held));
-  }
-  for (auto& f : out) mailbox(dest).deliver(std::move(f));
+  // The lane lock is dropped before any frame reaches the mailbox, so it is
+  // never held across a mailbox lock.
+  for (auto& f : channel(src, dest).send(std::move(m)))
+    mailbox(dest).deliver(std::move(f));
 }
 
-RetransmitOutcome Runtime::request_retransmit(
-    int src, int dst, int tag,
-    const std::vector<std::unordered_set<std::uint64_t>>& consumed) {
-  const int p = static_cast<int>(mailboxes_.size());
-  const int lo = src == kAnySource ? 0 : src;
-  const int hi = src == kAnySource ? p - 1 : src;
-  bool evicted = false;
-  for (int s = lo; s <= hi; ++s) {
-    if (s == dst) continue;
-    Channel& ch = channel(s, dst);
-    Message copy;
-    bool found = false;
-    {
-      util::MutexLock lock(ch.mutex);
-      evicted = evicted || ch.evicted;
-      const auto& seen = consumed[static_cast<std::size_t>(s)];
-      // Lowest unconsumed seq first: redelivery preserves sender order.
-      for (const Message& f : ch.log) {
-        if (f.tag != tag || seen.count(f.seq) != 0) continue;
-        if (!found || f.seq < copy.seq) {
-          copy = f;
-          found = true;
-        }
-      }
-    }
-    if (found) {
-      mailbox(dst).deliver(std::move(copy));
-      return RetransmitOutcome::kRedelivered;
-    }
-  }
-  return evicted ? RetransmitOutcome::kNoneEvicted
-                 : RetransmitOutcome::kNoneSafe;
-}
-
-std::uint64_t Runtime::oldest_unconsumed(
-    int src, int dst, int tag,
-    const std::unordered_set<std::uint64_t>& consumed) {
-  Channel& ch = channel(src, dst);
-  std::uint64_t oldest = ~std::uint64_t{0};
-  util::MutexLock lock(ch.mutex);
-  for (const Message& f : ch.log)
-    if (f.tag == tag && consumed.count(f.seq) == 0 && f.seq < oldest)
-      oldest = f.seq;
-  return oldest;
-}
-
-bool Runtime::request_retransmit_seq(int src, int dst, std::uint64_t seq) {
-  Channel& ch = channel(src, dst);
+RetransmitOutcome Runtime::request_retransmit(int src, int dst, int tag,
+                                              std::uint64_t ordinal) {
   Message copy;
-  bool found = false;
-  {
-    util::MutexLock lock(ch.mutex);
-    for (const Message& f : ch.log) {
-      if (f.seq == seq) {
-        copy = f;
-        found = true;
-        break;
-      }
-    }
-  }
-  if (found) mailbox(dst).deliver(std::move(copy));
-  return found;
+  const auto verdict = channel(src, dst).lookup(tag, ordinal, copy);
+  if (verdict == RetransmitOutcome::kRedelivered)
+    mailbox(dst).deliver(std::move(copy));
+  return verdict;
 }
 
 Runtime::JobReport Runtime::run(int nranks, const RankFn& fn) {
@@ -360,14 +245,10 @@ Runtime::JobReport Runtime::run(int nranks, const RankFn& fn,
   report.faults_injected.assign(static_cast<std::size_t>(nranks),
                                 FaultCounters{});
   if (runtime.faults_enabled_) {
-    // Every rank thread has joined, but the lane counters are lock-protected
-    // state and the analysis (rightly) has no concept of "quiescent now".
     for (int s = 0; s < nranks; ++s)
-      for (int d = 0; d < nranks; ++d) {
-        Channel& ch = runtime.channel(s, d);
-        util::MutexLock lock(ch.mutex);
-        report.faults_injected[static_cast<std::size_t>(s)] += ch.injected;
-      }
+      for (int d = 0; d < nranks; ++d)
+        report.faults_injected[static_cast<std::size_t>(s)] +=
+            runtime.channel(s, d).injected();
   }
   report.aborted = runtime.aborted() || first_abort != nullptr;
 

@@ -2,32 +2,29 @@
 // with its own Comm — the moral equivalent of `mpirun -np N`.
 //
 // The runtime is also the transport: Comm hands frames to `deliver`, which
-// sequences them per (source, dest) channel, applies the seeded fault plan
-// (drop / duplicate / reorder / corrupt / stall), and keeps a bounded send
-// log per channel so receivers can pull retransmits (the moral equivalent of
-// a NIC-level retransmit queue — a blocked sender thread never has to
-// service control traffic itself). A watchdog thread turns rank stalls into
-// a typed CommFault diagnosis instead of a ctest hang.
+// passes them through the lane's comm::SendChannel under a fault plan
+// (sequencing, seeded drop / duplicate / reorder / corrupt, bounded send log)
+// and stalls the plan's stall rank. Receivers pull retransmits straight from
+// the shared send log (the moral equivalent of a NIC-level retransmit queue —
+// a blocked sender thread never has to service control traffic itself). A
+// watchdog thread turns rank stalls into a typed CommFault diagnosis instead
+// of a ctest hang.
 #pragma once
 
 #include <atomic>
 #include <chrono>
-#include <deque>
 #include <exception>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "comm/comm.hpp"
 #include "comm/counters.hpp"
 #include "comm/fault.hpp"
 #include "comm/mailbox.hpp"
+#include "comm/send_channel.hpp"
 #include "comm/transport.hpp"
-#include "util/annotations.hpp"
-#include "util/mutex.hpp"
 
 namespace dinfomap::comm {
 
@@ -88,22 +85,9 @@ class Runtime {
   /// frames.
   void deliver(int src, int dest, int tag, std::span<const std::byte> data);
 
-  /// Re-deliver the lowest-seq logged frame on src→dst matching `tag` whose
-  /// seq is not in `consumed`. `src == kAnySource` scans every channel into
-  /// `dst` (consumed sets indexed by source rank).
-  RetransmitOutcome request_retransmit(
-      int src, int dst, int tag,
-      const std::vector<std::unordered_set<std::uint64_t>>& consumed);
-  /// Re-deliver the exact frame `seq` of src→dst (corruption repair);
-  /// false when the frame left the window — unrecoverable.
-  bool request_retransmit_seq(int src, int dst, std::uint64_t seq);
-  /// Lowest logged unconsumed seq on src→dst matching `tag`, or ~0 when the
-  /// log holds none. The receiver's gap detector: a queued frame with a
-  /// higher seq than this must not be consumed yet — an earlier frame of the
-  /// same (channel, tag) is still missing (dropped or in flight).
-  [[nodiscard]] std::uint64_t oldest_unconsumed(
-      int src, int dst, int tag,
-      const std::unordered_set<std::uint64_t>& consumed);
+  /// Redeliver frame (tag, ordinal) of src→dst from the lane's send log.
+  RetransmitOutcome request_retransmit(int src, int dst, int tag,
+                                       std::uint64_t ordinal);
 
   /// Progress/liveness hooks for the watchdog: `note_progress` on every real
   /// transport event (send, consumed recv), `set_waiting` around blocking
@@ -115,25 +99,6 @@ class Runtime {
  private:
   Runtime(int nranks, const Options& options);
 
-  /// One src→dst lane: frame sequencing, the bounded pristine send log, the
-  /// reorder hold slot, and injected-fault tallies. Everything a lane holds
-  /// is touched by both the sender's thread and receivers pulling
-  /// retransmits, so every field is guarded by the lane mutex.
-  struct Channel {
-    util::Mutex mutex;
-    std::uint64_t next_seq DI_GUARDED_BY(mutex) = 0;
-    /// Per-tag frame ordinals (Message::tag_seq) — unused by this backend's
-    /// own gap detector but stamped so the frame format matches the socket
-    /// backend's wire exactly.
-    std::map<int, std::uint64_t> tag_seq DI_GUARDED_BY(mutex);
-    std::deque<Message> log DI_GUARDED_BY(mutex);
-    /// Sticky: history has been lost at least once.
-    bool evicted DI_GUARDED_BY(mutex) = false;
-    bool holding DI_GUARDED_BY(mutex) = false;
-    Message held DI_GUARDED_BY(mutex);
-    FaultCounters injected DI_GUARDED_BY(mutex);
-  };
-
   struct RankState {
     std::atomic<std::uint64_t> progress{0};
     std::atomic<bool> waiting{false};
@@ -141,16 +106,15 @@ class Runtime {
     std::atomic<std::uint64_t> remote_sends{0};
   };
 
-  Channel& channel(int src, int dst) {
+  SendChannel& channel(int src, int dst) {
     return *channels_[static_cast<std::size_t>(src) * mailboxes_.size() +
                       static_cast<std::size_t>(dst)];
   }
   /// Freeze this thread until the job aborts, then throw CommAborted.
   [[noreturn]] void stall_forever(int rank);
-  void push_log(Channel& ch, const Message& m) DI_REQUIRES(ch.mutex);
 
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
-  std::vector<std::unique_ptr<Channel>> channels_;  ///< empty unless faults
+  std::vector<std::unique_ptr<SendChannel>> channels_;  ///< empty unless faults
   std::vector<std::unique_ptr<RankState>> rank_state_;
   std::vector<std::unique_ptr<InprocTransport>> endpoints_;
   std::atomic<bool> aborted_{false};
@@ -159,8 +123,8 @@ class Runtime {
 };
 
 /// The in-process backend's per-rank Transport endpoint: a thin adapter from
-/// the Transport interface onto the shared Runtime (mailboxes, channel send
-/// logs, watchdog state). Created by Runtime, one per rank.
+/// the Transport interface onto the shared Runtime (mailboxes, send
+/// channels, watchdog state). Created by Runtime, one per rank.
 class InprocTransport final : public Transport {
  public:
   InprocTransport(Runtime& runtime, int rank, int size)
@@ -183,9 +147,9 @@ class InprocTransport final : public Transport {
   }
   std::optional<Message> timed_recv(int source, int tag,
                                     std::chrono::microseconds timeout,
-                                    bool by_min_seq) override {
+                                    bool by_min_ordinal) override {
     return runtime_->mailbox(rank_).try_recv_for(source, tag, timeout,
-                                                 by_min_seq);
+                                                 by_min_ordinal);
   }
   void requeue(Message m) override {
     runtime_->mailbox(rank_).deliver(std::move(m));
@@ -195,20 +159,8 @@ class InprocTransport final : public Transport {
   }
 
   RetransmitOutcome request_retransmit(int source, int tag,
-                                       const ConsumedFrames& consumed) override {
-    return runtime_->request_retransmit(source, rank_, tag, consumed.seqs);
-  }
-  bool request_retransmit_seq(int source, std::uint64_t seq) override {
-    return runtime_->request_retransmit_seq(source, rank_, seq);
-  }
-  [[nodiscard]] bool gap_before(const Message& m,
-                                const ConsumedFrames& consumed) override {
-    // Sender-log oracle: threads share an address space, so the receiver can
-    // ask the authoritative send log whether an older unconsumed frame of
-    // this (channel, tag) exists — no wire round trip needed.
-    return runtime_->oldest_unconsumed(
-               m.source, rank_, m.tag,
-               consumed.seqs[static_cast<std::size_t>(m.source)]) < m.seq;
+                                       std::uint64_t ordinal) override {
+    return runtime_->request_retransmit(source, rank_, tag, ordinal);
   }
 
   void note_progress() override { runtime_->note_progress(rank_); }

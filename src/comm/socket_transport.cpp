@@ -9,7 +9,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <thread>
-#include <unordered_set>
 
 #include "util/check.hpp"
 #include "util/logging.hpp"
@@ -27,11 +26,10 @@ constexpr std::uint32_t kMagic = 0x64696d70;  // "dimp"
 enum WireKind : std::uint8_t {
   kHello = 1,      ///< first frame on a connection; src = connecting rank
   kData = 2,       ///< an application frame (payload follows)
-  kRetxTag = 3,    ///< RPC: redeliver lowest unconsumed seq for (me←you, tag);
-                   ///< payload = consumed seqs (u64 each) on that channel
-  kRetxSeq = 4,    ///< RPC: redeliver the exact frame `seq` (corruption repair)
-  kRetxReply = 5,  ///< RPC verdict; seq field carries the encoded outcome
-  kBye = 6,        ///< sender is done for good; no further requests will come
+  kRetx = 3,       ///< RPC: redeliver frame (tag, ordinal = seq field) of
+                   ///< you→me from your send log
+  kRetxReply = 4,  ///< RPC verdict; seq field carries the RetransmitOutcome
+  kBye = 5,        ///< sender is done for good; no further requests will come
 };
 
 struct WireHeader {
@@ -46,15 +44,6 @@ struct WireHeader {
   std::uint64_t len = 0;
 };
 static_assert(sizeof(WireHeader) == 48, "wire header layout drifted");
-
-// RetxReply outcome codes (WireHeader::seq of a kRetxReply).
-constexpr std::uint64_t kReplyRedelivered = 0;
-constexpr std::uint64_t kReplyNoneSafe = 1;
-constexpr std::uint64_t kReplyNoneEvicted = 2;
-/// Local verdict of rpc(), never on the wire: the peer exited before
-/// answering. A frame it sent before exiting may still be queued, so a
-/// receive leaves the diagnosis to check_liveness on its next attempt.
-constexpr std::uint64_t kReplyPeerGone = 3;
 
 /// Read exactly n bytes; false on EOF or error (both mean the peer is gone).
 bool read_exact(int fd, void* buf, std::size_t n) {
@@ -143,7 +132,8 @@ SocketTransport::SocketTransport(int rank, int size,
   if (faults_enabled_) {
     out_.reserve(size);
     for (int r = 0; r < size; ++r)
-      out_.push_back(std::make_unique<OutChannel>());
+      out_.push_back(std::make_unique<SendChannel>(rank, r, tuning_.faults,
+                                                   tuning_.retransmit_window));
   }
   try {
     connect_mesh(options_.connect_timeout_ms);
@@ -235,28 +225,20 @@ bool SocketTransport::write_data_frame(int peer, const Message& m) {
 }
 
 bool SocketTransport::write_control(int peer, std::uint8_t kind, int tag,
-                                    std::uint64_t seq,
-                                    std::span<const std::byte> payload) {
+                                    std::uint64_t word) {
   WireHeader h;
   h.kind = kind;
   h.src = rank_;
   h.tag = tag;
-  h.seq = seq;
-  h.len = payload.size();
+  h.seq = word;
   util::MutexLock lock(*write_mutexes_[static_cast<std::size_t>(peer)]);
   const int fd = fds_[static_cast<std::size_t>(peer)];
-  if (fd < 0) return false;
-  if (!write_all(fd, &h, sizeof(h))) return false;
-  return payload.empty() || write_all(fd, payload.data(), payload.size());
+  return fd >= 0 && write_all(fd, &h, sizeof(h));
 }
 
 void SocketTransport::stall(int dest) {
   const FaultPlan& plan = tuning_.faults;
-  if (faults_enabled_) {
-    OutChannel& ch = out_channel(dest);
-    util::MutexLock lock(ch.mutex);
-    ch.injected.stalls += 1;
-  }
+  if (faults_enabled_) out_channel(dest).count_stall();
   if (plan.stall_exits) {
     // Model a crash, not a hang: die without unwinding, exactly as a killed
     // worker would. Peers observe connection EOF → CommFault{kPeerExited}.
@@ -302,58 +284,7 @@ void SocketTransport::send_frame(int dest, int tag,
   if (rank_ == plan.stall_rank && nsent >= plan.stall_after_sends)
     stall(dest);  // never returns
 
-  // Frames for the wire this call, in order — same construction as the
-  // in-process backend's deliver(): sequence + dice under the channel lock,
-  // write after it drops.
-  std::vector<Message> out;
-  {
-    OutChannel& ch = out_channel(dest);
-    util::MutexLock lock(ch.mutex);
-    m.seq = ch.next_seq++;
-    m.tag_seq = ch.tag_seq[tag]++;
-    m.checksum = frame_checksum(rank_, tag, m.seq, m.payload.data(),
-                                m.payload.size());
-    ch.log.push_back(m);  // pristine copy, logged before any fault touches it
-    while (ch.log.size() > tuning_.retransmit_window) {
-      ch.log.pop_front();
-      ch.evicted = true;
-    }
-
-    const FaultRoll roll = roll_fault(plan, rank_, dest, m.seq);
-
-    const bool had_held = ch.holding;
-    Message old_held;
-    if (had_held) {
-      old_held = std::move(ch.held);
-      ch.holding = false;
-    }
-
-    switch (roll.action) {
-      case FaultAction::kDrop:
-        ch.injected.drops += 1;  // never written; the send log answers for it
-        break;
-      case FaultAction::kDuplicate:
-        ch.injected.duplicates += 1;
-        out.push_back(m);
-        out.push_back(std::move(m));
-        break;
-      case FaultAction::kReorder:
-        ch.injected.reorders += 1;
-        ch.held = std::move(m);
-        ch.holding = true;
-        break;
-      case FaultAction::kCorrupt:
-        ch.injected.corruptions += 1;
-        corrupt_frame(m, roll.mix);  // wire copy only; the log stays pristine
-        out.push_back(std::move(m));
-        break;
-      case FaultAction::kNone:
-        out.push_back(std::move(m));
-        break;
-    }
-    if (had_held) out.push_back(std::move(old_held));
-  }
-  for (const Message& f : out) {
+  for (const Message& f : out_channel(dest).send(std::move(m))) {
     if (!write_data_frame(dest, f)) {
       peer_eof_[static_cast<std::size_t>(dest)].store(
           true, std::memory_order_release);
@@ -428,15 +359,16 @@ Message SocketTransport::blocking_recv(int source, int tag) {
   // arriving) wake immediately.
   constexpr auto kSlice = std::chrono::microseconds(5'000);
   for (;;) {
-    auto m = inbox_.try_recv_for(source, tag, kSlice, /*by_min_seq=*/false);
+    auto m = inbox_.try_recv_for(source, tag, kSlice, /*by_min_ordinal=*/false);
     if (m.has_value()) return std::move(*m);
     check_liveness(source, tag);
   }
 }
 
 std::optional<Message> SocketTransport::timed_recv(
-    int source, int tag, std::chrono::microseconds timeout, bool by_min_seq) {
-  auto m = inbox_.try_recv_for(source, tag, timeout, by_min_seq);
+    int source, int tag, std::chrono::microseconds timeout,
+    bool by_min_ordinal) {
+  auto m = inbox_.try_recv_for(source, tag, timeout, by_min_ordinal);
   if (!m.has_value()) check_liveness(source, tag);
   return m;
 }
@@ -447,34 +379,19 @@ bool SocketTransport::probe(int source, int tag) {
   return inbox_.probe(source, tag);
 }
 
-bool SocketTransport::gap_before(const Message& m,
-                                 const ConsumedFrames& consumed) {
-  // Local detector: frames carry their per-(channel, tag) ordinal, and
-  // consumption is in ordinal order, so a frame whose ordinal exceeds the
-  // count of consumed same-(source, tag) frames has a missing predecessor —
-  // dropped or still in flight. (The in-process backend answers the same
-  // question by peeking at the sender's log; over a real wire the ordinal is
-  // the receiver's only oracle, and it is an exact one.)
-  return m.tag_seq > consumed.tag_count(m.source, m.tag);
-}
-
 // ---- retransmit RPC (requester side) --------------------------------------
 
-std::uint64_t SocketTransport::rpc(int peer, std::uint8_t kind, int tag,
-                                   std::uint64_t seq,
-                                   std::span<const std::byte> payload) {
+RetransmitOutcome SocketTransport::request_retransmit(int source, int tag,
+                                                     std::uint64_t ordinal) {
   {
     util::MutexLock lock(rpc_mutex_);
     rpc_have_reply_ = false;
   }
-  const auto peer_gone = [&]() -> bool {
-    return peer_eof_[static_cast<std::size_t>(peer)].load(
-        std::memory_order_acquire);
-  };
-  if (peer_gone() || !write_control(peer, kind, tag, seq, payload)) {
-    peer_eof_[static_cast<std::size_t>(peer)].store(true,
-                                                    std::memory_order_release);
-    return kReplyPeerGone;
+  auto& eof = peer_eof_[static_cast<std::size_t>(source)];
+  if (eof.load(std::memory_order_acquire) ||
+      !write_control(source, kRetx, tag, ordinal)) {
+    eof.store(true, std::memory_order_release);
+    return RetransmitOutcome::kNoneSafe;  // check_liveness owns the diagnosis
   }
   // A frozen peer still answers — its reader threads service retransmits
   // even while its comm thread sleeps (mirroring the in-process backend,
@@ -489,118 +406,34 @@ std::uint64_t SocketTransport::rpc(int peer, std::uint8_t kind, int tag,
   while (!rpc_have_reply_) {
     if (shutdown_.load(std::memory_order_acquire))
       throw CommAborted("retransmit request aborted: transport shut down");
-    if (peer_gone()) return kReplyPeerGone;
+    if (eof.load(std::memory_order_acquire))
+      return RetransmitOutcome::kNoneSafe;
     if (lock.wait_until(rpc_cv_, deadline) == std::cv_status::timeout &&
         std::chrono::steady_clock::now() >= deadline) {
-      throw CommFault("retransmit request: rank " + std::to_string(peer) +
+      throw CommFault("retransmit request: rank " + std::to_string(source) +
                           " did not answer within " +
                           std::to_string(deadline_ms) + " ms — presumed stalled",
-                      peer, tag, CommFault::Kind::kStalled);
+                      source, tag, CommFault::Kind::kStalled);
     }
   }
-  return rpc_reply_;
-}
-
-RetransmitOutcome SocketTransport::request_retransmit(
-    int source, int tag, const ConsumedFrames& consumed) {
-  const int lo = source == kAnySource ? 0 : source;
-  const int hi = source == kAnySource ? size_ - 1 : source;
-  bool evicted = false;
-  bool any_alive = false;
-  for (int s = lo; s <= hi; ++s) {
-    if (s == rank_) continue;
-    if (source == kAnySource &&
-        peer_eof_[static_cast<std::size_t>(s)].load(std::memory_order_acquire))
-      continue;  // a dead peer can't answer; the liveness check owns that case
-    any_alive = true;
-    // Encode this channel's consumed seqs, sorted for a deterministic wire.
-    const auto& seen = consumed.seqs[static_cast<std::size_t>(s)];
-    std::vector<std::uint64_t> seqs(seen.begin(), seen.end());
-    std::sort(seqs.begin(), seqs.end());
-    const auto verdict =
-        rpc(s, kRetxTag, tag, 0,
-            std::span<const std::byte>(
-                reinterpret_cast<const std::byte*>(seqs.data()),
-                seqs.size() * sizeof(std::uint64_t)));
-    if (verdict == kReplyRedelivered) return RetransmitOutcome::kRedelivered;
-    if (verdict == kReplyNoneEvicted) evicted = true;
-    // kReplyPeerGone: the liveness check owns that case, as above.
-  }
-  if (!any_alive && source == kAnySource)
-    throw CommFault("retransmit request: every peer's connection is gone",
-                    kAnySource, tag, CommFault::Kind::kPeerExited);
-  return evicted ? RetransmitOutcome::kNoneEvicted
-                 : RetransmitOutcome::kNoneSafe;
-}
-
-bool SocketTransport::request_retransmit_seq(int source, std::uint64_t seq) {
-  const auto verdict = rpc(source, kRetxSeq, /*tag=*/0, seq, {});
-  if (verdict == kReplyPeerGone)
-    throw CommFault("retransmit request: rank " + std::to_string(source) +
-                        " exited before answering",
-                    source, /*tag=*/0, CommFault::Kind::kPeerExited);
-  return verdict == kReplyRedelivered;
+  return static_cast<RetransmitOutcome>(rpc_reply_);
 }
 
 // ---- reader threads -------------------------------------------------------
 
-void SocketTransport::serve_retx_tag(int peer, int tag,
-                                     std::span<const std::byte> payload) {
-  std::unordered_set<std::uint64_t> seen;
-  for (std::size_t off = 0; off + sizeof(std::uint64_t) <= payload.size();
-       off += sizeof(std::uint64_t)) {
-    std::uint64_t s = 0;
-    std::memcpy(&s, payload.data() + off, sizeof(s));
-    seen.insert(s);
-  }
+void SocketTransport::serve_retransmit(int peer, int tag,
+                                       std::uint64_t ordinal) {
   Message copy;
-  bool found = false;
-  bool evicted = false;
-  if (!out_.empty()) {
-    OutChannel& ch = out_channel(peer);
-    util::MutexLock lock(ch.mutex);
-    evicted = ch.evicted;
-    // Lowest unconsumed seq first: redelivery preserves sender order.
-    for (const Message& f : ch.log) {
-      if (f.tag != tag || seen.count(f.seq) != 0) continue;
-      if (!found || f.seq < copy.seq) {
-        copy = f;
-        found = true;
-      }
-    }
-  }
+  const auto verdict = out_.empty()
+                           ? RetransmitOutcome::kNoneSafe
+                           : out_channel(peer).lookup(tag, ordinal, copy);
   // Frame before verdict, on the same connection: the requester's reader
   // queues the redelivered frame before the RPC completes, so `kRedelivered`
   // always means "it is in your inbox now" — the in-process ordering.
-  if (found) {
+  if (verdict == RetransmitOutcome::kRedelivered)
     (void)write_data_frame(peer, copy);
-    (void)write_control(peer, kRetxReply, tag, kReplyRedelivered, {});
-  } else {
-    (void)write_control(peer, kRetxReply, tag,
-                        evicted ? kReplyNoneEvicted : kReplyNoneSafe, {});
-  }
-}
-
-void SocketTransport::serve_retx_seq(int peer, std::uint64_t seq) {
-  Message copy;
-  bool found = false;
-  if (!out_.empty()) {
-    OutChannel& ch = out_channel(peer);
-    util::MutexLock lock(ch.mutex);
-    for (const Message& f : ch.log) {
-      if (f.seq == seq) {
-        copy = f;
-        found = true;
-        break;
-      }
-    }
-  }
-  if (found) {
-    (void)write_data_frame(peer, copy);
-    (void)write_control(peer, kRetxReply, /*tag=*/0, kReplyRedelivered, {});
-  } else {
-    (void)write_control(peer, kRetxReply, /*tag=*/0, kReplyNoneSafe, {});
-  }
+  (void)write_control(peer, kRetxReply, tag,
+                      static_cast<std::uint64_t>(verdict));
 }
 
 void SocketTransport::reader_loop(int peer) {
@@ -632,11 +465,8 @@ void SocketTransport::reader_loop(int peer) {
         progress_.fetch_add(1, std::memory_order_relaxed);
         break;
       }
-      case kRetxTag:
-        serve_retx_tag(peer, h.tag, payload);
-        break;
-      case kRetxSeq:
-        serve_retx_seq(peer, h.seq);
+      case kRetx:
+        serve_retransmit(peer, h.tag, h.seq);
         break;
       case kRetxReply: {
         util::MutexLock lock(rpc_mutex_);
@@ -672,7 +502,7 @@ void SocketTransport::shutdown_and_join(bool linger) {
     // its connection died), bounded by linger_timeout_ms.
     for (int s = 0; s < size_; ++s) {
       if (s == rank_ || fds_[static_cast<std::size_t>(s)] < 0) continue;
-      (void)write_control(s, kBye, 0, 0, {});
+      (void)write_control(s, kBye, 0, 0);
     }
     const auto deadline =
         std::chrono::steady_clock::now() +
@@ -724,11 +554,7 @@ void SocketTransport::shutdown_and_join(bool linger) {
 
 FaultCounters SocketTransport::injected() {
   FaultCounters total;
-  for (int s = 0; s < size_ && !out_.empty(); ++s) {
-    OutChannel& ch = out_channel(s);
-    util::MutexLock lock(ch.mutex);
-    total += ch.injected;
-  }
+  for (const auto& ch : out_) total += ch->injected();
   return total;
 }
 

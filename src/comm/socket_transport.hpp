@@ -6,24 +6,24 @@
 // its own process. Rank r listens on `<dir>/<r>.sock`, connects to every
 // lower rank, and accepts from every higher rank; each peer connection gets
 // a dedicated reader thread that demultiplexes wire frames into the local
-// inbox (a comm::Mailbox, so (source, tag) matching and min-seq receives
-// behave exactly as in-process) and services peers' retransmit requests
-// against this rank's send logs. Reader threads always drain their socket,
+// inbox (a comm::Mailbox, so (source, tag) matching and min-ordinal receives
+// behave exactly as in-process) and serves the peer's retransmit requests
+// from this rank's send channels. Reader threads always drain their socket,
 // so a blocked sender can never deadlock the mesh on a full kernel buffer —
 // the same property the in-process backend gets from Mailbox being
 // unbounded.
 //
-// The PR 3 recovery protocol runs over the real wire: frames carry the same
-// per-channel seq, per-(channel, tag) ordinal, and FNV-1a checksum; the
-// fault plan's dice are the same pure function of (seed, src, dest, seq)
-// (comm::roll_fault), but the faults are genuine socket events — a dropped
-// frame is simply never written, a duplicate is written twice, a reorder is
-// held behind the channel's next frame, and a stall freezes (or, with
-// stall_exits, kills) a real process. Recovery is receiver-driven: a
-// retransmit request is a small RPC to the sender, answered by the sender's
-// reader thread from its pristine send log — frame first, verdict second, on
-// the same connection, so a re-delivered frame is always in the inbox before
-// the RPC completes (matching the in-process ordering).
+// The recovery protocol runs over the real wire unchanged: each outgoing
+// lane is the same comm::SendChannel the in-process backend uses, so frames
+// carry the same seq, per-(channel, tag) ordinal and FNV-1a checksum and the
+// fault plan rolls the same dice — but the faults are genuine socket events:
+// a dropped frame is simply never written, a duplicate is written twice, a
+// reorder is held behind the channel's next frame, and a stall freezes (or,
+// with stall_exits, kills) a real process. Recovery is receiver-driven: a
+// retransmit request is a small RPC naming (tag, ordinal), answered by the
+// sender's reader thread from its pristine send log — frame first, verdict
+// second, on the same connection, so a redelivered frame is always in the
+// inbox before the RPC completes (matching the in-process ordering).
 //
 // Liveness is local here — there is no thread that can see every rank. Each
 // endpoint convicts the peer *it* is blocked on: connection EOF with no
@@ -37,8 +37,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -49,6 +47,7 @@
 #include "comm/fault.hpp"
 #include "comm/mailbox.hpp"
 #include "comm/message.hpp"
+#include "comm/send_channel.hpp"
 #include "comm/transport.hpp"
 #include "util/annotations.hpp"
 #include "util/mutex.hpp"
@@ -102,15 +101,17 @@ class SocketTransport final : public Transport {
   Message blocking_recv(int source, int tag) override;
   std::optional<Message> timed_recv(int source, int tag,
                                     std::chrono::microseconds timeout,
-                                    bool by_min_seq) override;
+                                    bool by_min_ordinal) override;
   void requeue(Message m) override;
   [[nodiscard]] bool probe(int source, int tag) override;
 
+  /// Retransmit RPC to `source`: single outstanding (Comm is single-threaded
+  /// per rank); the redelivered frame reaches the inbox via the reader before
+  /// the verdict does. A peer that is gone answers kNoneSafe and is marked
+  /// exited, so a waiting receive still consumes frames already queued
+  /// before check_liveness diagnoses it.
   RetransmitOutcome request_retransmit(int source, int tag,
-                                       const ConsumedFrames& consumed) override;
-  bool request_retransmit_seq(int source, std::uint64_t seq) override;
-  [[nodiscard]] bool gap_before(const Message& m,
-                                const ConsumedFrames& consumed) override;
+                                       std::uint64_t ordinal) override;
 
   void note_progress() override {
     progress_.fetch_add(1, std::memory_order_relaxed);
@@ -139,41 +140,20 @@ class SocketTransport final : public Transport {
   }
 
  private:
-  /// One outgoing channel rank_→dest (faults only): frame sequencing, the
-  /// bounded pristine send log, the reorder hold slot, and injected-fault
-  /// tallies. Touched by this rank's comm thread (sends) and by the reader
-  /// thread of `dest`'s connection (retransmit service), hence the mutex.
-  struct OutChannel {
-    util::Mutex mutex;
-    std::uint64_t next_seq DI_GUARDED_BY(mutex) = 0;
-    std::map<int, std::uint64_t> tag_seq DI_GUARDED_BY(mutex);
-    std::deque<Message> log DI_GUARDED_BY(mutex);
-    bool evicted DI_GUARDED_BY(mutex) = false;  ///< sticky history loss
-    bool holding DI_GUARDED_BY(mutex) = false;
-    Message held DI_GUARDED_BY(mutex);
-    FaultCounters injected DI_GUARDED_BY(mutex);
-  };
-
-  OutChannel& out_channel(int dest) {
+  SendChannel& out_channel(int dest) {
     return *out_[static_cast<std::size_t>(dest)];
   }
 
   void connect_mesh(unsigned connect_timeout_ms);
   void reader_loop(int peer);
-  void serve_retx_tag(int peer, int tag, std::span<const std::byte> payload);
-  void serve_retx_seq(int peer, std::uint64_t seq);
+  /// Reader-thread side of the retransmit RPC: answer `peer`'s request for
+  /// frame (tag, ordinal) from our send log.
+  void serve_retransmit(int peer, int tag, std::uint64_t ordinal);
   /// Write one data frame to `peer`; returns false when the connection is
   /// gone (EPIPE / reset), which marks the peer exited.
   bool write_data_frame(int peer, const Message& m);
-  bool write_control(int peer, std::uint8_t kind, int tag, std::uint64_t seq,
-                     std::span<const std::byte> payload);
-  /// Single-outstanding retransmit RPC to `peer`; encodes the consumed-seq
-  /// set for that channel and waits for the verdict (frames arrive via the
-  /// reader before the verdict does). A peer that is gone yields
-  /// kReplyPeerGone and is marked exited, so a waiting receive still
-  /// consumes frames already queued before check_liveness diagnoses it.
-  std::uint64_t rpc(int peer, std::uint8_t kind, int tag, std::uint64_t seq,
-                    std::span<const std::byte> payload);
+  /// Write a header-only control frame; `word` is the kind's operand.
+  bool write_control(int peer, std::uint8_t kind, int tag, std::uint64_t word);
   /// EOF / watchdog checks run between receive attempts; throws the typed
   /// CommFault this backend exists to report.
   void check_liveness(int source, int tag);
@@ -192,7 +172,10 @@ class SocketTransport final : public Transport {
   /// One writer lock per connection: this rank's comm thread (data frames)
   /// and its reader threads (retransmit service) share each outgoing fd.
   std::vector<std::unique_ptr<util::Mutex>> write_mutexes_;
-  std::vector<std::unique_ptr<OutChannel>> out_;  ///< empty unless faults
+  /// Outgoing lanes, indexed by dest; empty unless faults. Touched by this
+  /// rank's comm thread (sends) and by the reader thread of dest's
+  /// connection (retransmit service); SendChannel locks internally.
+  std::vector<std::unique_ptr<SendChannel>> out_;
   std::vector<std::thread> readers_;
 
   std::vector<std::atomic<bool>> peer_eof_;

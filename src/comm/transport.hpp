@@ -3,41 +3,38 @@
 // Comm implements MPI-shaped semantics (two-sided matching, collectives,
 // receiver-driven fault recovery) on top of a small per-rank endpoint
 // interface: frame a payload and put it on the wire, pull the next matching
-// frame off the local inbox, and answer the recovery layer's retransmit /
-// gap queries. Two backends implement it:
+// frame off the local inbox, and ask a peer's send log for a missing frame.
+// Two backends implement it:
 //
 //  * comm::Runtime — the in-process mailbox backend (one rank per thread,
 //    default, semantics unchanged from the pre-split runtime), and
 //  * comm::SocketTransport — the multi-process backend, one rank per worker
 //    process over a full mesh of Unix-domain stream sockets.
 //
-// The contract across backends: for a fixed (seed, ranks, threads) the
-// algorithm above Comm produces bit-identical partitions, codelengths, and
-// round traces, because every reduction Comm performs is rank-ordered and
-// both backends preserve per-channel sender order (directly, or via the
-// seq-numbered recovery protocol when a fault plan is active).
+// The contract across backends: for a fixed (seed, ranks) the algorithm
+// above Comm produces bit-identical partitions, codelengths, and round
+// traces, because every reduction Comm performs is rank-ordered and both
+// backends preserve per-(channel, tag) sender order — directly, or, when a
+// fault plan is active, by naming every frame (source, tag, ordinal) and
+// consuming ordinals in order.
 #pragma once
 
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <span>
-#include <unordered_set>
-#include <utility>
-#include <vector>
 
 #include "comm/fault.hpp"
 #include "comm/message.hpp"
+#include "comm/send_channel.hpp"
 
 namespace dinfomap::comm {
 
 /// Receiver-recovery tuning shared by every backend. A recv charges one
-/// retry per retransmit request; the budget only limits *provable* losses (a
-/// frame the send log can still answer for, or a channel that has evicted
-/// history) — a merely slow sender is waited on patiently, because the
-/// watchdog owns liveness.
+/// retry per retransmit request that proves a loss (the send log redelivered
+/// the frame, or the frame was sent and evicted); a frame not sent yet is
+/// waited on patiently, because the watchdog owns liveness.
 struct TransportTuning {
   /// Seeded transport faults (see comm/fault.hpp). Recovery is transparent:
   /// results must stay bit-identical to the fault-free run.
@@ -50,40 +47,6 @@ struct TransportTuning {
   /// quiescent job's frozen rank; socket backend: each endpoint convicts the
   /// peer it is blocked on). 0 disables.
   unsigned watchdog_timeout_ms = 0;
-};
-
-/// Outcome of a receiver's retransmit request against a sender's log.
-enum class RetransmitOutcome {
-  kRedelivered,  ///< a pristine unconsumed match was re-delivered
-  kNoneSafe,     ///< nothing matched and the log has never evicted: the
-                 ///< frame was simply never sent yet — keep waiting
-  kNoneEvicted,  ///< nothing matched but history was evicted: the loss may
-                 ///< be unprovable — charge the retry budget
-};
-
-/// Receiver-side bookkeeping of consumed frames, per source rank. `seqs` is
-/// the dedup filter (frame seqs are per-channel, so per-source sets
-/// suffice); `tag_counts` counts consumed frames per (source, tag) — the
-/// socket backend's local gap detector, matched against the per-(channel,
-/// tag) ordinal each frame carries in Message::tag_seq.
-struct ConsumedFrames {
-  std::vector<std::unordered_set<std::uint64_t>> seqs;
-  std::map<std::pair<int, int>, std::uint64_t> tag_counts;
-
-  explicit ConsumedFrames(int nranks)
-      : seqs(static_cast<std::size_t>(nranks)) {}
-
-  void note(const Message& m) {
-    seqs[static_cast<std::size_t>(m.source)].insert(m.seq);
-    tag_counts[{m.source, m.tag}] += 1;
-  }
-  [[nodiscard]] bool contains(const Message& m) const {
-    return seqs[static_cast<std::size_t>(m.source)].count(m.seq) != 0;
-  }
-  [[nodiscard]] std::uint64_t tag_count(int source, int tag) const {
-    const auto it = tag_counts.find({source, tag});
-    return it == tag_counts.end() ? 0 : it->second;
-  }
 };
 
 /// One rank's endpoint onto the wire. All methods are called from the rank's
@@ -114,34 +77,28 @@ class Transport {
 
   /// Timed variant for the recovery layer: wait up to `timeout` for a match,
   /// returning nullopt on expiry so the caller can request a retransmit.
-  /// With `by_min_seq`, the *lowest-seq* queued match is taken instead of
-  /// the first — this restores per-channel sender order when faults reorder
-  /// deliveries.
+  /// With `by_min_ordinal`, the queued match with the lowest Message::tag_seq
+  /// is taken instead of the first — this restores per-(channel, tag) sender
+  /// order when faults reorder deliveries.
   virtual std::optional<Message> timed_recv(int source, int tag,
                                             std::chrono::microseconds timeout,
-                                            bool by_min_seq) = 0;
+                                            bool by_min_ordinal) = 0;
 
-  /// Put a deferred frame back into the local inbox (the recovery layer's
-  /// gap handling requeues a too-new candidate while it pulls the missing
-  /// older frame; twin draining requeues a live frame it pulled).
+  /// Put a deferred frame back into the local inbox (the recovery layer
+  /// requeues a frame that arrived ahead of a gap; twin draining requeues a
+  /// live frame it pulled).
   virtual void requeue(Message m) = 0;
 
   /// Non-blocking probe: true if a matching frame is queued locally.
   [[nodiscard]] virtual bool probe(int source, int tag) = 0;
 
-  // ---- receiver-driven recovery assists ----------------------------------
-  /// Ask the sender's log to re-deliver the lowest-seq unconsumed frame on
-  /// source→me matching `tag`. `source == kAnySource` queries every peer.
+  // ---- receiver-driven recovery ------------------------------------------
+  /// Ask `source`'s send log for frame (tag, ordinal) of source→me. On
+  /// kRedelivered the pristine copy is in the local inbox when this returns.
+  /// A socket peer that is gone answers kNoneSafe: the next receive attempt
+  /// diagnoses the exit.
   virtual RetransmitOutcome request_retransmit(int source, int tag,
-                                               const ConsumedFrames& consumed) = 0;
-  /// Re-deliver the exact frame `seq` of source→me (corruption repair);
-  /// false when the frame left the sender's window — unrecoverable.
-  virtual bool request_retransmit_seq(int source, std::uint64_t seq) = 0;
-  /// True when consuming `m` now would skip over an earlier same-(channel,
-  /// tag) frame that is still missing (dropped or in flight) — the
-  /// receiver's gap detector.
-  [[nodiscard]] virtual bool gap_before(const Message& m,
-                                        const ConsumedFrames& consumed) = 0;
+                                               std::uint64_t ordinal) = 0;
 
   // ---- liveness ----------------------------------------------------------
   /// Called by Comm on every real transport event (send, consumed recv) and

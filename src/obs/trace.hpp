@@ -28,7 +28,7 @@ struct TraceEvent {
     // Causal events (DESIGN.md §13). Flow events pair the nth send on a
     // (src, dst, tag) channel with the nth consumed receive — valid because
     // per-(source, tag) consumption order equals send order both fault-free
-    // (FIFO mailbox) and under recovery (min-seq matching with dedup).
+    // (FIFO mailbox) and under recovery (ordinals consumed in order).
     kFlowSend,          ///< message departure; peer = dest, tag + ordinal
     kFlowRecv,          ///< message consumption; peer = source, tag + ordinal
     kCollectiveArrive,  ///< rank enters a leaf collective; tag identifies it

@@ -7,11 +7,13 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "comm/runtime.hpp"
+#include "comm/send_channel.hpp"
 #include "core/dist_infomap.hpp"
 #include "graph/builder.hpp"
 #include "graph/gen/generators.hpp"
@@ -298,6 +300,61 @@ TEST(FaultRecovery, RetryBudgetExhaustionNamesTheSilentPeer) {
     EXPECT_NE(std::string(e.what()).find("retry budget"), std::string::npos)
         << e.what();
   }
+}
+
+// ---- the send channel both backends share ----------------------------------
+
+TEST(SendChannel, LookupNamesFramesByTagAndOrdinal) {
+  dc::FaultPlan plan;
+  plan.corrupt = 1.0;  // every wire copy is damaged; the log must not be
+  plan.seed = 3;
+  dc::SendChannel ch(/*src=*/0, /*dest=*/1, plan, /*window=*/2);
+  const auto value_of = [](const dc::Message& m) {
+    int v = 0;
+    std::memcpy(&v, m.payload.data(), sizeof(v));
+    return v;
+  };
+  const auto verifies = [](const dc::Message& m) {
+    return dc::frame_checksum(m.source, m.tag, m.seq, m.payload.data(),
+                              m.payload.size()) == m.checksum;
+  };
+  constexpr int kA = 5;
+  constexpr int kB = 9;
+  // Sends (kA, 0), (kB, 0), (kA, 1), (kA, 2); a window of 2 keeps only the
+  // last two in the log.
+  const std::vector<std::pair<int, int>> sends = {
+      {kA, 10}, {kB, 20}, {kA, 11}, {kA, 12}};
+  for (const auto& [tag, value] : sends) {
+    dc::Message m;
+    m.source = 0;
+    m.tag = tag;
+    m.payload.resize(sizeof(int));
+    std::memcpy(m.payload.data(), &value, sizeof(int));
+    const auto wire = ch.send(std::move(m));
+    ASSERT_EQ(wire.size(), 1u);
+    EXPECT_FALSE(verifies(wire[0])) << "wire copy of " << value;
+  }
+  EXPECT_EQ(ch.injected().corruptions, sends.size());
+
+  dc::Message got;
+  ASSERT_EQ(ch.lookup(kA, 2, got), dc::RetransmitOutcome::kRedelivered);
+  EXPECT_EQ(got.tag, kA);
+  EXPECT_EQ(got.tag_seq, 2u);
+  EXPECT_EQ(value_of(got), 12);
+  EXPECT_TRUE(verifies(got)) << "the log keeps the pristine copy";
+
+  // Sent and evicted.
+  EXPECT_EQ(ch.lookup(kA, 0, got), dc::RetransmitOutcome::kNoneEvicted);
+  EXPECT_EQ(ch.lookup(kB, 0, got), dc::RetransmitOutcome::kNoneEvicted);
+  // Eviction is judged per frame: a later ordinal still in the log is found.
+  ASSERT_EQ(ch.lookup(kA, 1, got), dc::RetransmitOutcome::kRedelivered);
+  EXPECT_EQ(value_of(got), 11);
+  EXPECT_TRUE(verifies(got));
+
+  // Not sent yet.
+  EXPECT_EQ(ch.lookup(kA, 3, got), dc::RetransmitOutcome::kNoneSafe);
+  EXPECT_EQ(ch.lookup(kB, 1, got), dc::RetransmitOutcome::kNoneSafe);
+  EXPECT_EQ(ch.lookup(/*tag=*/7, 0, got), dc::RetransmitOutcome::kNoneSafe);
 }
 
 TEST(Watchdog, StalledRankFailsWithDiagnosisInsteadOfHanging) {

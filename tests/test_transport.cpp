@@ -281,6 +281,44 @@ TEST(SocketTransport, InjectedFaultCountsMatchInproc) {
   EXPECT_GT(inproc_total, 0u);
 }
 
+// ---- both backends: a gap whose frame was evicted ends the job -------------
+
+TEST(FaultRecovery, EvictedGapIsNeverSkipped) {
+  // A one-frame send log: a dropped frame is evicted by the next send, so its
+  // gap can never be repaired. The receiver must fail naming the sender, not
+  // consume a later frame in its place.
+  dc::TransportTuning tuning;
+  tuning.faults.drop = 0.3;
+  tuning.faults.seed = 23;
+  tuning.retransmit_window = 1;
+  const auto workload = [](dc::Comm& comm) {
+    constexpr int kTag = 3;
+    if (comm.rank() == 0) {
+      for (int i = 0; i < 200; ++i) comm.send_value<int>(1, kTag, i);
+      return;
+    }
+    for (int i = 0; i < 100; ++i) {
+      const int v = comm.recv_value<int>(0, kTag);
+      EXPECT_EQ(v, i) << "value read at index " << i;
+      if (v != i) return;
+    }
+  };
+  const auto expect_fault_naming_rank0 = [](const char* backend,
+                                            const std::function<void()>& run) {
+    try {
+      run();
+      ADD_FAILURE() << backend << ": expected CommFault";
+    } catch (const dc::CommFault& e) {
+      EXPECT_EQ(e.rank(), 0) << backend << ": " << e.what();
+    }
+  };
+  expect_fault_naming_rank0("in-process", [&] {
+    (void)dc::Runtime::run(2, workload, tuning);
+  });
+  expect_fault_naming_rank0("socket",
+                            [&] { run_socket_ranks(2, tuning, workload); });
+}
+
 // ---- socket mesh: typed failure kinds (satellite bugfix) -------------------
 
 TEST(SocketTransport, PeerExitRaisesPeerExitedNotStalled) {

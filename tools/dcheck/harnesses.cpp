@@ -97,11 +97,13 @@ void relaxmap_pair_harness(Context& ctx) {
 }
 
 // --- worklist --------------------------------------------------------------
-// util::LazyPriorityWorklist is not thread-safe by contract; the async
-// engine guards it with the rank's lock. Two pushers activate (one raising a
-// shared index's priority — the lazy-deletion requeue path) and a drainer
-// pops, all under a util::Mutex; main drains the remainder after the join
-// and checks the counter invariants that hold in *every* interleaving. The
+// util::LazyPriorityWorklist is not thread-safe by contract: the async
+// engine owns one worklist per rank and touches it only from that rank's
+// thread, so any shared use must hold one lock around every call. The
+// harness checks that contract: two pushers activate (one raising a shared
+// index's priority — the lazy-deletion requeue path) and a drainer pops, all
+// under a util::Mutex; main drains the remainder after the join and checks
+// the counter invariants that hold in *every* interleaving. The
 // harness-side mutation ("worklist.unguarded-drain") drops the drainer's
 // lock, which the DI_SCHED_* markers inside the worklist surface as a data
 // race.
@@ -158,7 +160,7 @@ const std::vector<Harness>& harnesses() {
        "RelaxMap ModulePairGuard id-ordered two-module locking",
        "relaxmap.unordered-pair", &relaxmap_pair_harness},
       {"worklist",
-       "LazyPriorityWorklist push/requeue vs drain under the rank lock",
+       "LazyPriorityWorklist push/requeue vs drain under one lock",
        "worklist.unguarded-drain", &worklist_harness},
   };
   return kHarnesses;
