@@ -10,9 +10,12 @@
 // benchmarks. `--benchmark_filter=NONE` skips the latter for a quick
 // artifact-only run.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <numeric>
+#include <string>
 #include <unordered_map>
 
 #include "bench_common.hpp"
@@ -23,6 +26,7 @@
 #include "core/module_info.hpp"
 #include "core/seq_infomap.hpp"
 #include "graph/builder.hpp"
+#include "graph/edgelist_io.hpp"
 #include "graph/gen/generators.hpp"
 #include "util/flat_map.hpp"
 #include "util/random.hpp"
@@ -275,6 +279,32 @@ void BM_BuildCsr(benchmark::State& state) {
     benchmark::DoNotOptimize(graph::build_csr(gg.edges, gg.num_vertices));
 }
 BENCHMARK(BM_BuildCsr)->Unit(benchmark::kMicrosecond);
+
+/// A 2^15-vertex R-MAT text edge list (~262k lines), written once to a temp
+/// file that is removed at exit.
+struct RmatTextFile {
+  std::string path = (std::filesystem::temp_directory_path() /
+                      ("dinfomap_bench_rmat_" + std::to_string(::getpid()) + ".txt"))
+                         .string();
+  RmatTextFile() {
+    graph::write_edge_list(path, graph::gen::rmat(15, 8, 0.57, 0.19, 0.19, 5).edges);
+  }
+  ~RmatTextFile() { std::filesystem::remove(path); }
+  RmatTextFile(const RmatTextFile&) = delete;
+  RmatTextFile& operator=(const RmatTextFile&) = delete;
+};
+
+void BM_ReadEdgeList(benchmark::State& state) {
+  static const RmatTextFile file;
+  std::size_t edges = 0;
+  for (auto _ : state) {
+    const graph::EdgeList list = graph::read_edge_list(file.path);
+    edges = list.size();
+    benchmark::DoNotOptimize(list.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * edges));
+}
+BENCHMARK(BM_ReadEdgeList)->Unit(benchmark::kMillisecond);
 
 // --- BENCH_hotpath.json: hand-timed before/after comparison -----------------
 

@@ -7,17 +7,27 @@
 namespace dinfomap::graph {
 
 struct BuildOptions {
-  /// Sum weights of parallel (duplicate) edges into one (default) — otherwise
-  /// keep only the first occurrence.
+  /// Sum weights of parallel (duplicate) edges into one (default), adding
+  /// them in input order — otherwise keep only the first occurrence in input
+  /// order.
   bool combine_duplicates = true;
   /// Drop self-loops entirely instead of storing them in self_weight.
   bool drop_self_loops = false;
 };
 
 /// Build an undirected CSR from an arbitrary edge list. `num_vertices` of 0
-/// means "infer as max endpoint + 1". Duplicate {u,v} pairs (in either
-/// orientation) are combined; adjacency lists come out sorted by target.
+/// means "infer as max endpoint + 1". Weights must be finite and > 0.
+/// Duplicate {u,v} pairs (in either orientation) are combined in input order
+/// (see BuildOptions), as are self-loop weights; adjacency lists come out
+/// sorted by target. Runs in O(|E| + n): edges are canonicalised to u <= v
+/// and ordered by sort_by_endpoints, after which each row fills already
+/// sorted (row x receives its neighbours u < x, then its neighbours v > x).
 Csr build_csr(const EdgeList& edges, VertexId num_vertices = 0,
               const BuildOptions& options = {});
+
+/// Sort `edges` by (u, v) with every endpoint < n, keeping equal pairs in
+/// input order: two stable counting passes, keyed by v and then by u, over
+/// one count array of n + 1 entries.
+void sort_by_endpoints(EdgeList& edges, VertexId n);
 
 }  // namespace dinfomap::graph

@@ -1,7 +1,9 @@
 #include "graph/dicsr.hpp"
 
 #include <algorithm>
+#include <cmath>
 
+#include "graph/builder.hpp"
 #include "util/check.hpp"
 
 namespace dinfomap::graph {
@@ -11,13 +13,12 @@ DiCsr DiCsr::from_edges(const EdgeList& edges, VertexId num_vertices) {
   for (const Edge& e : edges) n = std::max({n, e.u + 1, e.v + 1});
   DINFOMAP_REQUIRE_MSG(n > 0, "empty directed graph");
   for (const Edge& e : edges)
-    DINFOMAP_REQUIRE_MSG(e.w > 0, "edge weights must be positive");
+    DINFOMAP_REQUIRE_MSG(std::isfinite(e.w) && e.w > 0,
+                         "edge weights must be finite and positive");
 
-  // Combine parallel arcs.
+  // Combine parallel arcs, summing in input order.
   std::vector<Edge> sorted = edges;
-  std::sort(sorted.begin(), sorted.end(), [](const Edge& a, const Edge& b) {
-    return a.u != b.u ? a.u < b.u : a.v < b.v;
-  });
+  sort_by_endpoints(sorted, n);
   std::size_t out = 0;
   for (std::size_t i = 0; i < sorted.size(); ++i) {
     if (out > 0 && sorted[out - 1].u == sorted[i].u &&
@@ -56,19 +57,19 @@ DiCsr DiCsr::from_edges(const EdgeList& edges, VertexId num_vertices) {
 
 bool DiCsr::validate() const {
   const VertexId n = num_vertices();
-  std::vector<std::pair<std::pair<VertexId, VertexId>, Weight>> fwd, rev;
+  EdgeList fwd, rev;
   for (VertexId u = 0; u < n; ++u) {
     for (const auto& nb : out_neighbors(u)) {
       if (nb.target >= n || !(nb.weight > 0)) return false;
-      fwd.push_back({{u, nb.target}, nb.weight});
+      fwd.push_back({u, nb.target, nb.weight});
     }
     for (const auto& nb : in_neighbors(u)) {
       if (nb.target >= n || !(nb.weight > 0)) return false;
-      rev.push_back({{nb.target, u}, nb.weight});
+      rev.push_back({nb.target, u, nb.weight});
     }
   }
-  std::sort(fwd.begin(), fwd.end());
-  std::sort(rev.begin(), rev.end());
+  sort_by_endpoints(fwd, n);
+  sort_by_endpoints(rev, n);
   return fwd == rev;
 }
 

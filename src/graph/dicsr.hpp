@@ -19,8 +19,9 @@ class DiCsr {
  public:
   DiCsr() = default;
 
-  /// Build from directed edges (u→v). Parallel edges combine; self-loops are
-  /// kept as ordinary arcs (they simply never contribute to exits).
+  /// Build from directed edges (u→v). Parallel edges combine, their weights
+  /// added in input order; self-loops are kept as ordinary arcs (they simply
+  /// never contribute to exits).
   static DiCsr from_edges(const EdgeList& edges, VertexId num_vertices = 0);
 
   [[nodiscard]] VertexId num_vertices() const {

@@ -1,9 +1,13 @@
 #include "graph/edgelist_io.hpp"
 
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <stdexcept>
+#include <vector>
 
 namespace dinfomap::graph {
 
@@ -12,44 +16,100 @@ namespace {
                               const char* what) {
   throw std::runtime_error(path + ":" + std::to_string(lineno) + ": " + what);
 }
-}  // namespace
 
-std::size_t for_each_edge(const std::string& path,
-                          const std::function<void(const Edge&)>& fn) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open edge list: " + path);
-  std::size_t count = 0;
-  std::string line;  // reused across lines; getline keeps its capacity
-  std::size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    const char* s = line.c_str();
-    while (*s == ' ' || *s == '\t' || *s == '\r') ++s;
-    if (*s == '\0' || *s == '#' || *s == '%') continue;
-    // Manual strtoull/strtod parse: no per-line stringstream construction.
-    char* end = nullptr;
-    if (*s == '-') parse_error(path, lineno, "expected 'u v [w]'");
-    const std::uint64_t u = std::strtoull(s, &end, 10);
-    if (end == s) parse_error(path, lineno, "expected 'u v [w]'");
-    s = end;
-    while (*s == ' ' || *s == '\t') ++s;
-    if (*s == '-') parse_error(path, lineno, "expected 'u v [w]'");
-    const std::uint64_t v = std::strtoull(s, &end, 10);
-    if (end == s) parse_error(path, lineno, "expected 'u v [w]'");
-    s = end;
-    double w = 1.0;  // optional weight
-    const double parsed_w = std::strtod(s, &end);
-    if (end != s) w = parsed_w;
-    if (w <= 0) parse_error(path, lineno, "non-positive weight");
-    fn({static_cast<VertexId>(u), static_cast<VertexId>(v), w});
-    ++count;
+/// Read size of the text reader. A line longer than this grows the buffer.
+/// 64 KiB parses as fast as 1 MiB, and once the heap serves blocks that
+/// large (after a first big ingest), a freed 1 MiB buffer stays resident.
+constexpr std::size_t kChunkBytes = std::size_t{1} << 16;
+
+struct FileCloser {
+  void operator()(std::FILE* f) const { std::fclose(f); }
+};
+
+/// Call `on_line(begin, end)` for every line of `file` (without its '\n'),
+/// in order, reading through one buffer: the partial last line of a chunk is
+/// moved to the front and completed by the next read.
+template <class OnLine>
+void for_each_line(std::FILE* file, const std::string& path, OnLine&& on_line) {
+  std::vector<char> buf(kChunkBytes);
+  std::size_t carry = 0;  // bytes of an unfinished line at buf[0..carry)
+  for (;;) {
+    if (carry == buf.size()) buf.resize(2 * buf.size());
+    const std::size_t got =
+        std::fread(buf.data() + carry, 1, buf.size() - carry, file);
+    if (got == 0) {
+      if (std::ferror(file)) throw std::runtime_error("read failed: " + path);
+      if (carry > 0) on_line(buf.data(), buf.data() + carry);  // no final '\n'
+      return;
+    }
+    const char* line = buf.data();
+    const char* const end = buf.data() + carry + got;
+    while (const void* nl = std::memchr(line, '\n', static_cast<std::size_t>(
+               end - line))) {
+      const char* const eol = static_cast<const char*>(nl);
+      on_line(line, eol);
+      line = eol + 1;
+    }
+    carry = static_cast<std::size_t>(end - line);
+    std::memmove(buf.data(), line, carry);
   }
-  return count;
 }
 
+bool is_space(char c) { return c == ' ' || c == '\t' || c == '\r'; }
+bool is_comment(char c) { return c == '#' || c == '%'; }
+bool at_token_end(const char* s, const char* end) {
+  return s == end || is_space(*s);
+}
+const char* skip_space(const char* s, const char* end) {
+  while (s != end && is_space(*s)) ++s;
+  return s;
+}
+
+/// Parse the vertex id token at `s`, advancing `s` past it.
+VertexId parse_id(const char*& s, const char* end, const std::string& path,
+                  std::size_t lineno) {
+  std::uint64_t id = 0;
+  const auto [next, ec] = std::from_chars(s, end, id);  // rejects '-'
+  if (ec == std::errc::invalid_argument || !at_token_end(next, end))
+    parse_error(path, lineno, "expected 'u v [w]'");
+  if (ec == std::errc::result_out_of_range || id >= kInvalidVertex)
+    parse_error(path, lineno, "vertex id out of range");
+  s = next;
+  return static_cast<VertexId>(id);
+}
+
+/// Append the edge on line [s, end), unless the line is blank or a comment.
+void parse_line(const char* s, const char* end, const std::string& path,
+                std::size_t lineno, EdgeList& edges) {
+  s = skip_space(s, end);
+  if (s == end || is_comment(*s)) return;
+  const VertexId u = parse_id(s, end, path, lineno);
+  s = skip_space(s, end);
+  const VertexId v = parse_id(s, end, path, lineno);
+  s = skip_space(s, end);
+  double w = 1.0;  // optional weight; tokens after it are ignored
+  if (s != end && !is_comment(*s)) {
+    const auto [next, ec] = std::from_chars(s, end, w);
+    if (ec == std::errc::invalid_argument || !at_token_end(next, end))
+      parse_error(path, lineno, "weight is not a number");
+    if (ec == std::errc::result_out_of_range)
+      parse_error(path, lineno, "weight out of range");
+  }
+  if (!std::isfinite(w)) parse_error(path, lineno, "non-finite weight");
+  if (w <= 0) parse_error(path, lineno, "non-positive weight");
+  edges.push_back({u, v, w});
+}
+}  // namespace
+
 EdgeList read_edge_list(const std::string& path) {
+  const std::unique_ptr<std::FILE, FileCloser> file(
+      std::fopen(path.c_str(), "rb"));
+  if (!file) throw std::runtime_error("cannot open edge list: " + path);
   EdgeList edges;
-  for_each_edge(path, [&](const Edge& e) { edges.push_back(e); });
+  std::size_t lineno = 0;
+  for_each_line(file.get(), path, [&](const char* begin, const char* end) {
+    parse_line(begin, end, path, ++lineno, edges);
+  });
   return edges;
 }
 
@@ -101,9 +161,9 @@ EdgeList read_edge_list_binary(const std::string& path) {
     PackedEdge packed;
     in.read(reinterpret_cast<char*>(&packed), sizeof(packed));
     if (!in) throw std::runtime_error(path + ": truncated edge records");
-    if (packed.w <= 0)
-      throw std::runtime_error(path + ": non-positive weight in record " +
-                               std::to_string(i));
+    if (!std::isfinite(packed.w) || packed.w <= 0)
+      throw std::runtime_error(path + ": non-finite or non-positive weight "
+                               "in record " + std::to_string(i));
     edges.push_back({packed.u, packed.v, packed.w});
   }
   return edges;

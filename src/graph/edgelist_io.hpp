@@ -2,23 +2,19 @@
 // interchange format of the SNAP datasets the paper uses.
 #pragma once
 
-#include <functional>
 #include <string>
 
 #include "graph/types.hpp"
 
 namespace dinfomap::graph {
 
-/// Stream a text edge list line by line, invoking `fn` per parsed edge —
-/// the whole file is never resident, and one line buffer is reused across
-/// the scan (tools/graphpack converts multi-GB lists through this with flat
-/// memory). Throws std::runtime_error on I/O or parse errors (with line
-/// number). Returns the number of edges visited.
-std::size_t for_each_edge(const std::string& path,
-                          const std::function<void(const Edge&)>& fn);
-
-/// Parse an edge list from a file (materialized; built on for_each_edge).
-/// Throws std::runtime_error on I/O or parse errors (with line number).
+/// Parse an edge list from a file in one pass through a fixed-size buffer.
+/// One "u v [w]" edge per line; blank lines and lines starting with '#' or
+/// '%' are skipped. Vertex ids must be below kInvalidVertex. The weight
+/// defaults to 1 and, when present, must be a finite number > 0; a '#' or
+/// '%' in its place starts a trailing comment, and tokens after it are
+/// ignored. Throws std::runtime_error on I/O or parse errors (with line
+/// number).
 EdgeList read_edge_list(const std::string& path);
 
 /// Write "u v w" lines; returns the number of edges written.

@@ -1,6 +1,7 @@
 // Directed substrate and directed-Infomap extension tests.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <numeric>
 
 #include "core/directed_infomap.hpp"
@@ -47,6 +48,32 @@ TEST(DiCsr, ParallelArcsCombine) {
   const auto g = dg::DiCsr::from_edges({{0, 1, 1.0}, {0, 1, 2.0}});
   EXPECT_EQ(g.num_arcs(), 1u);
   EXPECT_DOUBLE_EQ(g.out_weight(0), 3.0);
+}
+
+TEST(DiCsr, ParallelArcsSumInInputOrder) {
+  // Arcs 2p→2p+1 with weights 0.1, 0.2, 0.3 in that input order, the three
+  // rounds each visiting the 30 arcs in a fresh shuffled order.
+  const double w[3] = {0.1, 0.2, 0.3};
+  dinfomap::util::Xoshiro256 rng(7);
+  std::vector<dg::VertexId> order(30);
+  std::iota(order.begin(), order.end(), dg::VertexId{0});
+  dg::EdgeList edges;
+  for (const double wr : w) {
+    dinfomap::util::deterministic_shuffle(order, rng);
+    for (const dg::VertexId p : order) edges.push_back({2 * p, 2 * p + 1, wr});
+  }
+  const double in_order = (0.1 + 0.2) + 0.3;
+  ASSERT_NE(std::bit_cast<std::uint64_t>(in_order),
+            std::bit_cast<std::uint64_t>(0.1 + (0.2 + 0.3)));
+  const auto g = dg::DiCsr::from_edges(edges);
+  ASSERT_EQ(g.num_arcs(), 30u);
+  for (dg::VertexId p = 0; p < 30; ++p) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(g.out_neighbors(2 * p)[0].weight),
+              std::bit_cast<std::uint64_t>(in_order)) << "arc " << p;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(g.in_neighbors(2 * p + 1)[0].weight),
+              std::bit_cast<std::uint64_t>(in_order)) << "arc " << p;
+  }
+  EXPECT_TRUE(g.validate());
 }
 
 TEST(DiCsr, DirectionMatters) {

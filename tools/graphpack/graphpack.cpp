@@ -83,13 +83,7 @@ graph::EdgeList load_edges(const std::string& in) {
   }
   if (in.size() > 4 && in.compare(in.size() - 4, 4, ".bin") == 0)
     return graph::read_edge_list_binary(in);
-  // Text path: line-streamed parse with one reused buffer — the edge vector
-  // is the only O(|E|) allocation this makes.
-  graph::EdgeList edges;
-  (void)graph::for_each_edge(in, [&](const graph::Edge& e) {
-    edges.push_back(e);
-  });
-  return edges;
+  return graph::read_edge_list(in);
 }
 
 int run(int argc, char** argv) {
