@@ -2,7 +2,7 @@
 // sweep and the asynchronous priority-worklist engine on the standard
 // small/medium test graphs. For each engine the table reports the move
 // evaluations actually performed (ΔL candidate scans), the stage-1 rounds
-// (epochs for the async engine, which reconciles every async_max_lag
+// (epochs for the async engine, which reconciles every kAsyncMaxLag
 // epochs), wall-clock, and the final MDL. The contract being measured: async
 // stays within 1% of the synchronous MDL while spending its evaluations in
 // priority order instead of sweep order.
@@ -87,7 +87,7 @@ int main() {
   }
   std::printf(
       "\nexpected shape: async lands within +-1%% of sync-full, usually "
-      "below it, with rounds counting epochs (async_max_lag of them per "
+      "below it, with rounds counting epochs (kAsyncMaxLag of them per "
       "reconciliation).\n");
   return 0;
 }

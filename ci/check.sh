@@ -2,7 +2,8 @@
 # ci/check.sh — the pre-merge gate (ROADMAP.md, DESIGN.md §11, §16).
 #
 #   ci/check.sh quick   # warnings-as-errors build, dlint, clang-tidy*,
-#                       # tier-1 ctest, bounded dcheck model checking
+#                       # tier-1 ctest, e2ebench smoke, bounded dcheck
+#                       # model checking
 #   ci/check.sh full    # quick + ASan+UBSan full suite + TSan threaded
 #                       # suites + unbounded-depth dcheck exploration
 #
@@ -122,6 +123,16 @@ leg_ctest() {
   ctest --test-dir "$werror_dir" --output-on-failure -j "$jobs"
 }
 run_leg "tier-1 ctest" leg_ctest
+
+# --- Leg 4a: end-to-end benchmark smoke. ---------------------------------
+# e2ebench/run.py --smoke builds the benchmark program from this checkout,
+# runs every BENCHMARK.json workload once at toy size (edge list on disk ->
+# partition on disk), and checks that its output check rejects a perturbed
+# assignment — so a driver change that breaks the pipeline fails here.
+leg_e2e_smoke() {
+  (cd "$root" && python3 e2ebench/run.py --smoke)
+}
+run_leg "e2ebench smoke (edge list -> partition pipeline)" leg_e2e_smoke
 
 # --- Leg 4b: socket-transport cross-backend gate. ------------------------
 # Redundant with leg 4's full run, but the transport label is the acceptance

@@ -120,7 +120,7 @@ int usage() {
                "                [--profile out.profile.json] [--profile-summary]  (dist, inproc only)\n"
                "                [--faults drop=P,dup=P,reorder=P,corrupt=P[,stall=R][,exit=R][,seed=S]]\n"
                "                [--watchdog-ms N]  (dist only; e.g. --faults drop=0.01,dup=0.01)\n"
-               "                [--async [--async-max-lag K]]  (dist only: priority-worklist engine)\n"
+               "                [--async]  (dist only: priority-worklist engine)\n"
                "                [--graph-backend resident|blocks] [--block-cache-mb N]\n"
                "                 (dist/dist-louvain; blocks streams an mmap-ed .blockgraph file\n"
                "                  through a bounded decode cache — see tools/graphpack)\n"
@@ -386,7 +386,6 @@ int cmd_cluster(int argc, char** argv) {
   std::string fault_spec;
   unsigned watchdog_ms = 0;
   bool use_async = false;
-  int async_max_lag = 4;
   std::string transport = "inproc";
   unsigned hang_grace_ms = 0;  ///< 0 = ProcessGroup's default
   std::string graph_backend = "resident";
@@ -422,7 +421,6 @@ int cmd_cluster(int argc, char** argv) {
     else if (!std::strcmp(flag, "--profile")) profile_out = value;
     else if (!std::strcmp(flag, "--faults")) fault_spec = value;
     else if (!std::strcmp(flag, "--watchdog-ms")) watchdog_ms = static_cast<unsigned>(parse_ll(flag, value, 0, 86'400'000));
-    else if (!std::strcmp(flag, "--async-max-lag")) async_max_lag = parse_int(flag, value, 0, 1 << 16);
     else if (!std::strcmp(flag, "--transport")) transport = value;
     else if (!std::strcmp(flag, "--graph-backend")) graph_backend = value;
     else if (!std::strcmp(flag, "--block-cache-mb")) block_cache_mb = parse_int(flag, value, 1, 1 << 20);
@@ -545,7 +543,6 @@ int cmd_cluster(int argc, char** argv) {
     cfg.num_ranks = ranks;
     cfg.seed = seed;
     cfg.async = use_async;
-    cfg.async_max_lag = async_max_lag;
     cfg.faults = faults;
     cfg.comm_watchdog_ms = effective_watchdog_ms;
     if (!trace_out.empty() || !report_out.empty() || !profile_out.empty() ||

@@ -53,6 +53,8 @@ class Comm {
 
   [[nodiscard]] int rank() const { return rank_; }
   [[nodiscard]] int size() const { return size_; }
+  /// The endpoint this Comm runs over (for its Transport::stats()).
+  [[nodiscard]] Transport& transport() { return *transport_; }
 
   // ---- point-to-point (byte level) -------------------------------------
   void send_bytes(int dest, int tag, std::span<const std::byte> data);

@@ -92,6 +92,16 @@ void Runtime::deliver(int src, int dest, int tag,
     mailbox(dest).deliver(std::move(f));
 }
 
+Transport::Stats Runtime::stats(int rank) {
+  Transport::Stats st;
+  if (faults_enabled_)
+    for (int d = 0; d < static_cast<int>(mailboxes_.size()); ++d)
+      st.injected += channel(rank, d).injected();
+  st.inbox_depth_high_water = mailbox(rank).depth_high_water();
+  st.inbox_delivered = mailbox(rank).delivered();
+  return st;
+}
+
 RetransmitOutcome Runtime::request_retransmit(int src, int dst, int tag,
                                               std::uint64_t ordinal) {
   Message copy;
@@ -236,20 +246,8 @@ Runtime::JobReport Runtime::run(int nranks, const RankFn& fn,
   job_joined.store(true, std::memory_order_release);
   if (watchdog.joinable()) watchdog.join();
 
-  report.mailbox_depth_high_water.resize(nranks);
-  report.mailbox_delivered.resize(nranks);
-  for (int r = 0; r < nranks; ++r) {
-    report.mailbox_depth_high_water[r] = runtime.mailbox(r).depth_high_water();
-    report.mailbox_delivered[r] = runtime.mailbox(r).delivered();
-  }
-  report.faults_injected.assign(static_cast<std::size_t>(nranks),
-                                FaultCounters{});
-  if (runtime.faults_enabled_) {
-    for (int s = 0; s < nranks; ++s)
-      for (int d = 0; d < nranks; ++d)
-        report.faults_injected[static_cast<std::size_t>(s)] +=
-            runtime.channel(s, d).injected();
-  }
+  report.stats.reserve(static_cast<std::size_t>(nranks));
+  for (int r = 0; r < nranks; ++r) report.stats.push_back(runtime.stats(r));
   report.aborted = runtime.aborted() || first_abort != nullptr;
 
   // Rethrow precedence: the watchdog verdict names the root cause (peer

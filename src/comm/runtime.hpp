@@ -35,12 +35,9 @@ class Runtime {
   /// Per-rank results a job can leave behind (counters survive the ranks).
   struct JobReport {
     std::vector<CommCounters> counters;  ///< indexed by rank
-    /// Flight-recorder inbox stats per rank: deepest backlog ever queued and
-    /// total messages delivered (includes self-delivery).
-    std::vector<std::size_t> mailbox_depth_high_water;
-    std::vector<std::uint64_t> mailbox_delivered;
-    /// Faults the plan injected, per *source* rank (all zero without a plan).
-    std::vector<FaultCounters> faults_injected;
+    /// Each rank's endpoint stats at the join (Transport::stats): faults its
+    /// sends injected (all zero without a plan) and its inbox backlog.
+    std::vector<Transport::Stats> stats;
     /// True when the job aborted (even if every rank's own failure was a
     /// secondary CommAborted — see Runtime::run's rethrow rules).
     bool aborted = false;
@@ -95,6 +92,10 @@ class Runtime {
   /// "frozen mid-send".
   void note_progress(int rank);
   void set_waiting(int rank, bool waiting);
+
+  /// Rank `rank`'s endpoint stats: its mailbox's backlog and deliveries, and
+  /// the faults injected on its outgoing lanes.
+  [[nodiscard]] Transport::Stats stats(int rank);
 
  private:
   Runtime(int nranks, const Options& options);
@@ -167,6 +168,8 @@ class InprocTransport final : public Transport {
   void set_waiting(bool waiting) override {
     runtime_->set_waiting(rank_, waiting);
   }
+
+  [[nodiscard]] Stats stats() override { return runtime_->stats(rank_); }
 
  private:
   Runtime* runtime_;

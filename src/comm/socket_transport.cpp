@@ -552,10 +552,12 @@ void SocketTransport::shutdown_and_join(bool linger) {
   ::unlink(socket_path(options_.dir, rank_).c_str());
 }
 
-FaultCounters SocketTransport::injected() {
-  FaultCounters total;
-  for (const auto& ch : out_) total += ch->injected();
-  return total;
+Transport::Stats SocketTransport::stats() {
+  Stats st;
+  for (const auto& ch : out_) st.injected += ch->injected();
+  st.inbox_depth_high_water = inbox_.depth_high_water();
+  st.inbox_delivered = inbox_.delivered();
+  return st;
 }
 
 }  // namespace dinfomap::comm

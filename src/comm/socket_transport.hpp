@@ -127,17 +127,9 @@ class SocketTransport final : public Transport {
   /// launcher's diagnosis.
   void abandon_linger() { linger_abandoned_.store(true, std::memory_order_release); }
 
-  /// Faults this endpoint injected into its outgoing channels.
-  [[nodiscard]] FaultCounters injected();
-  /// Flight-recorder inbox stats, mirroring the in-process JobReport fields.
-  [[nodiscard]] std::size_t inbox_depth_high_water() {
-    return inbox_.depth_high_water();
-  }
-  [[nodiscard]] std::uint64_t inbox_delivered() { return inbox_.delivered(); }
-
-  [[nodiscard]] Stats stats() override {
-    return {injected(), inbox_depth_high_water(), inbox_delivered()};
-  }
+  /// The faults injected into this endpoint's outgoing channels, and its
+  /// inbox's backlog and deliveries.
+  [[nodiscard]] Stats stats() override;
 
  private:
   SendChannel& out_channel(int dest) {

@@ -108,17 +108,17 @@ class Transport {
   virtual void set_waiting(bool /*waiting*/) {}
 
   // ---- local observability ------------------------------------------------
-  /// This endpoint's transport-level tallies. The in-process backend reports
-  /// these through Runtime's JobReport instead (its fault counters live on
-  /// the shared channels), so its endpoints keep the empty default; the
-  /// socket backend fills them in — each worker process can only see its own
-  /// side of the mesh.
+  /// This endpoint's transport-level tallies, read from its own side of the
+  /// wire: the faults its send channels injected and its inbox's deepest
+  /// backlog and delivery count (self-deliveries included). Both backends
+  /// implement it, so the per-rank job body reads one stats source whatever
+  /// the transport.
   struct Stats {
     FaultCounters injected;  ///< faults this endpoint's sends injected
     std::uint64_t inbox_depth_high_water = 0;
     std::uint64_t inbox_delivered = 0;
   };
-  [[nodiscard]] virtual Stats stats() { return {}; }
+  [[nodiscard]] virtual Stats stats() = 0;
 };
 
 }  // namespace dinfomap::comm

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <optional>
 
 #include "comm/runtime.hpp"
 #include "core/dist_internal.hpp"
@@ -736,10 +737,10 @@ std::uint64_t DistRank::async_reconcile(bool with_delegates,
   return global_moves;
 }
 
-std::uint64_t DistRank::async_level(bool with_delegates, int& recons_out) {
+void DistRank::async_level(bool with_delegates, OuterIterationInfo& info) {
   ensure_activity_state();
   const int p = comm_.size();
-  recons_out = 0;
+  int& recons_out = info.inner_passes;
 
   // Reverse adjacency, once per level: owned readers of every non-owned
   // local vertex, so an incoming delta reactivates exactly the local move
@@ -775,8 +776,7 @@ std::uint64_t DistRank::async_level(bool with_delegates, int& recons_out) {
   // epochs, but small enough that priority order (not seed order) dominates
   // which vertices move between exchanges.
   const std::uint64_t budget = std::max<std::uint64_t>(256, n_movable);
-  const int lag = std::max(1, cfg_.async_max_lag);
-  const int max_epochs = cfg_.max_rounds * lag;
+  const int max_epochs = cfg_.max_rounds * kAsyncMaxLag;
 
   std::uint64_t level_moves = 0;
   std::uint64_t local_since_recon = 0;
@@ -861,7 +861,7 @@ std::uint64_t DistRank::async_level(bool with_delegates, int& recons_out) {
       // crossing a remote module's boundary are not visible here), so the
       // table intentionally runs on stale statistics until the next
       // reconciliation rebuilds it from the authoritative homes — that is
-      // the staleness the async_max_lag budget bounds.
+      // the staleness the kAsyncMaxLag budget bounds.
       for (int src = 0; src < p; ++src) {
         for (const ModuleDeltaRecord& rec : deltas_in[src]) {
           auto it = index_.find(rec.vertex);
@@ -899,7 +899,7 @@ std::uint64_t DistRank::async_level(bool with_delegates, int& recons_out) {
     }
 
     const bool quiet = epoch_global_moves == 0 && global_queued == 0;
-    const bool lag_due = (epoch + 1) % lag == 0;
+    const bool lag_due = (epoch + 1) % kAsyncMaxLag == 0;
 
     // --- reconciliation / termination -------------------------------------
     std::uint64_t recon_moves = 0;
@@ -911,10 +911,7 @@ std::uint64_t DistRank::async_level(bool with_delegates, int& recons_out) {
       ++recons_out;
       reconciled = true;
       last_was_recon = true;
-      if (current_level_ == 0) {
-        ++stage1_rounds_;
-        round_mdl_.push_back(codelength_);
-      }
+      note_exact_round();
     }
 
     // --- flight-recorder epoch sample -------------------------------------
@@ -987,10 +984,7 @@ std::uint64_t DistRank::async_level(bool with_delegates, int& recons_out) {
   if (!last_was_recon) {
     level_moves += async_reconcile(with_delegates, local_since_recon);
     ++recons_out;
-    if (current_level_ == 0) {
-      ++stage1_rounds_;
-      round_mdl_.push_back(codelength_);
-    }
+    note_exact_round();
     ++round_index_;
   }
 
@@ -1017,13 +1011,10 @@ std::uint64_t DistRank::async_level(bool with_delegates, int& recons_out) {
     swap_boundary_info();
     other_update(0, 0);
     ++recons_out;
-    if (current_level_ == 0) {
-      ++stage1_rounds_;
-      round_mdl_.push_back(codelength_);
-    }
+    note_exact_round();
     ++round_index_;
   }
-  return level_moves;
+  info.moves += level_moves;
 }
 
 // ---------------------------------------------------------------------------
@@ -1191,10 +1182,7 @@ void DistRank::sync_level(bool with_delegates, OuterIterationInfo& info,
     const RoundResult rr = round(with_delegates, rng);
     info.moves += rr.global_moves;
     ++info.inner_passes;
-    if (with_delegates) {  // stage 1 keeps its per-round MDL series
-      ++stage1_rounds_;
-      round_mdl_.push_back(codelength_);
-    }
+    note_exact_round();
     if (rr.global_moves == 0) break;
     // Conflicting synchronous moves can overshoot; stop the level rather
     // than keep trading regressions.
@@ -1214,68 +1202,51 @@ void DistRank::execute() {
   (void)other_update(0, 0);
   singleton_codelength_ = codelength_;
 
-  // ---- stage 1: clustering with delegates --------------------------------
-  util::Timer stage1;
+  // ---- levels: 0 = stage 1 (with delegates), >= 1 = stage 2 (without) -----
+  // Every level clusters, records its trace row, merges, and resyncs exact
+  // statistics + L on the coarser graph; stage 2 stops once a level merges
+  // nothing or the MDL gain drops below theta.
+  util::Timer stage_timer;
+  std::optional<obs::SpanScope> stage_span(std::in_place, trace_buf_, "Stage1");
   double prev_codelength = 0;
-  {
-    obs::SpanScope stage1_span(trace_buf_, "Stage1");
-    current_level_ = 0;
+  for (int level = 0;; ++level) {
+    const bool stage1 = level == 0;
+    current_level_ = level;
     OuterIterationInfo info;
-    info.level = 0;
+    info.level = level;
     info.level_vertices = level_n_;
     info.codelength_before = codelength_;
-    if (cfg_.async) {
-      int recons = 0;
-      info.moves += async_level(/*with_delegates=*/true, recons);
-      info.inner_passes = recons;  // stage1_rounds_/round_mdl_ updated inside
-    } else {
-      sync_level(/*with_delegates=*/true, info, rng);
-    }
+    if (cfg_.async)
+      async_level(stage1, info);
+    else
+      sync_level(stage1, info, rng);
     info.codelength_after = codelength_;
     info.num_modules = static_cast<VertexId>(alive_modules_);
     trace_.push_back(info);
+
+    const double improvement = prev_codelength - codelength_;
     prev_codelength = codelength_;
+    if (!stage1) {
+      ++stage2_levels_;
+      if (alive_modules_ >= info.level_vertices) break;  // merged nothing
+    }
     merge_level();
     swap_boundary_info();
     (void)other_update(0, 0);
-  }
-  stage1_seconds_ = stage1.seconds();
-  for (int ph = 0; ph < kNumPhases; ++ph)
-    stage1_work_snapshot_[ph] = work_[ph];
-
-  // ---- stage 2: clustering without delegates -----------------------------
-  util::Timer stage2;
-  {
-    obs::SpanScope stage2_span(trace_buf_, "Stage2");
-    for (int level = 1; level <= cfg_.max_levels; ++level) {
-      current_level_ = level;
-      OuterIterationInfo info;
-      info.level = level;
-      info.level_vertices = level_n_;
-      info.codelength_before = codelength_;
-      if (cfg_.async) {
-        int recons = 0;
-        info.moves += async_level(/*with_delegates=*/false, recons);
-        info.inner_passes = recons;
-      } else {
-        sync_level(/*with_delegates=*/false, info, rng);
-      }
-      info.codelength_after = codelength_;
-      info.num_modules = static_cast<VertexId>(alive_modules_);
-      trace_.push_back(info);
-      ++stage2_levels_;
-
-      const bool merged_smaller = alive_modules_ < info.level_vertices;
-      const double improvement = prev_codelength - codelength_;
-      prev_codelength = codelength_;
-      if (!merged_smaller) break;
-      merge_level();
-      swap_boundary_info();
-      (void)other_update(0, 0);
-      if (improvement < cfg_.theta) break;
+    if (stage1) {
+      stage_span.reset();
+      stage1_seconds_ = stage_timer.seconds();
+      for (int ph = 0; ph < kNumPhases; ++ph)
+        stage1_work_snapshot_[ph] = work_[ph];
+      stage_timer.restart();
+      stage_span.emplace(trace_buf_, "Stage2");
+    } else if (improvement < cfg_.theta) {
+      break;
     }
+    if (level >= cfg_.max_levels) break;
   }
-  stage2_seconds_ = stage2.seconds();
+  stage_span.reset();
+  stage2_seconds_ = stage_timer.seconds();
 
   // ---- final projection: level-0 owned vertex → final module -------------
   {
@@ -1343,12 +1314,12 @@ namespace dinfomap::core {
 namespace {
 
 /// Fold the result arrays, the recorder's metrics dumps, and the watchdog
-/// findings into one structured run report.
-obs::RunReport build_run_report(const graph::GraphView& graph,
-                                const DistInfomapConfig& config,
-                                const DistInfomapResult& result,
-                                const obs::Recorder& recorder) {
-  obs::RunReport rep;
+/// findings into `result.report` (its faults_injected is already set by the
+/// rank-0 assembly in run_rank).
+void fill_run_report(const graph::GraphView& graph,
+                     const DistInfomapConfig& config,
+                     const obs::Recorder& recorder, DistInfomapResult& result) {
+  obs::RunReport& rep = result.report;
   rep.add_config("num_ranks", config.num_ranks);
   rep.add_config("degree_threshold",
                  static_cast<std::uint64_t>(config.degree_threshold));
@@ -1363,9 +1334,6 @@ obs::RunReport build_run_report(const graph::GraphView& graph,
   rep.add_config("whole_module_swap", config.whole_module_swap);
   rep.add_config("exact_hub_moves", config.exact_hub_moves);
   rep.add_config("async", config.async);
-  if (config.async)
-    rep.add_config("async_max_lag",
-                   static_cast<std::uint64_t>(config.async_max_lag));
   if (config.faults.any()) {
     rep.add_config("fault_drop", config.faults.drop);
     rep.add_config("fault_duplicate", config.faults.duplicate);
@@ -1417,23 +1385,26 @@ obs::RunReport build_run_report(const graph::GraphView& graph,
       rep.has_profile = true;
     }
   }
-  return rep;
 }
 
-/// Ranks are the distributed core's only parallel axis; the stub
-/// threads_per_rank field accepts nothing but 1.
-void require_one_thread_per_rank(const DistInfomapConfig& config) {
+/// Input contract shared by both entries: ranks are the distributed core's
+/// only parallel axis (the stub threads_per_rank field accepts nothing but
+/// 1), and the builder has separated self-loops out of the graph.
+void require_supported_input(const graph::GraphView& graph,
+                             const DistInfomapConfig& config) {
   DINFOMAP_REQUIRE_MSG(config.threads_per_rank == 1,
                        "threads_per_rank must be 1 (got "
                            << config.threads_per_rank
                            << "): ranks are the distributed core's only "
                               "parallel axis; add ranks instead");
+  for (graph::VertexId v = 0; v < graph.num_vertices(); ++v)
+    DINFOMAP_REQUIRE_MSG(graph.self_weight(v) == 0,
+                         "distributed path expects a self-loop-free input "
+                         "(the builder separates them)");
 }
 
 /// Dense-relabel a raw per-vertex module array (final module ids are
-/// arbitrary VertexIds) into contiguous [0, k) — shared by the in-process
-/// driver and the multi-process rank-0 assembly, so both backends produce
-/// the same labels bit-for-bit.
+/// arbitrary VertexIds) into contiguous [0, k).
 graph::Partition densify_assignment(const std::vector<graph::VertexId>& raw) {
   std::vector<graph::VertexId> sorted = raw;
   std::sort(sorted.begin(), sorted.end());
@@ -1469,97 +1440,131 @@ void publish_blockgraph_stats(const graph::GraphView& graph,
   }
 }
 
+/// Everything rank 0 needs from one rank besides its assignment pairs;
+/// trivially copyable, so it crosses the transport in one gather.
+struct RankSummary {
+  std::array<perf::WorkCounters, kNumPhases> work;
+  std::array<perf::WorkCounters, 2> stage_work;
+  std::array<double, kNumPhases> phase_seconds;
+  comm::CommCounters comm;
+  comm::Transport::Stats stats;
+};
+
+/// One rank's whole job, the same on both transports: execute Alg. 2, then
+/// gather every rank's products to rank 0 over the comm and assemble the
+/// result there. Rank 0 returns the assembled result (its report is filled
+/// by the caller's epilogue); other ranks return a skeleton with only their
+/// locally visible fields.
+DistInfomapResult run_rank(const graph::GraphView& graph,
+                           const partition::ArcPartition& part,
+                           const DistInfomapConfig& config, comm::Comm& comm,
+                           obs::Recorder& recorder) {
+  const int self = comm.rank();
+  comm.set_metrics(recorder.metrics(self));
+  comm.set_trace(recorder.track(self));
+  detail::DistRank rank(comm, part, config, &recorder);
+  rank.execute();
+
+  // Algorithm traffic ends here: snapshot its counters and detach the flight
+  // recorder, so the result gathers below are neither counted nor traced.
+  RankSummary mine{};
+  for (int ph = 0; ph < kNumPhases; ++ph) {
+    mine.work[ph] = rank.work(static_cast<Phase>(ph));
+    mine.phase_seconds[ph] = rank.phase_seconds(static_cast<Phase>(ph));
+  }
+  for (int stage = 0; stage < 2; ++stage)
+    mine.stage_work[stage] = rank.stage_work(stage);
+  mine.comm = comm.counters();
+  mine.stats = comm.transport().stats();
+  comm.set_metrics(nullptr);
+  comm.set_trace(nullptr);
+  if (obs::MetricsRegistry* m = recorder.metrics(self)) {
+    m->absorb(mine.comm, "comm");
+    if (config.faults.any()) m->absorb(mine.stats.injected, "comm.faults");
+    m->counter("mailbox.depth_high_water").set(mine.stats.inbox_depth_high_water);
+    m->counter("mailbox.delivered").set(mine.stats.inbox_delivered);
+  }
+
+  std::vector<graph::VertexId> flat;
+  flat.reserve(rank.final_assignment().size() * 2);
+  for (const auto& [v, m] : rank.final_assignment()) {
+    flat.push_back(v);
+    flat.push_back(m);
+  }
+  const auto pair_batches = comm.gatherv(0, flat);
+  const auto summaries = comm.gatherv(0, std::vector<RankSummary>{mine});
+
+  DistInfomapResult result;
+  // Locally visible fields are valid on every rank (the codelengths and
+  // round series are global values every rank holds identically).
+  result.codelength = rank.codelength();
+  result.singleton_codelength = rank.singleton_codelength();
+  result.trace = rank.trace();
+  result.stage1_round_codelengths = rank.stage1_round_codelengths();
+  result.stage1_rounds = rank.stage1_rounds();
+  result.stage2_levels = rank.stage2_levels();
+  result.stage1_wall_seconds = rank.stage1_seconds();
+  result.stage2_wall_seconds = rank.stage2_seconds();
+  if (self != 0) return result;
+
+  std::vector<graph::VertexId> raw(graph.num_vertices(), 0);
+  for (const auto& batch : pair_batches)
+    for (std::size_t i = 0; i + 1 < batch.size(); i += 2)
+      raw[batch[i]] = batch[i + 1];
+  result.assignment = densify_assignment(raw);
+
+  for (const auto& batch : summaries) {
+    const RankSummary& s = batch.at(0);
+    for (std::size_t ph = 0; ph < kNumPhases; ++ph) {
+      result.work[ph].push_back(s.work[ph]);
+      result.phase_seconds[ph].push_back(s.phase_seconds[ph]);
+    }
+    for (std::size_t stage = 0; stage < 2; ++stage)
+      result.stage_work[stage].push_back(s.stage_work[stage]);
+    result.comm_counters.push_back(s.comm);
+    if (config.faults.any())
+      result.report.faults_injected.push_back(s.stats.injected);
+  }
+  return result;
+}
+
 }  // namespace
 
 DistInfomapResult distributed_infomap(const graph::GraphView& graph,
                                       const partition::ArcPartition& part,
                                       const DistInfomapConfig& config) {
-  require_one_thread_per_rank(config);
+  require_supported_input(graph, config);
   DINFOMAP_REQUIRE_MSG(config.num_ranks == part.num_ranks,
                        "config/partition rank mismatch");
   DINFOMAP_REQUIRE_MSG(part.round_robin_ownership(),
                        "distributed infomap addresses vertices as v mod p; "
                        "use a round-robin-owned partition (1D or delegate)");
-  if (config.validate_inputs) {
-    DINFOMAP_REQUIRE_MSG(partition::validate_partition(part, graph),
-                         "arc partition does not cover the graph exactly "
-                         "(arcs missing, duplicated, or misplaced)");
-  }
-  for (graph::VertexId v = 0; v < graph.num_vertices(); ++v)
-    DINFOMAP_REQUIRE_MSG(graph.self_weight(v) == 0,
-                         "distributed path expects a self-loop-free input "
-                         "(the builder separates them)");
+  DINFOMAP_REQUIRE_MSG(partition::validate_partition(part, graph),
+                       "arc partition does not cover the graph exactly "
+                       "(arcs missing, duplicated, or misplaced)");
 
-  const int p = config.num_ranks;
-  std::vector<std::unique_ptr<detail::DistRank>> ranks(p);
-  obs::Recorder recorder(p, config.obs);
-
+  obs::Recorder recorder(config.num_ranks, config.obs);
   comm::Runtime::Options rt_options;
   rt_options.faults = config.faults;
   rt_options.watchdog_timeout_ms = config.comm_watchdog_ms;
-  auto report = comm::Runtime::run(
-      p,
+  DistInfomapResult result;
+  (void)comm::Runtime::run(
+      config.num_ranks,
       [&](comm::Comm& comm) {
-        comm.set_metrics(recorder.metrics(comm.rank()));
-        comm.set_trace(recorder.track(comm.rank()));
-        auto rank =
-            std::make_unique<detail::DistRank>(comm, part, config, &recorder);
-        rank->execute();
-        ranks[comm.rank()] = std::move(rank);  // distinct slot per rank
+        DistInfomapResult mine = run_rank(graph, part, config, comm, recorder);
+        if (comm.rank() == 0) result = std::move(mine);
       },
       rt_options);
 
-  DistInfomapResult result;
-  std::vector<graph::VertexId> raw(graph.num_vertices(), 0);
-  for (const auto& rank : ranks)
-    for (const auto& [v, m] : rank->final_assignment()) raw[v] = m;
-  result.assignment = densify_assignment(raw);
-
-  const detail::DistRank& r0 = *ranks[0];
-  result.codelength = r0.codelength();
-  result.singleton_codelength = r0.singleton_codelength();
-  result.trace = r0.trace();
-  result.stage1_round_codelengths = r0.stage1_round_codelengths();
-  result.stage1_rounds = r0.stage1_rounds();
-  result.stage2_levels = r0.stage2_levels();
-  result.stage1_wall_seconds = r0.stage1_seconds();
-  result.stage2_wall_seconds = r0.stage2_seconds();
-  for (int ph = 0; ph < kNumPhases; ++ph) {
-    result.work[ph].resize(p);
-    result.phase_seconds[ph].resize(p);
-    for (int r = 0; r < p; ++r) {
-      result.work[ph][r] = ranks[r]->work(static_cast<Phase>(ph));
-      result.phase_seconds[ph][r] = ranks[r]->phase_seconds(static_cast<Phase>(ph));
-    }
-  }
-  for (int stage = 0; stage < 2; ++stage) {
-    result.stage_work[stage].resize(p);
-    for (int r = 0; r < p; ++r)
-      result.stage_work[stage][r] = ranks[r]->stage_work(stage);
-  }
-  result.comm_counters = report.counters;
-
-  // ---- flight-recorder epilogue ----------------------------------------
+  // ---- flight-recorder epilogue over every rank's shared recorder --------
   if (recorder.enabled()) {
-    for (int r = 0; r < p; ++r) {
-      auto* m = recorder.metrics(r);
-      m->absorb(report.counters[r], "comm");
-      if (config.faults.any())
-        m->absorb(report.faults_injected[static_cast<std::size_t>(r)],
-                  "comm.faults");
-      m->counter("mailbox.depth_high_water")
-          .set(report.mailbox_depth_high_water[static_cast<std::size_t>(r)]);
-      m->counter("mailbox.delivered")
-          .set(report.mailbox_delivered[static_cast<std::size_t>(r)]);
-    }
     // Profile first: the digest's wall-clock window must close before the
     // watchdog mirrors its findings into the trace as post-run instants.
     recorder.finish_profile();
     publish_blockgraph_stats(graph, config, recorder);
     recorder.finish_watchdog();
   }
-  result.report = build_run_report(graph, config, result, recorder);
-  if (config.faults.any()) result.report.faults_injected = report.faults_injected;
+  fill_run_report(graph, config, recorder, result);
   if (recorder.enabled()) {
     if (!config.obs.trace_path.empty())
       (void)recorder.trace().write(config.obs.trace_path);
@@ -1600,7 +1605,7 @@ DistInfomapResult distributed_infomap(const graph::GraphView& graph,
 DistInfomapResult distributed_infomap_rank(const graph::GraphView& graph,
                                            const DistInfomapConfig& config,
                                            comm::Transport& transport) {
-  require_one_thread_per_rank(config);
+  require_supported_input(graph, config);
   DINFOMAP_REQUIRE_MSG(config.num_ranks == transport.size(),
                        "worker bootstrap: config.num_ranks ("
                            << config.num_ranks << ") != transport size ("
@@ -1612,101 +1617,13 @@ DistInfomapResult distributed_infomap_rank(const graph::GraphView& graph,
   auto part = partition::make_delegate(
       graph, config.num_ranks, resolve_degree_threshold(graph, config));
   part.keep_only_rank(transport.rank());
-  for (graph::VertexId v = 0; v < graph.num_vertices(); ++v)
-    DINFOMAP_REQUIRE_MSG(graph.self_weight(v) == 0,
-                         "distributed path expects a self-loop-free input "
-                         "(the builder separates them)");
 
-  const int p = config.num_ranks;
-  const int self = transport.rank();
-  obs::Recorder recorder(p, config.obs);
+  obs::Recorder recorder(config.num_ranks, config.obs);
   comm::Comm comm(transport);
-  comm.set_metrics(recorder.metrics(self));
-  comm.set_trace(recorder.track(self));
-  detail::DistRank rank(comm, part, config, &recorder);
-  rank.execute();
+  DistInfomapResult result = run_rank(graph, part, config, comm, recorder);
 
-  // Algorithm traffic ends here: snapshot the counters before the result
-  // gathers below so the reported values match the in-process driver (which
-  // collects results through shared memory) bit-for-bit.
-  const comm::CommCounters algo_counters = comm.counters();
-  const comm::Transport::Stats my_stats = transport.stats();
-
-  // ---- gather per-rank products to rank 0 over the transport itself ------
-  std::vector<graph::VertexId> flat;
-  flat.reserve(rank.final_assignment().size() * 2);
-  for (const auto& [v, m] : rank.final_assignment()) {
-    flat.push_back(v);
-    flat.push_back(m);
-  }
-  const auto pair_batches = comm.gatherv(0, flat);
-
-  std::vector<perf::WorkCounters> wc;
-  for (int ph = 0; ph < kNumPhases; ++ph)
-    wc.push_back(rank.work(static_cast<Phase>(ph)));
-  for (int stage = 0; stage < 2; ++stage) wc.push_back(rank.stage_work(stage));
-  const auto wc_batches = comm.gatherv(0, wc);
-
-  std::vector<double> secs;
-  for (int ph = 0; ph < kNumPhases; ++ph)
-    secs.push_back(rank.phase_seconds(static_cast<Phase>(ph)));
-  const auto secs_batches = comm.gatherv(0, secs);
-
-  const auto counter_batches =
-      comm.gatherv(0, std::vector<comm::CommCounters>{algo_counters});
-  const auto stats_batches =
-      comm.gatherv(0, std::vector<comm::Transport::Stats>{my_stats});
-
-  DistInfomapResult result;
-  // Locally visible fields are valid on every rank (the codelengths and
-  // round series are global values every rank holds identically).
-  result.codelength = rank.codelength();
-  result.singleton_codelength = rank.singleton_codelength();
-  result.trace = rank.trace();
-  result.stage1_round_codelengths = rank.stage1_round_codelengths();
-  result.stage1_rounds = rank.stage1_rounds();
-  result.stage2_levels = rank.stage2_levels();
-  result.stage1_wall_seconds = rank.stage1_seconds();
-  result.stage2_wall_seconds = rank.stage2_seconds();
-
-  if (recorder.enabled()) {
-    auto* m = recorder.metrics(self);
-    m->absorb(algo_counters, "comm");
-    if (config.faults.any()) m->absorb(my_stats.injected, "comm.faults");
-    m->counter("mailbox.depth_high_water").set(my_stats.inbox_depth_high_water);
-    m->counter("mailbox.delivered").set(my_stats.inbox_delivered);
-  }
-
-  if (self == 0) {
-    std::vector<graph::VertexId> raw(graph.num_vertices(), 0);
-    for (const auto& batch : pair_batches)
-      for (std::size_t i = 0; i + 1 < batch.size(); i += 2)
-        raw[batch[i]] = batch[i + 1];
-    result.assignment = densify_assignment(raw);
-
-    std::vector<comm::FaultCounters> injected(static_cast<std::size_t>(p));
-    for (int ph = 0; ph < kNumPhases; ++ph) {
-      result.work[static_cast<std::size_t>(ph)].resize(p);
-      result.phase_seconds[static_cast<std::size_t>(ph)].resize(p);
-    }
-    for (int stage = 0; stage < 2; ++stage)
-      result.stage_work[static_cast<std::size_t>(stage)].resize(p);
-    result.comm_counters.resize(static_cast<std::size_t>(p));
-    for (int r = 0; r < p; ++r) {
-      const auto rr = static_cast<std::size_t>(r);
-      for (int ph = 0; ph < kNumPhases; ++ph) {
-        result.work[static_cast<std::size_t>(ph)][rr] =
-            wc_batches[rr][static_cast<std::size_t>(ph)];
-        result.phase_seconds[static_cast<std::size_t>(ph)][rr] =
-            secs_batches[rr][static_cast<std::size_t>(ph)];
-      }
-      for (int stage = 0; stage < 2; ++stage)
-        result.stage_work[static_cast<std::size_t>(stage)][rr] =
-            wc_batches[rr][static_cast<std::size_t>(kNumPhases + stage)];
-      result.comm_counters[rr] = counter_batches[rr].at(0);
-      injected[rr] = stats_batches[rr].at(0).injected;
-    }
-
+  // ---- per-process flight-recorder epilogue ------------------------------
+  if (transport.rank() == 0) {
     // The cross-rank profile digest needs one trace holding every rank's
     // track (in-process mode); here the watchdog checks the one round
     // stream this process recorded — the global MDL series, identical on
@@ -1721,8 +1638,7 @@ DistInfomapResult distributed_infomap_rank(const graph::GraphView& graph,
     // counters reported here are rank 0's own (representative — every rank
     // streams a similarly sized slice).
     publish_blockgraph_stats(graph, config, recorder);
-    result.report = build_run_report(graph, config, result, recorder);
-    if (config.faults.any()) result.report.faults_injected = injected;
+    fill_run_report(graph, config, recorder, result);
     if (recorder.enabled() && !config.obs.report_path.empty())
       (void)result.report.write(config.obs.report_path);
   }

@@ -41,6 +41,11 @@ inline constexpr int kNumPhases = 4;
 inline constexpr std::array<const char*, kNumPhases> kPhaseNames = {
     "FindBestModule", "BroadcastDelegates", "SwapBoundaryInfo", "Other"};
 
+/// Staleness budget of the async engine: a reconciliation exchange (hub
+/// consensus + whole-module swap + exact L) runs every kAsyncMaxLag epochs,
+/// bounding how far rank-local statistics may diverge.
+inline constexpr int kAsyncMaxLag = 4;
+
 struct DistInfomapConfig {
   int num_ranks = 4;
   /// Must be 1: ranks are the distributed core's only parallel axis
@@ -69,10 +74,6 @@ struct DistInfomapConfig {
   /// each rank's module table then drifts from the true statistics and move
   /// decisions degrade, as §3.4 predicts.
   bool whole_module_swap = true;
-  /// Validate the arc partition against the graph before running (every arc
-  /// assigned exactly once, sources with their owners). An exact O(E) check;
-  /// enabled by default.
-  bool validate_inputs = true;
   /// Extension beyond the paper: decide each hub's move from its *exact*
   /// global flow-to-module map, reduced at the hub's owner, instead of the
   /// paper's per-rank local proposals + global argmin. Costs one extra
@@ -83,14 +84,11 @@ struct DistInfomapConfig {
   /// (max-heap on (|ΔL| gain estimate, vertex id)) drained in epochs that
   /// exchange module deltas through one packed collective instead of the
   /// five-collective synchronous round. Bounded staleness: local module
-  /// statistics drift between reconciliations. Deterministic for a fixed
-  /// (graph, seed, num_ranks, async_max_lag); converges to an MDL within the
-  /// quality band asserted by tests (±1% of the synchronous reference).
+  /// statistics drift between reconciliations (at most kAsyncMaxLag epochs).
+  /// Deterministic for a fixed (graph, seed, num_ranks); converges to an MDL
+  /// within the quality band asserted by tests (±1% of the synchronous
+  /// reference).
   bool async = false;
-  /// Staleness budget of the async engine: a reconciliation exchange (hub
-  /// consensus + whole-module swap + exact L) runs every `async_max_lag`
-  /// epochs, bounding how far rank-local statistics may diverge.
-  int async_max_lag = 4;
   /// Seeded transport fault plan (drop / duplicate / reorder / corrupt /
   /// stall — see comm/fault.hpp). Recovery must be transparent: the final
   /// partition and MDL stay bit-identical to the fault-free run (asserted by

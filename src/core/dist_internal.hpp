@@ -32,10 +32,10 @@ enum class Kind : std::uint8_t {
   kGhost,     ///< remote low-degree vertex seen as an arc target
 };
 
-/// One rank of the distributed algorithm. The driver runs `execute()` on
-/// every rank inside a comm::Runtime job; shared read-only inputs are the
-/// partition (stage 1's "file on the parallel filesystem"); everything
-/// mutable is rank-local and exchanged via messages.
+/// One rank of the distributed algorithm. The per-rank job body runs
+/// `execute()` on every rank, over either transport; shared read-only inputs
+/// are the partition (stage 1's "file on the parallel filesystem");
+/// everything mutable is rank-local and exchanged via messages.
 class DistRank {
  public:
   DistRank(comm::Comm& comm, const partition::ArcPartition& part,
@@ -45,7 +45,7 @@ class DistRank {
   /// sinks below carry this rank's outputs.
   void execute();
 
-  // ---- outputs (read by the driver after the job joins) -----------------
+  // ---- outputs (read by the job body once execute() returns) ------------
   double codelength() const { return codelength_; }
   double singleton_codelength() const { return singleton_codelength_; }
   const std::vector<OuterIterationInfo>& trace() const { return trace_; }
@@ -109,10 +109,17 @@ class DistRank {
   };
   RoundResult round(bool with_delegates, util::Xoshiro256& rng);
   /// One level of synchronous rounds until a stop rule fires: no moves, an
-  /// overshoot, or a gain below round_theta after min_rounds. Stage 1
-  /// (`with_delegates`) also counts its rounds and records each round's MDL.
+  /// overshoot, or a gain below round_theta after min_rounds. Adds the
+  /// level's moves and rounds to `info`.
   void sync_level(bool with_delegates, OuterIterationInfo& info,
                   util::Xoshiro256& rng);
+  /// After every round (or async reconciliation) that ends on an exact L:
+  /// stage 1 counts it and keeps its MDL (the per-round series of Fig. 4).
+  void note_exact_round() {
+    if (current_level_ != 0) return;
+    ++stage1_rounds_;
+    round_mdl_.push_back(codelength_);
+  }
 
   /// Phase 1: greedy pass; immediate moves for owned, proposals for hubs.
   std::uint64_t find_best_modules(bool with_delegates, util::Xoshiro256& rng,
@@ -189,11 +196,11 @@ class DistRank {
   // ---- async priority-worklist engine (DESIGN.md §12) ---------------------
   /// Run one level's move scheduling with the async engine: epochs of
   /// priority-ordered local drains + one packed delta exchange each, with a
-  /// full reconciliation every `async_max_lag` epochs. Returns the global
-  /// move count of the level and reports the number of reconciliations in
-  /// `recons_out`; on return the usual post-level state (exact homed_ stats,
-  /// exact L) is in place, as after a synchronous round loop.
-  std::uint64_t async_level(bool with_delegates, int& recons_out);
+  /// full reconciliation every kAsyncMaxLag epochs. Adds the level's global
+  /// moves to `info` and sets its passes to the number of reconciliations;
+  /// on return the usual post-level state (exact homed_ stats, exact L) is
+  /// in place, as after a synchronous round loop.
+  void async_level(bool with_delegates, OuterIterationInfo& info);
   /// Push/raise `li` on the worklist with priority `prio` (lazy deletion:
   /// stale entries are discarded at pop time).
   /// Reconciliation: hub consensus (stage 1), whole-module swap, exact L;

@@ -1,6 +1,6 @@
 // Tests for the asynchronous priority-worklist engine (DESIGN.md §12), whose
 // contract is bounded divergence (MDL within 1% of the synchronous
-// reference) plus exact determinism for a fixed (graph, seed, ranks, lag).
+// reference) plus exact determinism for a fixed (graph, seed, ranks).
 #include <gtest/gtest.h>
 
 #include "core/dist_infomap.hpp"
@@ -46,28 +46,12 @@ TEST(Async, QualityWithinOnePercentOfSync) {
 TEST(Async, DeterministicForFixedSeedRanksLag) {
   const auto gg = gen::lfr_lite({}, 61);
   const auto g = dg::build_csr(gg.edges, gg.num_vertices);
-  for (int lag : {1, 4}) {
-    auto cfg = config_for(4);
-    cfg.async = true;
-    cfg.async_max_lag = lag;
-    const auto a = dc::distributed_infomap(g, cfg);
-    const auto b = dc::distributed_infomap(g, cfg);
-    EXPECT_EQ(a.assignment, b.assignment) << "lag=" << lag;
-    EXPECT_DOUBLE_EQ(a.codelength, b.codelength) << "lag=" << lag;
-  }
-}
-
-TEST(Async, LagOneMatchesQualityBand) {
-  // lag=1 reconciles every epoch — the async engine's most synchronous
-  // setting; it must stay in the same quality band.
-  const auto gg = gen::sbm(240, 6, 0.25, 0.01, 67);
-  const auto g = dg::build_csr(gg.edges, gg.num_vertices);
-  const auto sync = dc::distributed_infomap(g, config_for(4));
   auto cfg = config_for(4);
   cfg.async = true;
-  cfg.async_max_lag = 1;
-  const auto as = dc::distributed_infomap(g, cfg);
-  EXPECT_LT(as.codelength, sync.codelength * 1.01);
+  const auto a = dc::distributed_infomap(g, cfg);
+  const auto b = dc::distributed_infomap(g, cfg);
+  EXPECT_EQ(a.assignment, b.assignment);
+  EXPECT_DOUBLE_EQ(a.codelength, b.codelength);
 }
 
 TEST(Async, StarvedWorklistTerminates) {
@@ -89,7 +73,7 @@ TEST(Async, StarvedWorklistTerminates) {
   EXPECT_EQ(r.num_modules(), 8u);
   EXPECT_LT(r.codelength, r.singleton_codelength);
   // Termination came from quiescence, far below the epoch budget.
-  EXPECT_LT(r.stage1_rounds, cfg.max_rounds * cfg.async_max_lag);
+  EXPECT_LT(r.stage1_rounds, cfg.max_rounds * dc::kAsyncMaxLag);
 }
 
 TEST(Async, HubGraphStaysInBand) {

@@ -32,9 +32,9 @@ dc::CommCounters sum_counters(const dc::Runtime::JobReport& report) {
   return total;
 }
 
-dc::FaultCounters sum_faults(const std::vector<dc::FaultCounters>& faults) {
+dc::FaultCounters sum_faults(const dc::Runtime::JobReport& report) {
   dc::FaultCounters total;
-  for (const auto& f : faults) total += f;
+  for (const auto& st : report.stats) total += st.injected;
   return total;
 }
 
@@ -54,7 +54,7 @@ void ordered_stream_roundtrip(const dc::Runtime::Options& options, int count) {
       },
       options);
   EXPECT_FALSE(report.aborted);
-  EXPECT_GT(sum_faults(report.faults_injected).total(), 0u)
+  EXPECT_GT(sum_faults(report).total(), 0u)
       << "plan never fired — the test exercised nothing";
 }
 
@@ -128,7 +128,7 @@ TEST(FaultRecovery, DropsRecoveredTransparently) {
       },
       opt);
   const auto total = sum_counters(report);
-  const auto injected = sum_faults(report.faults_injected);
+  const auto injected = sum_faults(report);
   EXPECT_GT(injected.drops, 0u);
   EXPECT_GT(total.retransmit_requests, 0u);
   EXPECT_GT(total.retransmits, 0u);
@@ -151,7 +151,7 @@ TEST(FaultRecovery, DuplicateFramesDropped) {
       },
       opt);
   const auto total = sum_counters(report);
-  EXPECT_GT(sum_faults(report.faults_injected).duplicates, 0u);
+  EXPECT_GT(sum_faults(report).duplicates, 0u);
   EXPECT_GT(total.dup_frames_dropped, 0u);
 }
 
@@ -169,7 +169,7 @@ TEST(FaultRecovery, DuplicateCollectiveFramesDropped) {
           ASSERT_EQ(comm.allreduce(i, dc::ReduceOp::kSum), 3 * i);
       },
       opt);
-  EXPECT_GT(sum_faults(report.faults_injected).duplicates, 0u);
+  EXPECT_GT(sum_faults(report).duplicates, 0u);
   EXPECT_GT(sum_counters(report).dup_frames_dropped, 0u);
 }
 
@@ -190,7 +190,7 @@ TEST(FaultRecovery, CorruptionDetectedAndRepaired) {
       },
       opt);
   const auto total = sum_counters(report);
-  EXPECT_GT(sum_faults(report.faults_injected).corruptions, 0u);
+  EXPECT_GT(sum_faults(report).corruptions, 0u);
   EXPECT_GT(total.checksum_failures, 0u);
   EXPECT_GT(total.retransmits, 0u);
 }
@@ -211,7 +211,7 @@ TEST(FaultRecovery, EmptyPayloadCorruptionRecovered) {
   auto report = dc::Runtime::run(
       4, [&](dc::Comm& comm) { for (int i = 0; i < 50; ++i) comm.barrier(); },
       opt);
-  EXPECT_GT(sum_faults(report.faults_injected).corruptions, 0u);
+  EXPECT_GT(sum_faults(report).corruptions, 0u);
   EXPECT_GT(sum_counters(report).checksum_failures, 0u);
 }
 
@@ -243,12 +243,61 @@ TEST(FaultRecovery, MixedFaultStormCollectivesStayCorrect) {
         }
       },
       opt);
-  const auto injected = sum_faults(report.faults_injected);
+  const auto injected = sum_faults(report);
   EXPECT_GT(injected.drops, 0u);
   EXPECT_GT(injected.duplicates, 0u);
   EXPECT_GT(injected.reorders, 0u);
   EXPECT_GT(injected.corruptions, 0u);
   EXPECT_GT(sum_counters(report).recovery_events(), 0u);
+}
+
+TEST(FaultRecovery, EndpointStatsReportOwnInjectedFaults) {
+  // Every endpoint reports its own side of the wire through
+  // Transport::stats(): the faults its sends injected (read in the rank,
+  // before the join) must equal the runtime's per-source tally, and its inbox
+  // must have seen traffic.
+  dc::Runtime::Options opt;
+  opt.faults.drop = 0.05;
+  opt.faults.duplicate = 0.05;
+  opt.faults.reorder = 0.05;
+  opt.faults.corrupt = 0.05;
+  opt.faults.seed = 17;
+  constexpr int kRanks = 4;
+  std::vector<dc::Transport::Stats> in_rank(kRanks);
+  auto report = dc::Runtime::run(
+      kRanks,
+      [&](dc::Comm& comm) {
+        for (int round = 0; round < 20; ++round) {
+          std::vector<std::vector<int>> out(kRanks);
+          for (int r = 0; r < kRanks; ++r) out[r] = {comm.rank(), r, round};
+          (void)comm.alltoallv(out);
+          (void)comm.allreduce(round, dc::ReduceOp::kSum);
+        }
+        // A rank's tally only moves with its own sends, so it is final here.
+        in_rank[static_cast<std::size_t>(comm.rank())] =
+            comm.transport().stats();
+      },
+      opt);
+  ASSERT_EQ(report.stats.size(), static_cast<std::size_t>(kRanks));
+  dc::FaultCounters total;
+  for (int r = 0; r < kRanks; ++r) {
+    const auto& mine = in_rank[static_cast<std::size_t>(r)];
+    const auto& tally = report.stats[static_cast<std::size_t>(r)];
+    EXPECT_EQ(mine.injected.drops, tally.injected.drops) << "rank " << r;
+    EXPECT_EQ(mine.injected.duplicates, tally.injected.duplicates)
+        << "rank " << r;
+    EXPECT_EQ(mine.injected.reorders, tally.injected.reorders) << "rank " << r;
+    EXPECT_EQ(mine.injected.corruptions, tally.injected.corruptions)
+        << "rank " << r;
+    EXPECT_GT(mine.injected.total(), 0u) << "rank " << r;
+    EXPECT_GT(mine.inbox_delivered, 0u) << "rank " << r;
+    EXPECT_GT(mine.inbox_depth_high_water, 0u) << "rank " << r;
+    total += mine.injected;
+  }
+  EXPECT_GT(total.drops, 0u);
+  EXPECT_GT(total.duplicates, 0u);
+  EXPECT_GT(total.reorders, 0u);
+  EXPECT_GT(total.corruptions, 0u);
 }
 
 // ---- unrecoverable faults surface as CommFault, not hangs ------------------

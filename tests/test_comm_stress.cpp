@@ -28,7 +28,7 @@ dc::Runtime::Options faulty_delivery(std::uint64_t seed) {
 
 std::uint64_t faults_injected(const dc::Runtime::JobReport& report) {
   dc::FaultCounters total;
-  for (const auto& f : report.faults_injected) total += f;
+  for (const auto& st : report.stats) total += st.injected;
   return total.total();
 }
 

@@ -213,14 +213,3 @@ TEST(DistFailureInjection, SelfLoopInputRejected) {
   EXPECT_THROW(dc::distributed_infomap(g, cfg), dinfomap::ContractViolation);
 }
 
-TEST(DistFailureInjection, ValidationCanBeDisabled) {
-  // With validation off, a *valid* partition still runs (the flag only
-  // skips the audit, it does not change behaviour).
-  const auto gg = gen::ring_of_cliques(6, 4, 0);
-  const auto g = dg::build_csr(gg.edges, gg.num_vertices);
-  dc::DistInfomapConfig cfg;
-  cfg.num_ranks = 2;
-  cfg.validate_inputs = false;
-  const auto result = dc::distributed_infomap(g, cfg);
-  EXPECT_EQ(result.assignment.size(), g.num_vertices());
-}

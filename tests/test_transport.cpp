@@ -20,6 +20,7 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -257,7 +258,7 @@ TEST(SocketTransport, InjectedFaultCountsMatchInproc) {
   const auto workload = [](dc::Comm& comm) { (void)collective_workload(comm); };
   const auto report = dc::Runtime::run(p, workload, opt);
   std::uint64_t inproc_total = 0;
-  for (const auto& f : report.faults_injected) inproc_total += f.total();
+  for (const auto& st : report.stats) inproc_total += st.injected.total();
 
   dc::TransportTuning tuning;
   tuning.faults = chaos_plan(/*seed=*/7);
@@ -272,7 +273,7 @@ TEST(SocketTransport, InjectedFaultCountsMatchInproc) {
       dc::SocketTransport transport(r, p, opts, tuning);
       dc::Comm comm(transport);
       workload(comm);
-      socket_total.fetch_add(transport.injected().total());
+      socket_total.fetch_add(transport.stats().injected.total());
     });
   }
   for (auto& t : threads) t.join();
@@ -447,6 +448,65 @@ TEST_F(TransportCli, SocketFaultPlanRecoversToIdenticalBitsAtFourRanks) {
   // The plan must actually have fired (recovery is doing real work here).
   EXPECT_NE(chaos.output.find("faults injected"), std::string::npos)
       << chaos.output;
+}
+
+/// The run-report sections the cross-transport contract covers, one line
+/// each as RunReport::to_json writes them: levels, round_codelengths, the
+/// stage-1 rounds and stage-2 levels, per-phase work, stage_work, comm and
+/// faults_injected. Wall-clock fields are stripped. Under a fault plan the
+/// receivers' recovery tallies are stripped too: how many retransmits a lost
+/// or reordered frame costs depends on when frames arrive, so they vary run
+/// to run on either transport.
+std::vector<std::string> contract_sections(const std::string& report,
+                                           bool faults) {
+  static const std::array<std::string, 8> kKeys = {
+      "\"levels\":", "\"round_codelengths\":", "\"stage1\":", "\"stage2\":",
+      "\"phases\":", "\"stage_work\":", "\"comm\":", "\"faults_injected\":"};
+  static const std::regex kSeconds(
+      R"re(, "(wall_)?seconds": (\[[^\]]*\]|[^,}]*))re");
+  static const std::regex kRecovery(
+      R"re(, "(retransmit_requests|retransmits|dup_frames_dropped|checksum_failures)": [0-9]+)re");
+  std::vector<std::string> out;
+  std::istringstream in(report);
+  std::string line;
+  // The sections appear in kKeys order; matching the next expected key only
+  // keeps the profile digest's own "phases" line out.
+  while (out.size() < kKeys.size() && std::getline(in, line)) {
+    const std::string& key = kKeys[out.size()];
+    if (line.rfind(key, 0) != 0) continue;
+    line = std::regex_replace(line, kSeconds, "");
+    if (faults && key == "\"comm\":")
+      line = std::regex_replace(line, kRecovery, "");
+    out.push_back(line);
+  }
+  return out;
+}
+
+TEST_F(TransportCli, ReportSectionsMatchAcrossTransports) {
+  const std::string plan =
+      " --faults drop=0.01,dup=0.01,reorder=0.01,corrupt=0.01";
+  for (const bool faults : {false, true}) {
+    const std::string flags = " --algo dist --ranks 4 --seed 7" +
+                              (faults ? plan : std::string());
+    std::vector<std::string> sections[2];
+    for (const int socket : {0, 1}) {
+      const std::string stem =
+          *dir_ + "/sections_" + std::to_string(faults) + std::to_string(socket);
+      const auto run = run_cli(
+          "cluster " + *edges_ + " " + stem + ".clu" + flags + " --report " +
+          stem + ".json" + (socket ? " --transport socket" : ""));
+      ASSERT_EQ(run.exit_code, 0) << run.output;
+      sections[socket] = contract_sections(read_file(stem + ".json"), faults);
+      ASSERT_EQ(sections[socket].size(), 8u) << "faults=" << faults;
+    }
+    for (std::size_t i = 0; i < sections[0].size(); ++i)
+      EXPECT_EQ(sections[0][i], sections[1][i]) << "faults=" << faults;
+    if (faults) {  // the plan fired: the tallies carry nonzero drops
+      EXPECT_TRUE(std::regex_search(sections[0].back(),
+                                    std::regex(R"re("drops": [1-9])re")))
+          << sections[0].back();
+    }
+  }
 }
 
 TEST_F(TransportCli, KilledWorkerIsDiagnosedAsCrashNotHang) {
