@@ -82,7 +82,8 @@ int main() {
     }
   }
   std::printf(
-      "\nexpected shape: FindBest/BcastDelegates/Other fall with p; "
-      "SwapBoundary stays roughly flat (ghost volume is p-invariant).\n");
+      "\nexpected shape: FindBest/BcastDelegates fall with p; SwapBoundary "
+      "stays roughly flat (ghost volume is p-invariant) and carries the "
+      "codelength reduction; Other is local arithmetic only, about 0.\n");
   return 0;
 }

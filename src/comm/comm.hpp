@@ -257,8 +257,13 @@ class Comm {
     (check_shape(out.size()), ...);
     counters_.packed_streams += sizeof...(Ts);
     std::vector<std::vector<std::byte>> raw(static_cast<std::size_t>(size_));
-    for (std::size_t r = 0; r < raw.size(); ++r)
+    // Sized up front: appending a small stream behind a large one would
+    // otherwise double the frame's capacity, and frames stay alive until the
+    // receiver consumes them.
+    for (std::size_t r = 0; r < raw.size(); ++r) {
+      raw[r].reserve(((sizeof(std::uint64_t) + out[r].size() * sizeof(Ts)) + ...));
       (pack_stream(raw[r], std::span<const Ts>(out[r])), ...);
+    }
     auto in = alltoallv_bytes(raw);
     std::tuple<std::vector<std::vector<Ts>>...> result;
     std::apply([&](auto&... boxes) { (boxes.resize(in.size()), ...); }, result);

@@ -428,7 +428,7 @@ std::uint64_t DistRank::broadcast_delegates_exact() {
 // Phase 3: information swapping (Alg. 3)
 // ---------------------------------------------------------------------------
 
-void DistRank::swap_boundary_info() {
+HomeTotals DistRank::swap_boundary_info(std::uint64_t local_moves) {
   PhaseScope scope(*this, Phase::kSwapBoundaryInfo);
   const int p = comm_.size();
 
@@ -510,12 +510,15 @@ void DistRank::swap_boundary_info() {
   // exactly one rank, so per-module partial sums reduce to exact statistics.
   // Accumulated in the reusable dense scratch (module ids < level_n_). The
   // scan reads every local arc once; that is the phase's arcs_scanned.
+  // Settled vertices send nothing: their modules' stats are all zero but the
+  // member count, which the alive total carries instead.
   if (partial_acc_.capacity() < level_n_) partial_acc_.reset(level_n_);
   partial_acc_.clear();
   const int r = comm_.rank();
-  for (const auto& lv : verts_) {
+  for (std::uint32_t li = 0; li < verts_.size(); ++li) {
+    const LocalVertex& lv = verts_[li];
     const bool controlled =
-        lv.kind == Kind::kOwned ||
+        (lv.kind == Kind::kOwned && !settled(li)) ||
         (lv.kind == Kind::kDelegate && owner_of(lv.global) == r);
     if (controlled) {
       ModulePartial& mp = partial_acc_[lv.module];
@@ -537,9 +540,10 @@ void DistRank::swap_boundary_info() {
   wk(Phase::kSwapBoundaryInfo).arcs_scanned += arcs_.size();
   // Zero partials double as interest declarations for every module any
   // local vertex currently references.
-  for (const auto& lv : verts_) {
-    ModulePartial& mp = partial_acc_[lv.module];
-    mp.mod_id = lv.module;  // no-op unless this touch created the entry
+  for (std::uint32_t li = 0; li < verts_.size(); ++li) {
+    if (settled(li)) continue;
+    const ModuleId m = verts_[li].module;
+    partial_acc_[m].mod_id = m;  // no-op unless this touch created the entry
   }
 
   std::vector<std::vector<ModulePartial>> to_home(p);
@@ -562,8 +566,22 @@ void DistRank::swap_boundary_info() {
     }
   }
 
+  // This home's codelength partials, in homed_'s first-touch order.
+  HomeTotals mine;
+  for (const ModuleId slot : homed_.keys()) {
+    const ModuleStats& stats = *homed_.find(slot);
+    if (stats.num_members == 0) continue;
+    mine.q_total += stats.exit_pr;
+    mine.sum_plogp_q += plogp(stats.exit_pr);
+    mine.sum_plogp_q_plus_p += plogp(stats.exit_pr + stats.sum_pr);
+    ++mine.alive;
+  }
+  mine.alive += num_settled_;
+  mine.moves = local_moves;
+
   // Authoritative statistics back to every interested rank: each sender
   // declared interest with a partial, so its reply mirrors its partials.
+  // Every rank also gets this home's totals on the same exchange.
   std::vector<std::vector<ModuleInfo>> reply(p);
   for (int src = 0; src < p; ++src) {
     reply[src].reserve(partials_in[src].size());
@@ -578,7 +596,20 @@ void DistRank::swap_boundary_info() {
       reply[src].push_back(info);
     }
   }
-  auto replies_in = comm_.alltoallv(reply);
+  const std::vector<std::vector<HomeTotals>> totals_out(p, {mine});
+  auto [replies_in, totals_in] = comm_.alltoallv_packed(reply, totals_out);
+  if (metrics_ != nullptr) metrics_->counter("comm.packed_exchanges").inc();
+  // Added in rank order from rank 0's record, exactly as Comm::allreduce
+  // folds, so the sums are bit-identical to an allreduce of the partials.
+  HomeTotals total = totals_in[0].at(0);
+  for (int src = 1; src < p; ++src) {
+    const HomeTotals& t = totals_in[src].at(0);
+    total.q_total += t.q_total;
+    total.sum_plogp_q += t.sum_plogp_q;
+    total.sum_plogp_q_plus_p += t.sum_plogp_q_plus_p;
+    total.alive += t.alive;
+    total.moves += t.moves;
+  }
 
   // A3 ablation switch: with whole-module swapping on (the paper's design),
   // local tables are replaced by the authoritative statistics; with the
@@ -612,39 +643,25 @@ void DistRank::swap_boundary_info() {
       }
     }
   }
+  return total;
 }
 
 // ---------------------------------------------------------------------------
 // Phase 4: global codelength + movement consensus
 // ---------------------------------------------------------------------------
 
-std::uint64_t DistRank::other_update(std::uint64_t local_moves,
+std::uint64_t DistRank::other_update(const HomeTotals& totals,
                                      std::uint64_t hub_moves) {
   PhaseScope scope(*this, Phase::kOther);
-  CodelengthTerms terms;
-  double alive = 0;
-  for (const ModuleId slot : homed_.keys()) {
-    const ModuleStats& stats = *homed_.find(slot);
-    if (stats.num_members == 0) continue;
-    terms.q_total += stats.exit_pr;
-    terms.sum_plogp_q += plogp(stats.exit_pr);
-    terms.sum_plogp_q_plus_p += plogp(stats.exit_pr + stats.sum_pr);
-    alive += 1;
-  }
-  const std::vector<double> partial = {terms.q_total, terms.sum_plogp_q,
-                                       terms.sum_plogp_q_plus_p, alive,
-                                       static_cast<double>(local_moves)};
-  const auto total = comm_.allreduce(partial, comm::ReduceOp::kSum);
-
-  q_total_ = total[0];
+  q_total_ = totals.q_total;
   CodelengthTerms global;
-  global.q_total = total[0];
-  global.sum_plogp_q = total[1];
-  global.sum_plogp_q_plus_p = total[2];
+  global.q_total = totals.q_total;
+  global.sum_plogp_q = totals.sum_plogp_q;
+  global.sum_plogp_q_plus_p = totals.sum_plogp_q_plus_p;
   global.node_term = node_term_;
   codelength_ = global.codelength();
-  alive_modules_ = static_cast<std::uint64_t>(total[3]);
-  return static_cast<std::uint64_t>(total[4]) + hub_moves;
+  alive_modules_ = totals.alive;
+  return totals.moves + hub_moves;
 }
 
 void DistRank::sample_table_metrics() {
@@ -667,8 +684,8 @@ DistRank::RoundResult DistRank::round(bool with_delegates,
     rr.hub_moves = cfg_.exact_hub_moves ? broadcast_delegates_exact()
                                         : broadcast_delegates(proposals);
   }
-  swap_boundary_info();
-  rr.global_moves = other_update(rr.local_moves, rr.hub_moves);
+  rr.global_moves =
+      other_update(swap_boundary_info(rr.local_moves), rr.hub_moves);
   if (recorder_ != nullptr && recorder_->enabled()) {
     obs::RoundSample sample;
     sample.level = current_level_;
@@ -722,8 +739,8 @@ std::uint64_t DistRank::async_reconcile(bool with_delegates,
       hub_moves = broadcast_delegates(proposals);
     }
   }
-  swap_boundary_info();
-  const std::uint64_t global_moves = other_update(local_moves_since, hub_moves);
+  const std::uint64_t global_moves =
+      other_update(swap_boundary_info(local_moves_since), hub_moves);
 
   // Stamp-driven reactivation: the swap stamped every module whose
   // authoritative statistics differ from the local estimates and every ghost
@@ -1008,8 +1025,7 @@ void DistRank::async_level(bool with_delegates, OuterIterationInfo& info) {
         dirty_owned_.push_back(li);
       }
     }
-    swap_boundary_info();
-    other_update(0, 0);
+    (void)other_update(swap_boundary_info(0), 0);
     ++recons_out;
     note_exact_round();
     ++round_index_;
@@ -1025,14 +1041,17 @@ VertexId DistRank::merge_level() {
   obs::SpanScope merge_span(trace_buf_, "MergeLevel");
   const int p = comm_.size();
 
-  // 1. Dense relabeling of live modules: homes announce theirs, and a
-  //    module's dense id is its rank among all live ids. Module ids are
-  //    current-level vertex ids, so a slot array of level_n_ entries ranks
-  //    them without a sort.
+  // 1. Dense relabeling of live modules: homes announce theirs, owners their
+  //    settled ones (a settled module's home is its owner), and a module's
+  //    dense id is its rank among all live ids. Module ids are current-level
+  //    vertex ids, so a slot array of level_n_ entries ranks them without a
+  //    sort.
   std::vector<ModuleId> mine;
-  mine.reserve(homed_.size());
+  mine.reserve(homed_.size() + num_settled_);
   for (const ModuleId slot : homed_.keys())
     if (homed_.find(slot)->num_members > 0) mine.push_back(homed_id(slot));
+  for (std::uint32_t li = 0; li < verts_.size(); ++li)
+    if (settled(li)) mine.push_back(verts_[li].module);
   const auto announced = comm_.allgatherv(mine);
   constexpr VertexId kDead = ~VertexId{0};
   std::vector<VertexId> dense_of(level_n_, kDead);
@@ -1084,13 +1103,19 @@ VertexId DistRank::merge_level() {
     shipped += targets.size();
   }
 
-  // 3. Coarse node flows from module homes to new owners.
+  // 3. Coarse node flows from module homes to new owners; a settled
+  //    module's coarse vertex gets zero flow and stays settled.
   std::vector<std::vector<CoarseVertexInfo>> info_out(p);
   for (const ModuleId slot : homed_.keys()) {
     const ModuleStats& stats = *homed_.find(slot);
     if (stats.num_members == 0) continue;
     const VertexId cu = dense_of[homed_id(slot)];
     info_out[cu % static_cast<VertexId>(p)].push_back({cu, 0, stats.sum_pr});
+  }
+  for (std::uint32_t li = 0; li < verts_.size(); ++li) {
+    if (!settled(li)) continue;
+    const VertexId cu = coarse[li];
+    info_out[cu % static_cast<VertexId>(p)].push_back({cu, 0, 0.0});
   }
 
   // 4. Projection queries (each level-0 vertex's coarse id advances by
@@ -1198,8 +1223,7 @@ void DistRank::execute() {
   setup_subscriptions();
   init_singleton_modules();
   // Initial sync: exact singleton statistics + L everywhere.
-  swap_boundary_info();
-  (void)other_update(0, 0);
+  (void)other_update(swap_boundary_info(0), 0);
   singleton_codelength_ = codelength_;
 
   // ---- levels: 0 = stage 1 (with delegates), >= 1 = stage 2 (without) -----
@@ -1231,8 +1255,7 @@ void DistRank::execute() {
       if (alive_modules_ >= info.level_vertices) break;  // merged nothing
     }
     merge_level();
-    swap_boundary_info();
-    (void)other_update(0, 0);
+    (void)other_update(swap_boundary_info(0), 0);
     if (stage1) {
       stage_span.reset();
       stage1_seconds_ = stage_timer.seconds();

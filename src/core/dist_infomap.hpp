@@ -83,7 +83,7 @@ struct DistInfomapConfig {
   /// Asynchronous priority-driven engine: per-rank deterministic worklist
   /// (max-heap on (|ΔL| gain estimate, vertex id)) drained in epochs that
   /// exchange module deltas through one packed collective instead of the
-  /// five-collective synchronous round. Bounded staleness: local module
+  /// synchronous round's four collectives. Bounded staleness: local module
   /// statistics drift between reconciliations (at most kAsyncMaxLag epochs).
   /// Deterministic for a fixed (graph, seed, num_ranks); converges to an MDL
   /// within the quality band asserted by tests (±1% of the synchronous

@@ -132,10 +132,13 @@ class DistRank {
   std::uint64_t broadcast_delegates_exact();
   /// Apply globally-agreed hub decisions to the local tables.
   std::uint64_t apply_hub_winners(const std::vector<HubProposal>& winners);
-  /// Phase 3: Alg. 3 boundary swap + exact home-based stat aggregation.
-  void swap_boundary_info();
-  /// Phase 4: adopt authoritative stats, allreduce L and movement counts.
-  std::uint64_t other_update(std::uint64_t local_moves, std::uint64_t hub_moves);
+  /// Phase 3: Alg. 3 boundary swap + exact home-based stat aggregation. The
+  /// homes' codelength partials and every rank's `local_moves` ride the
+  /// reply; returns their sum over ranks, added in rank order.
+  HomeTotals swap_boundary_info(std::uint64_t local_moves);
+  /// Phase 4: adopt the summed totals as the exact L, q and module count;
+  /// returns the round's global move count. Local: no communication.
+  std::uint64_t other_update(const HomeTotals& totals, std::uint64_t hub_moves);
 
   // ---- merging ------------------------------------------------------------
   /// Contract modules into the next-level graph, redistribute 1D, advance
@@ -212,6 +215,18 @@ class DistRank {
   /// ΔL evaluation routed through this rank's plogp memo.
   MoveOutcome eval_move(const MoveDelta& d) {
     return evaluate_move(d, memo_);
+  }
+
+  /// Settled: an owned vertex with no arcs and zero node and self flow (at
+  /// level 0, exactly the degree-0 vertices; their coarse vertices stay
+  /// settled). It never moves and nothing moves into its singleton module,
+  /// whose every codelength term is an exact +0.0. So it takes no modules_
+  /// entry, partial, home slot or reply; only merge_level and the alive
+  /// count see it. Its home is its owner (m = v, so m mod p = v mod p).
+  [[nodiscard]] bool settled(std::uint32_t li) const {
+    const LocalVertex& lv = verts_[li];
+    return lv.kind == Kind::kOwned && arc_off_[li] == arc_off_[li + 1] &&
+           lv.node_flow == 0 && lv.self_flow == 0;
   }
 
   [[nodiscard]] int home_of(ModuleId m) const {
@@ -340,6 +355,7 @@ class DistRank {
   double codelength_ = 0;
   double singleton_codelength_ = 0;
   std::uint64_t alive_modules_ = 0;  ///< global module count (post-sync)
+  std::uint64_t num_settled_ = 0;    ///< settled vertices held here
   /// Rounds and async epochs run so far; stamps the flight recorder's round
   /// samples and anomalies.
   int round_index_ = 0;

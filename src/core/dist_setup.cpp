@@ -261,9 +261,15 @@ void DistRank::init_singleton_modules() {
     dirty_flag_.clear();
     ghost_readers_.clear();
   }
-  for (auto& lv : verts_) {
+  num_settled_ = 0;
+  for (std::uint32_t li = 0; li < verts_.size(); ++li) {
+    LocalVertex& lv = verts_[li];
     lv.module = lv.global;
     if (lv.kind == Kind::kGhost) continue;
+    if (settled(li)) {
+      ++num_settled_;
+      continue;
+    }
     ModuleStats stats;
     stats.sum_pr = lv.node_flow;
     stats.exit_pr = lv.out_flow;

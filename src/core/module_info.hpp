@@ -70,6 +70,17 @@ struct ModulePartial {
   std::uint32_t pad_ = 0;
 };
 
+/// One home's codelength partials over its live modules, plus the sending
+/// rank's move count, carried on SwapBoundaryInfo's reply to every rank.
+/// Receivers add them in rank order 0..p−1, the order of Comm::allreduce.
+struct HomeTotals {
+  double q_total = 0;             ///< Σ exit_pr
+  double sum_plogp_q = 0;         ///< Σ plogp(exit_pr)
+  double sum_plogp_q_plus_p = 0;  ///< Σ plogp(exit_pr + sum_pr)
+  std::uint64_t alive = 0;        ///< live modules, settled ones included
+  std::uint64_t moves = 0;        ///< the sender's local moves this round
+};
+
 /// Ghost-subscription request: "rank R reads vertex v; push its module
 /// changes to R" (set up once per level).
 struct SubscribeRequest {

@@ -27,10 +27,19 @@ const char* tag(LogLevel level) {
   return "?????";
 }
 
+using Clock = std::chrono::steady_clock;
+
+Clock::time_point log_epoch() {
+  static const Clock::time_point start = Clock::now();
+  return start;
+}
+// Starts the log clock during static initialisation, so a line's stamp is
+// time since process start, not since the first line logged. (The
+// function-local static keeps any earlier static initialiser that logs safe.)
+[[maybe_unused]] const Clock::time_point g_epoch = log_epoch();
+
 double seconds_since_start() {
-  using clock = std::chrono::steady_clock;
-  static const clock::time_point start = clock::now();
-  return std::chrono::duration<double>(clock::now() - start).count();
+  return std::chrono::duration<double>(Clock::now() - log_epoch()).count();
 }
 }  // namespace
 

@@ -31,7 +31,7 @@ struct DistRankTestPeer {
     rank.setup_subscriptions();
     rank.init_singleton_modules();
     const auto before = rank.work(Phase::kSwapBoundaryInfo).arcs_scanned;
-    rank.swap_boundary_info();
+    (void)rank.swap_boundary_info(0);
     return rank.work(Phase::kSwapBoundaryInfo).arcs_scanned - before;
   }
   static std::uint64_t local_arcs(const DistRank& rank) {
@@ -47,8 +47,7 @@ struct DistRankTestPeer {
     util::Xoshiro256 rng(util::derive_seed(rank.cfg_.seed, rank.comm_.rank()));
     rank.setup_subscriptions();
     rank.init_singleton_modules();
-    rank.swap_boundary_info();
-    (void)rank.other_update(0, 0);
+    (void)rank.other_update(rank.swap_boundary_info(0), 0);
     for (int i = 0; i < rounds; ++i) (void)rank.round(/*with_delegates=*/true, rng);
     std::set<std::pair<ModuleId, ModuleId>> pairs;
     for (std::uint32_t li = 0; li < rank.verts_.size(); ++li) {
@@ -60,6 +59,50 @@ struct DistRankTestPeer {
     }
     (void)rank.merge_level();
     return pairs.size();
+  }
+
+  /// What one rank shows of the settled-vertex protocol over execute()'s
+  /// prologue, one stage-1 round, the merge and one stage-2 round.
+  struct SettledProbe {
+    std::uint64_t settled[2] = {0, 0};  ///< settled vertices held, per level
+    /// Settled vertices with a modules_ entry or a homed_ slot (must be 0).
+    std::uint64_t in_tables = 0;
+    std::uint64_t alive[2] = {0, 0};    ///< alive_modules_ at singleton state
+    VertexId level_n[2] = {0, 0};
+    std::uint64_t other_collectives = 0;  ///< of one other_update call
+    std::uint64_t round_collectives = 0;  ///< of one stage-2 sync round
+  };
+  static SettledProbe settled_probe(DistRank& rank) {
+    SettledProbe probe;
+    const auto calls = [&rank] { return rank.comm_.counters().collective_calls; };
+    const auto look = [&](int level) {
+      probe.alive[level] = rank.alive_modules_;
+      probe.level_n[level] = rank.level_n_;
+      for (std::uint32_t li = 0; li < rank.verts_.size(); ++li) {
+        if (!rank.settled(li)) continue;
+        ++probe.settled[level];
+        const ModuleId m = rank.verts_[li].module;
+        if (rank.modules_.find(m) != rank.modules_.end() ||
+            rank.homed_.find(rank.home_slot(m)) != nullptr)
+          ++probe.in_tables;
+      }
+    };
+    util::Xoshiro256 rng(util::derive_seed(rank.cfg_.seed, rank.comm_.rank()));
+    rank.setup_subscriptions();
+    rank.init_singleton_modules();
+    (void)rank.other_update(rank.swap_boundary_info(0), 0);
+    look(0);
+    (void)rank.round(/*with_delegates=*/true, rng);
+    (void)rank.merge_level();
+    const HomeTotals totals = rank.swap_boundary_info(0);
+    const auto before_other = calls();
+    (void)rank.other_update(totals, 0);
+    probe.other_collectives = calls() - before_other;
+    look(1);
+    const auto before_round = calls();
+    (void)rank.round(/*with_delegates=*/false, rng);
+    probe.round_collectives = calls() - before_round;
+    return probe;
   }
 
   /// The rank's local graph in plain form, for comparison with a reference.
@@ -137,7 +180,7 @@ TEST(DistInfomap, SingletonCodelengthMatchesSequential) {
 }
 
 TEST(DistInfomap, ReportedCodelengthMatchesGatheredAssignment) {
-  // The distributed L (computed by allreduce over module homes) must equal
+  // The distributed L (summed in rank order over module homes) must equal
   // an independent sequential scoring of the gathered assignment.
   const auto gg = gen::sbm(240, 6, 0.25, 0.01, 7);
   const auto g = dg::build_csr(gg.edges, gg.num_vertices);
@@ -438,6 +481,57 @@ TEST(DistInfomap, MergeShipsEachCoarsePairOncePerSender) {
         << "rank " << r;
     // Two rounds on a planted partition leave real modules to combine.
     EXPECT_LT(expected[r], fine[r]) << "rank " << r;
+  }
+}
+
+TEST(DistInfomap, SettledVerticesStayOutOfTheSyncRound) {
+  // Two planted communities, a triangle and nine isolated ids (51..59), so
+  // every rank holds settled vertices at both levels. They get no module
+  // table entry and no home slot, yet the alive count includes them; a
+  // stage-2 round costs exactly its three alltoallvs (the codelength sums
+  // ride the reply), and other_update communicates nothing.
+  auto gg = gen::sbm(48, 2, 0.5, 0.04, 5);
+  gg.edges.push_back({48, 49, 1.0});
+  gg.edges.push_back({49, 50, 1.0});
+  gg.edges.push_back({48, 50, 1.0});
+  const auto g = dg::build_csr(gg.edges, 60);
+  constexpr int p = 4;
+  auto cfg = config_for(p);
+  cfg.degree_threshold = 14;
+  const auto part = dinfomap::partition::make_delegate(g, p, cfg.degree_threshold);
+  std::vector<dc::detail::DistRankTestPeer::SettledProbe> probes(p);
+  dinfomap::comm::Runtime::run(p, [&](dinfomap::comm::Comm& comm) {
+    dc::detail::DistRank rank(comm, part, cfg);
+    probes[comm.rank()] = dc::detail::DistRankTestPeer::settled_probe(rank);
+  });
+  std::uint64_t settled[2] = {0, 0};
+  for (int r = 0; r < p; ++r) {
+    const auto& pr = probes[r];
+    EXPECT_GT(pr.settled[0], 0u) << "rank " << r;
+    EXPECT_EQ(pr.in_tables, 0u) << "rank " << r;
+    EXPECT_EQ(pr.other_collectives, 0u) << "rank " << r;
+    EXPECT_EQ(pr.round_collectives, 3u) << "rank " << r;
+    for (int level : {0, 1}) {
+      settled[level] += pr.settled[level];
+      // Every vertex is its own module right after a (re)build.
+      EXPECT_EQ(pr.alive[level], pr.level_n[level]) << "rank " << r;
+    }
+  }
+  EXPECT_EQ(probes[0].level_n[0], 60u);
+  EXPECT_LT(probes[0].level_n[1], 60u);
+  EXPECT_EQ(settled[0], 9u);
+  EXPECT_EQ(settled[1], 9u);  // settled vertices stay settled
+
+  // The module count of every level row counts the isolated ids too.
+  for (const bool async : {false, true}) {
+    cfg.async = async;
+    const auto result = dc::distributed_infomap(g, cfg);
+    EXPECT_EQ(result.trace.back().num_modules, result.num_modules())
+        << "async=" << async;
+    std::set<dg::VertexId> isolated_modules;
+    for (dg::VertexId v = 51; v < 60; ++v)
+      isolated_modules.insert(result.assignment[v]);
+    EXPECT_EQ(isolated_modules.size(), 9u) << "async=" << async;
   }
 }
 

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <cstdio>
 #include <numeric>
+#include <string>
 #include <thread>
 
 #include "util/check.hpp"
+#include "util/logging.hpp"
 #include "util/random.hpp"
 #include "util/stats.hpp"
 #include "util/timer.hpp"
@@ -177,4 +181,17 @@ TEST(Timer, ScopedPhaseRecords) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_GT(pt.total("scope"), 0.005);
+}
+
+TEST(Logging, ClockStartsWithTheProcessNotTheFirstLine) {
+  // The first line of a run (in practice, post-run watchdog findings) must
+  // carry the time since start, not a stamp of zero.
+  // dlint:allow(sleep-sync): the stamp must measure real wall time
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  testing::internal::CaptureStderr();
+  du::log_line(du::LogLevel::kError, "first line of the process");
+  const std::string line = testing::internal::GetCapturedStderr();
+  double stamp = -1;
+  ASSERT_EQ(std::sscanf(line.c_str(), "[%lf]", &stamp), 1) << line;
+  EXPECT_GE(stamp, 0.05) << line;
 }
