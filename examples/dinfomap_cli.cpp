@@ -412,7 +412,7 @@ int cmd_cluster(int argc, char** argv) {
     const char* value = argv[i + 1];
     i += 2;
     if (!std::strcmp(flag, "--algo")) algo = value;
-    else if (!std::strcmp(flag, "--ranks")) ranks = parse_int(flag, value, 1, 1 << 16);
+    else if (!std::strcmp(flag, "--ranks")) ranks = parse_int(flag, value, 1, partition::kMaxRanks);
     else if (!std::strcmp(flag, "--threads")) threads = parse_int(flag, value, 1, 1 << 16);
     else if (!std::strcmp(flag, "--seed")) seed = parse_u64(flag, value);
     else if (!std::strcmp(flag, "--tree")) tree_out = value;
@@ -426,7 +426,7 @@ int cmd_cluster(int argc, char** argv) {
     else if (!std::strcmp(flag, "--block-cache-mb")) block_cache_mb = parse_int(flag, value, 1, 1 << 20);
     else if (!std::strcmp(flag, "--hang-grace-ms")) hang_grace_ms = static_cast<unsigned>(parse_ll(flag, value, 1, 86'400'000));
     else if (!std::strcmp(flag, "--transport-dir")) transport_dir = value;
-    else if (!std::strcmp(flag, "--rank-role")) rank_role = parse_int(flag, value, 0, 1 << 16);
+    else if (!std::strcmp(flag, "--rank-role")) rank_role = parse_int(flag, value, 0, partition::kMaxRanks - 1);
     else if (!std::strcmp(flag, "--trace-epoch")) trace_epoch_ns = parse_u64(flag, value);
     else return usage();
   }
@@ -669,7 +669,7 @@ int cmd_inspect(int argc, char** argv) {
 int cmd_partition_stats(int argc, char** argv) {
   if (argc < 4) return usage();
   const auto g = graph::build_csr(graph::read_edge_list(argv[2]));
-  const int p = parse_int("ranks", argv[3], 1, 1 << 16);
+  const int p = parse_int("ranks", argv[3], 1, partition::kMaxRanks);
   std::printf("%-14s %12s %12s %9s %12s\n", "strategy", "min arcs", "max arcs",
               "imb", "max ghosts");
   const struct {

@@ -1485,7 +1485,7 @@ DistInfomapResult run_rank(const graph::GraphView& graph,
   const int self = comm.rank();
   comm.set_metrics(recorder.metrics(self));
   comm.set_trace(recorder.track(self));
-  detail::DistRank rank(comm, part, config, &recorder);
+  detail::DistRank rank(comm, graph, part, config, &recorder);
   rank.execute();
 
   // Algorithm traffic ends here: snapshot its counters and detach the flight
@@ -1563,8 +1563,9 @@ DistInfomapResult distributed_infomap(const graph::GraphView& graph,
                        "distributed infomap addresses vertices as v mod p; "
                        "use a round-robin-owned partition (1D or delegate)");
   DINFOMAP_REQUIRE_MSG(partition::validate_partition(part, graph),
-                       "arc partition does not cover the graph exactly "
-                       "(arcs missing, duplicated, or misplaced)");
+                       "arc partition does not fit the graph (wrong sizes, "
+                       "a rank out of range, or a low-degree vertex's arc "
+                       "off its owner)");
 
   obs::Recorder recorder(config.num_ranks, config.obs);
   comm::Runtime::Options rt_options;
@@ -1634,12 +1635,10 @@ DistInfomapResult distributed_infomap_rank(const graph::GraphView& graph,
                            << config.num_ranks << ") != transport size ("
                            << transport.size() << ")");
   // Rebuilt deterministically on every rank from the same (graph, config) —
-  // identical to the partition the single-process overload builds. Only this
-  // rank's slice survives: the transient full partition is the peak-memory
-  // point of a blocks-mode worker, and the other ranks' arcs are never read.
-  auto part = partition::make_delegate(
+  // identical to the partition the single-process overload builds: one
+  // rank number per arc, from which setup reads this rank's arcs.
+  const auto part = partition::make_delegate(
       graph, config.num_ranks, resolve_degree_threshold(graph, config));
-  part.keep_only_rank(transport.rank());
 
   obs::Recorder recorder(config.num_ranks, config.obs);
   comm::Comm comm(transport);

@@ -148,13 +148,17 @@ struct DistInfomapResult {
 /// ranks. Deterministic for a fixed (graph, config) pair. The input streams
 /// from either the resident CSR (a `graph::Csr` converts implicitly) or the
 /// out-of-core block file, with bit-identical partitions and codelengths on
-/// both backends (the ranks themselves only ever see the ArcPartition, which
-/// the view-based builders construct identically).
+/// both backends: the view-based builders assign every arc the same rank,
+/// and each rank builds its level-0 graph by reading its arcs' rows from
+/// `graph`, which both backends present in the same order with the same
+/// bits.
 DistInfomapResult distributed_infomap(const graph::GraphView& graph,
                                       const DistInfomapConfig& config);
 
 /// Same, but over an already-built stage-1 partition (lets benchmarks reuse
-/// one partitioning across runs and ablate the partitioner).
+/// one partitioning across runs and ablate the partitioner). `part` must fit
+/// `graph` exactly — one owner and delegate flag per vertex, one rank per
+/// arc (partition::validate_partition) — or this throws ContractViolation.
 DistInfomapResult distributed_infomap(const graph::GraphView& graph,
                                       const partition::ArcPartition& part,
                                       const DistInfomapConfig& config);

@@ -34,12 +34,14 @@ enum class Kind : std::uint8_t {
 
 /// One rank of the distributed algorithm. The per-rank job body runs
 /// `execute()` on every rank, over either transport; shared read-only inputs
-/// are the partition (stage 1's "file on the parallel filesystem");
-/// everything mutable is rank-local and exchanged via messages.
+/// are the graph and its partition (stage 1's "file on the parallel
+/// filesystem"); everything mutable is rank-local and exchanged via messages.
 class DistRank {
  public:
-  DistRank(comm::Comm& comm, const partition::ArcPartition& part,
-           const DistInfomapConfig& cfg, obs::Recorder* recorder = nullptr);
+  /// `part` must be valid for `graph` (partition::validate_partition).
+  DistRank(comm::Comm& comm, const graph::GraphView& graph,
+           const partition::ArcPartition& part, const DistInfomapConfig& cfg,
+           obs::Recorder* recorder = nullptr);
 
   /// Runs preprocessing, stage 1, merging, and stage 2. After return, the
   /// sinks below carry this rank's outputs.
@@ -89,7 +91,8 @@ class DistRank {
   };
 
   // ---- setup -------------------------------------------------------------
-  void setup_stage1(const partition::ArcPartition& part);
+  void setup_stage1(const graph::GraphView& graph,
+                    const partition::ArcPartition& part);
   /// Build verts_/arcs_ from runs of (source,target,flow) triples, one run
   /// per sender in rank order; callers must then fill kinds/flows. Sources
   /// must all be local-movable. Each run only needs a (source,target)-sorted
@@ -98,6 +101,20 @@ class DistRank {
   /// within-run order. Consumes `runs`.
   void build_local_graph(std::vector<std::vector<CoarseArc>>& runs,
                          int num_ranks_mod, VertexId level_n);
+  /// One source's slice of arcs_ while the rank graph is being built.
+  struct SourceRow {
+    VertexId source = 0;
+    std::uint32_t end = 0;  ///< one past the row's last arc in arcs_
+    double self_flow = 0;
+  };
+  /// The one installer of a rank graph, for every level: arcs_ holds the
+  /// non-self arcs with *global* targets, grouped by source in the order of
+  /// `rows` (ascending sources, each row target-sorted without duplicates).
+  /// Takes the vertex universe from the arc endpoints plus every vertex
+  /// owned here, fills verts_/index_/arc_off_, relabels targets to local
+  /// indices and sums each vertex's out-flow.
+  void install_local_graph(const std::vector<SourceRow>& rows,
+                           int num_ranks_mod, VertexId level_n);
   void setup_subscriptions();
   void init_singleton_modules();
 

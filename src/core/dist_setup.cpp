@@ -2,14 +2,14 @@
 // from the arc partition, flow initialization, ghost subscriptions, and
 // singleton module setup.
 #include <algorithm>
-#include <numeric>
 
 #include "core/dist_internal.hpp"
 #include "util/check.hpp"
 
 namespace dinfomap::core::detail {
 
-DistRank::DistRank(comm::Comm& comm, const partition::ArcPartition& part,
+DistRank::DistRank(comm::Comm& comm, const graph::GraphView& graph,
+                   const partition::ArcPartition& part,
                    const DistInfomapConfig& cfg, obs::Recorder* recorder)
     : comm_(comm), cfg_(cfg), recorder_(recorder) {
   // Bootstrap guard: a multi-process worker handed a config whose rank
@@ -25,26 +25,47 @@ DistRank::DistRank(comm::Comm& comm, const partition::ArcPartition& part,
     metrics_ = recorder_->metrics(comm_.rank());
   }
   obs::SpanScope span(trace_buf_, "Setup");
-  setup_stage1(part);
+  setup_stage1(graph, part);
 }
 
-void DistRank::setup_stage1(const partition::ArcPartition& part) {
+void DistRank::setup_stage1(const graph::GraphView& graph,
+                            const partition::ArcPartition& part) {
   const int p = comm_.size();
   const int r = comm_.rank();
-  n0_ = static_cast<VertexId>(part.is_delegate.size());
+  n0_ = graph.num_vertices();
+
+  // Level-0 arcs straight from the graph: walk the rows of every vertex
+  // local here (owned, or a hub) and keep the arcs the partition gave this
+  // rank; a row with none of them is not read. Rows are target-sorted
+  // without duplicate pairs, so arcs_ comes out in (source, target) order
+  // with no sort and no merge. Flows start as raw weights and are scaled
+  // once 2W is known.
+  arcs_.clear();
+  arcs_.reserve(static_cast<std::size_t>(
+      std::count(part.arc_rank.begin(), part.arc_rank.end(), r)));
+  std::vector<SourceRow> rows;
+  double local_w = 0;
+  auto cursor = graph.cursor();
+  for (VertexId u = 0; u < n0_; ++u) {
+    if (!part.local_on(u, r)) continue;
+    const auto first = part.arc_rank.begin() +
+                       static_cast<std::ptrdiff_t>(graph.first_arc(u));
+    const auto last = first + static_cast<std::ptrdiff_t>(graph.degree(u));
+    if (std::find(first, last, r) == last) continue;
+    auto rank_of = first;
+    for (const auto& nb : graph.neighbors(u, cursor)) {
+      if (*rank_of++ != r) continue;
+      arcs_.push_back({nb.target, nb.weight});
+      local_w += nb.weight;
+    }
+    rows.push_back({u, static_cast<std::uint32_t>(arcs_.size()), 0.0});
+  }
 
   // Total arc weight (= 2W) from everyone's held arcs.
-  double local_w = 0;
-  for (const auto& arc : part.rank_arcs[r]) local_w += arc.weight;
   const double two_w = comm_.allreduce(local_w, comm::ReduceOp::kSum);
   DINFOMAP_REQUIRE_MSG(two_w > 0, "distributed infomap: graph has no edges");
-
-  // One run in source-scan order: only the rebalanced tail is unsorted.
-  std::vector<std::vector<CoarseArc>> runs(1);
-  runs[0].reserve(part.rank_arcs[r].size());
-  for (const auto& arc : part.rank_arcs[r])
-    runs[0].push_back({arc.source, arc.target, arc.weight / two_w});
-  build_local_graph(runs, p, n0_);
+  for (auto& a : arcs_) a.flow /= two_w;
+  install_local_graph(rows, p, n0_);
 
   // Kinds.
   for (auto& lv : verts_) {
@@ -108,7 +129,6 @@ void DistRank::setup_stage1(const partition::ArcPartition& part) {
 
 void DistRank::build_local_graph(std::vector<std::vector<CoarseArc>>& runs,
                                  int num_ranks_mod, VertexId level_n) {
-  const auto r = static_cast<VertexId>(comm_.rank());
   const auto by_pair = [](const CoarseArc& a, const CoarseArc& b) {
     return a.source != b.source ? a.source < b.source : a.target < b.target;
   };
@@ -150,28 +170,40 @@ void DistRank::build_local_graph(std::vector<std::vector<CoarseArc>>& runs,
     bounds.swap(merged);
   }
 
-  // Combine duplicate (source, target) pairs. After a merge each sender has
-  // combined its own, so duplicates there come from different senders.
-  std::size_t out = 0;
+  // Split the triples into arcs_ (global targets) and one row per source,
+  // combining duplicate (source, target) pairs. After a merge each sender
+  // has combined its own, so duplicates there come from different senders.
+  arcs_.clear();
+  arcs_.reserve(triples.size());
+  std::vector<SourceRow> rows;
   for (std::size_t i = 0; i < triples.size(); ++i) {
-    if (out > 0 && triples[out - 1].source == triples[i].source &&
-        triples[out - 1].target == triples[i].target) {
-      triples[out - 1].flow += triples[i].flow;
+    const CoarseArc& t = triples[i];
+    if (rows.empty() || rows.back().source != t.source)
+      rows.push_back({t.source, static_cast<std::uint32_t>(arcs_.size()), 0.0});
+    if (t.source == t.target) {
+      rows.back().self_flow += t.flow;
+    } else if (i > 0 && triples[i - 1].source == t.source &&
+               triples[i - 1].target == t.target) {
+      arcs_.back().flow += t.flow;
     } else {
-      triples[out++] = triples[i];
+      arcs_.push_back({t.target, t.flow});
+      rows.back().end = static_cast<std::uint32_t>(arcs_.size());
     }
   }
-  triples.resize(out);
+  std::vector<CoarseArc>().swap(triples);
+  install_local_graph(rows, num_ranks_mod, level_n);
+}
 
+void DistRank::install_local_graph(const std::vector<SourceRow>& rows,
+                                   int num_ranks_mod, VertexId level_n) {
+  const auto r = static_cast<VertexId>(comm_.rank());
   // Vertex universe: arc endpoints plus every vertex owned here (so isolated
   // owned vertices stay addressable and countable). Local indices ascend
   // with global ids; slot[v] holds v's local index once assigned.
   constexpr std::uint32_t kAbsent = ~std::uint32_t{0};
   std::vector<std::uint32_t> slot(level_n, kAbsent);
-  for (const auto& t : triples) {
-    slot[t.source] = 0;
-    slot[t.target] = 0;
-  }
+  for (const SourceRow& row : rows) slot[row.source] = 0;
+  for (const LocalArc& a : arcs_) slot[a.target] = 0;
   for (VertexId v = r; v < level_n; v += static_cast<VertexId>(num_ranks_mod))
     slot[v] = 0;
   std::uint32_t num_local = 0;
@@ -189,22 +221,19 @@ void DistRank::build_local_graph(std::vector<std::vector<CoarseArc>>& runs,
     index_.emplace(v, slot[v]);
   }
 
-  // Group non-self arcs by source; accumulate self flows. Triples are sorted
-  // by source, so each source's arcs are contiguous and sources ascend.
+  // Rows ascend by source, so each local vertex's arcs are contiguous and
+  // local sources ascend too.
   arc_off_.assign(verts_.size() + 1, 0);
-  arcs_.clear();
-  arcs_.reserve(triples.size());
   std::uint32_t si = 0;
-  for (const auto& t : triples) {
-    const std::uint32_t src = slot[t.source];
-    while (si < src) arc_off_[++si] = static_cast<std::uint32_t>(arcs_.size());
-    if (t.source == t.target) {
-      verts_[si].self_flow += t.flow;
-      continue;
-    }
-    arcs_.push_back({slot[t.target], t.flow});
+  std::uint32_t start = 0;
+  for (const SourceRow& row : rows) {
+    const std::uint32_t src = slot[row.source];
+    while (si < src) arc_off_[++si] = start;
+    verts_[src].self_flow = row.self_flow;
+    start = row.end;
   }
-  while (si < verts_.size()) arc_off_[++si] = static_cast<std::uint32_t>(arcs_.size());
+  while (si < verts_.size()) arc_off_[++si] = start;
+  for (LocalArc& a : arcs_) a.target = slot[a.target];
   for (std::uint32_t li = 0; li < verts_.size(); ++li) {
     double f = 0;
     for (std::uint32_t a = arc_off_[li]; a < arc_off_[li + 1]; ++a)

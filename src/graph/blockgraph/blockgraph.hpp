@@ -132,6 +132,7 @@ class BlockGraph {
   [[nodiscard]] EdgeIndex degree(VertexId u) const {
     return arc_offsets_[u + 1] - arc_offsets_[u];
   }
+  [[nodiscard]] EdgeIndex first_arc(VertexId u) const { return arc_offsets_[u]; }
   [[nodiscard]] Weight weighted_degree(VertexId u) const { return wdeg_[u]; }
   [[nodiscard]] Weight self_weight(VertexId u) const { return self_[u]; }
   [[nodiscard]] Weight total_weight() const { return total_weight_; }
@@ -157,8 +158,7 @@ class BlockGraph {
 
   [[nodiscard]] const std::string& path() const { return path_; }
   [[nodiscard]] std::uint64_t num_blocks() const { return num_blocks_; }
-  /// Block holding u's adjacency run (decode-locality queries; the
-  /// decode-aware rebalance groups arcs by this).
+  /// Block holding u's adjacency run (decode-locality queries).
   [[nodiscard]] std::uint32_t block_of(VertexId u) const { return block_of_[u]; }
   [[nodiscard]] std::size_t bytes_mapped() const { return map_bytes_; }
 

@@ -45,6 +45,11 @@ class GraphView {
   [[nodiscard]] EdgeIndex degree(VertexId u) const {
     return csr_ != nullptr ? csr_->degree(u) : blocks_->degree(u);
   }
+  /// Index of u's first arc in the graph's arc order; u's row covers
+  /// [first_arc(u), first_arc(u) + degree(u)).
+  [[nodiscard]] EdgeIndex first_arc(VertexId u) const {
+    return csr_ != nullptr ? csr_->offsets()[u] : blocks_->first_arc(u);
+  }
   [[nodiscard]] Weight weighted_degree(VertexId u) const {
     return csr_ != nullptr ? csr_->weighted_degree(u)
                            : blocks_->weighted_degree(u);

@@ -16,40 +16,40 @@
 //            A final pass moves pool/hub arcs from overloaded to underloaded
 //            ranks until every rank holds ≈ |arcs|/p.
 //
+// A partition records one decision per arc — the rank that holds it — as
+// `arc_rank`, indexed in the graph's own arc (CSR) order. An arc's endpoints
+// and weight are never copied: whoever needs them reads the row from the
+// graph. So a partition cannot lose, duplicate, retarget or reweight an arc;
+// all it can get wrong is a rank number.
+//
 // Every builder takes a graph::GraphView, so partitioning streams equally
-// from the resident CSR or the out-of-core block file; the Csr overloads
-// are thin wrappers. With identical inputs the builders are deterministic,
+// from the resident CSR or the out-of-core block file (a Csr converts
+// implicitly). With identical inputs the builders are deterministic,
 // which is what makes partitions bit-identical across backends.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "graph/csr.hpp"
 #include "graph/graph_view.hpp"
 #include "graph/types.hpp"
 
 namespace dinfomap::partition {
 
-using graph::Csr;
 using graph::EdgeIndex;
 using graph::GraphView;
 using graph::VertexId;
-using graph::Weight;
 
-/// One directed half-edge as stored on a rank.
-struct Arc {
-  VertexId source = 0;
-  VertexId target = 0;
-  Weight weight = 1.0;
-
-  friend bool operator==(const Arc&, const Arc&) = default;
-};
+/// Largest rank count a partition can address (ranks are stored as
+/// std::uint16_t per arc).
+inline constexpr int kMaxRanks = 65535;
 
 enum class Strategy { kOneD, kOneDBalanced, kHash, kDelegate };
 
 /// The result of distributing a graph over `num_ranks` ranks.
 struct ArcPartition {
+  /// The graph the partition was built over; it must outlive the partition.
+  GraphView graph;
   Strategy strategy = Strategy::kOneD;
   int num_ranks = 1;
   /// Hub threshold used (meaningful for kDelegate; 0 otherwise).
@@ -58,8 +58,9 @@ struct ArcPartition {
   std::vector<std::uint8_t> is_delegate;
   /// Per-vertex owning rank.
   std::vector<int> owners;
-  /// Arcs assigned to each rank.
-  std::vector<std::vector<Arc>> rank_arcs;
+  /// Rank holding each arc, in the graph's arc order (row u covers
+  /// [graph.first_arc(u), graph.first_arc(u) + graph.degree(u))).
+  std::vector<std::uint16_t> arc_rank;
 
   [[nodiscard]] bool delegate(VertexId v) const { return is_delegate[v] != 0; }
   [[nodiscard]] int owner(VertexId v) const { return owners[v]; }
@@ -74,38 +75,6 @@ struct ArcPartition {
       if (owners[v] != static_cast<int>(v % static_cast<VertexId>(num_ranks)))
         return false;
     return true;
-  }
-
-  /// Release every rank's arc vector except `rank`'s — a multi-process
-  /// worker only ever reads its own slice, and in blocks mode the O(|E|)
-  /// full partition is the last resident copy of the edge set.
-  void keep_only_rank(int rank) {
-    for (int r = 0; r < num_ranks; ++r) {
-      if (r == rank) continue;
-      std::vector<Arc>().swap(rank_arcs[r]);
-    }
-  }
-};
-
-/// Decode-cost coupling for delegate rebalancing (perf::CostModel supplies
-/// the numbers; see perf/decode_cost.hpp). When enabled, the rebalance pass
-/// models each rank's cost as
-///
-///   load·sec_per_arc + distinct_blocks·arcs_per_block·(1−hit)·sec_per_arc_decode
-///
-/// — i.e. arcs concentrated in few edge blocks decode cheaper than the same
-/// count scattered across many — and sheds overload accordingly. Requires
-/// the blocks backend (block topology is what it reasons about). Disabled
-/// (the default) the rebalance is the pure arc-count pass, identical on
-/// both backends.
-struct DelegateDecodeCost {
-  double sec_per_arc = 0;         ///< baseline gather cost per arc
-  double sec_per_arc_decode = 0;  ///< amortized decode cost per arc on a miss
-  double expected_hit_ratio = 0;  ///< fraction of block faults served cached
-  double arcs_per_block = 0;      ///< mean decoded arcs per block
-
-  [[nodiscard]] bool enabled() const {
-    return sec_per_arc > 0 && sec_per_arc_decode > 0 && arcs_per_block > 0;
   }
 };
 
@@ -122,10 +91,8 @@ ArcPartition make_hash(const GraphView& graph, int num_ranks,
                        std::uint64_t seed = 0x9E3779B9u);
 
 /// Delegate partitioning; `degree_threshold` of 0 applies the paper's default
-/// d_high = num_ranks. `decode_cost` optionally biases the rebalance pass
-/// (see DelegateDecodeCost); default-constructed it is inert.
+/// d_high = num_ranks.
 ArcPartition make_delegate(const GraphView& graph, int num_ranks,
-                           EdgeIndex degree_threshold = 0,
-                           const DelegateDecodeCost& decode_cost = {});
+                           EdgeIndex degree_threshold = 0);
 
 }  // namespace dinfomap::partition

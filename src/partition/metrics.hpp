@@ -17,8 +17,10 @@ std::vector<std::uint64_t> arcs_per_rank(const ArcPartition& part);
 /// neither owned there nor delegates.
 std::vector<std::uint64_t> ghosts_per_rank(const ArcPartition& part);
 
-/// Structural audit used by tests: every CSR arc appears on exactly one rank,
-/// and (for delegate partitions) every low-degree source sits with its owner.
+/// Structural audit in O(|V| + |E|), without allocating or reading any
+/// adjacency: the per-vertex arrays match `graph`'s vertex count, `arc_rank`
+/// its arc count, every rank is below num_ranks, and every low-degree
+/// source's arcs sit with its owner.
 bool validate_partition(const ArcPartition& part, const GraphView& graph);
 
 }  // namespace dinfomap::partition

@@ -54,15 +54,4 @@ void apply_decode_feedback(CostModel& model, const BlockGraphStats& stats) {
       static_cast<double>(stats.hits) / static_cast<double>(faults);
 }
 
-partition::DelegateDecodeCost delegate_decode_cost(
-    const CostModel& model, const DecodeCostMeasurement& m) {
-  partition::DelegateDecodeCost cost;
-  if (model.sec_per_arc_decode <= 0 || !(m.arcs_per_block > 0)) return cost;
-  cost.sec_per_arc = model.sec_per_arc;
-  cost.sec_per_arc_decode = model.sec_per_arc_decode;
-  cost.expected_hit_ratio = model.decode_hit_ratio;
-  cost.arcs_per_block = m.arcs_per_block;
-  return cost;
-}
-
 }  // namespace dinfomap::perf

@@ -1,19 +1,13 @@
 // Decode-cost calibration for the out-of-core blocks backend: measure the
-// ns/arc varint-decode coefficient on the actual block file, feed it into
-// the CostModel, and convert model + live cache counters into the
-// partition::DelegateDecodeCost the delegate rebalance consumes.
-//
-// The loop closes as: measure_decode_cost (one-time, on open) →
-// CostModel.sec_per_arc_decode → make_delegate(..., decode_cost) biases arc
-// placement toward block locality → after a run, apply_decode_feedback folds
-// the observed hit ratio back into the model so the next partitioning sees
-// the cache behaviour the previous one produced.
+// ns/arc varint-decode coefficient on the actual block file and feed it into
+// the CostModel, then fold a run's observed cache hit ratio back in. The
+// model's effective_sec_per_arc() then prices a gather on the blocks backend
+// as the resident gather plus the decode bill of the blocks that miss.
 #pragma once
 
 #include <cstdint>
 
 #include "graph/blockgraph/blockgraph.hpp"
-#include "partition/arc_partition.hpp"
 #include "perf/cost_model.hpp"
 
 namespace dinfomap::perf {
@@ -32,8 +26,8 @@ struct DecodeCostMeasurement {
 
 /// Stream the first `max_blocks` blocks through a private cursor and derive
 /// sec_per_arc_decode from the cache's decode_ns delta. Timing-based, so the
-/// *number* is machine-dependent — but it only parameterizes the (opt-in)
-/// cost-aware rebalance, never a result bit. Run it right after open(),
+/// *number* is machine-dependent — but it only parameterizes the cost model,
+/// never a result bit. Run it right after open(),
 /// before other cursors exist: warm blocks decode for free and would dilute
 /// the measurement.
 DecodeCostMeasurement measure_decode_cost(
@@ -47,11 +41,5 @@ void apply_decode_cost(CostModel& model, const DecodeCostMeasurement& m);
 /// counters. No-op when the run faulted no blocks.
 void apply_decode_feedback(CostModel& model,
                            const graph::blockgraph::BlockGraphStats& stats);
-
-/// Assemble the rebalance input from the calibrated model. Returns an inert
-/// (disabled) cost when the model carries no decode coefficient — handing it
-/// to make_delegate then reproduces the count-based rebalance exactly.
-partition::DelegateDecodeCost delegate_decode_cost(
-    const CostModel& model, const DecodeCostMeasurement& m);
 
 }  // namespace dinfomap::perf

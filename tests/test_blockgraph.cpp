@@ -357,7 +357,7 @@ TEST_F(BackendIdentity, DelegatePartitionsMatchResident) {
     const auto b = part::make_delegate(dg::GraphView(blocks), p);
     EXPECT_EQ(a.is_delegate, b.is_delegate) << "p=" << p;
     EXPECT_EQ(a.owners, b.owners) << "p=" << p;
-    EXPECT_EQ(a.rank_arcs, b.rank_arcs) << "p=" << p;
+    EXPECT_EQ(a.arc_rank, b.arc_rank) << "p=" << p;
   }
 }
 

@@ -417,7 +417,7 @@ TEST(DistInfomap, SwapRoundChargesEveryLocalArc) {
         g, p, dc::resolve_degree_threshold(g, cfg));
     std::vector<std::uint64_t> charged(p), local(p);
     dinfomap::comm::Runtime::run(p, [&](dinfomap::comm::Comm& comm) {
-      dc::detail::DistRank rank(comm, part, cfg);
+      dc::detail::DistRank rank(comm, g, part, cfg);
       charged[comm.rank()] = dc::detail::DistRankTestPeer::swap_round_arcs(rank);
       local[comm.rank()] = dc::detail::DistRankTestPeer::local_arcs(rank);
     });
@@ -467,7 +467,7 @@ TEST(DistInfomap, MergeShipsEachCoarsePairOncePerSender) {
   dinfomap::obs::Recorder recorder(p, opt);
   std::vector<std::uint64_t> expected(p), fine(p), built(p);
   dinfomap::comm::Runtime::run(p, [&](dinfomap::comm::Comm& comm) {
-    dc::detail::DistRank rank(comm, part, cfg, &recorder);
+    dc::detail::DistRank rank(comm, g, part, cfg, &recorder);
     fine[comm.rank()] = dc::detail::DistRankTestPeer::local_arcs(rank);
     expected[comm.rank()] =
         dc::detail::DistRankTestPeer::distinct_pairs_then_merge(rank, 2);
@@ -501,7 +501,7 @@ TEST(DistInfomap, SettledVerticesStayOutOfTheSyncRound) {
   const auto part = dinfomap::partition::make_delegate(g, p, cfg.degree_threshold);
   std::vector<dc::detail::DistRankTestPeer::SettledProbe> probes(p);
   dinfomap::comm::Runtime::run(p, [&](dinfomap::comm::Comm& comm) {
-    dc::detail::DistRank rank(comm, part, cfg);
+    dc::detail::DistRank rank(comm, g, part, cfg);
     probes[comm.rank()] = dc::detail::DistRankTestPeer::settled_probe(rank);
   });
   std::uint64_t settled[2] = {0, 0};
@@ -605,7 +605,7 @@ TEST(DistInfomap, BuildLocalGraphMatchesGlobalSortReference) {
       g, p, dc::resolve_degree_threshold(g, cfg));
   dinfomap::comm::Runtime::run(p, [&](dinfomap::comm::Comm& comm) {
     const auto r = static_cast<dg::VertexId>(comm.rank());
-    dc::detail::DistRank rank(comm, part, cfg);
+    dc::detail::DistRank rank(comm, g, part, cfg);
     // Hand-written case: owned sources r, r+2, r+4, r+6; r+8.. stay isolated
     // unless some arc reaches them.
     const std::vector<std::vector<CoarseArc>> fixed = {

@@ -175,23 +175,39 @@ TEST(DistFailureInjection, CorruptedPartitionRejected) {
   dc::DistInfomapConfig cfg;
   cfg.num_ranks = 3;
 
-  // Drop one arc: the partition no longer covers the graph.
+  // An arc on a rank that does not exist.
   auto part = dinfomap::partition::make_delegate(
       g, 3, dc::resolve_degree_threshold(g, cfg));
-  ASSERT_FALSE(part.rank_arcs[0].empty());
-  part.rank_arcs[0].pop_back();
+  part.arc_rank.back() = 3;
   EXPECT_THROW(dc::distributed_infomap(g, part, cfg),
                dinfomap::ContractViolation);
 }
 
-TEST(DistFailureInjection, DuplicatedArcRejected) {
+TEST(DistFailureInjection, MisplacedArcRejected) {
   const auto gg = gen::ring_of_cliques(6, 4, 0);
   const auto g = dg::build_csr(gg.edges, gg.num_vertices);
   dc::DistInfomapConfig cfg;
   cfg.num_ranks = 2;
   auto part = dinfomap::partition::make_delegate(
       g, 2, dc::resolve_degree_threshold(g, cfg));
-  part.rank_arcs[1].push_back(part.rank_arcs[1].front());
+  // Vertex 0 is low-degree and owned by rank 0; move one of its arcs away.
+  ASSERT_FALSE(part.delegate(0));
+  part.arc_rank[g.offsets()[0]] = 1;
+  EXPECT_THROW(dc::distributed_infomap(g, part, cfg),
+               dinfomap::ContractViolation);
+}
+
+TEST(DistFailureInjection, PartitionForLargerGraphRejected) {
+  // A partition built over the same edges plus 64 isolated ids: its
+  // per-vertex arrays outrun the graph, whose result arrays are sized from
+  // the graph.
+  const auto gg = gen::ring_of_cliques(6, 4, 0);
+  const auto g = dg::build_csr(gg.edges, gg.num_vertices);
+  const auto wider = dg::build_csr(gg.edges, gg.num_vertices + 64);
+  dc::DistInfomapConfig cfg;
+  cfg.num_ranks = 2;
+  const auto part = dinfomap::partition::make_delegate(
+      wider, 2, dc::resolve_degree_threshold(wider, cfg));
   EXPECT_THROW(dc::distributed_infomap(g, part, cfg),
                dinfomap::ContractViolation);
 }
