@@ -1,5 +1,6 @@
 // Microbenchmarks (google-benchmark) of the hot kernels: plogp, ΔL
-// evaluation, the sequential move pass, coarsening, and the comm collectives —
+// evaluation, the sequential move pass, the distributed move search,
+// coarsening, and the comm collectives —
 // plus before/after kernels for the ISSUE-1 hot-path data structures
 // (SparseAccumulator vs unordered_map gather, FlatMap vs node-based module
 // table, memoized vs plain plogp in evaluate_move).
@@ -12,6 +13,7 @@
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <numeric>
@@ -21,6 +23,7 @@
 #include "bench_common.hpp"
 #include "comm/runtime.hpp"
 #include "core/coarsen.hpp"
+#include "core/dist_infomap.hpp"
 #include "core/flowgraph.hpp"
 #include "core/mapequation.hpp"
 #include "core/module_info.hpp"
@@ -225,6 +228,33 @@ void BM_SequentialInfomapLfr1k(benchmark::State& state) {
     benchmark::DoNotOptimize(core::sequential_infomap(g));
 }
 BENCHMARK(BM_SequentialInfomapLfr1k)->Unit(benchmark::kMillisecond);
+
+// The distributed move search (FindBestModule) at p = 1 on the R-MAT graph
+// of the e2e web workloads (scale 17, edge factor 12, seed 1): the whole
+// solve runs, and the `find_ns_per_arc` counter is the FindBestModule
+// phase's wall time per arc it scanned — the per-kernel number behind the
+// e2e `core.find_s`. The rank runs on its own thread, so iterations are
+// timed in real time.
+void BM_DistFindRoundRmat(benchmark::State& state) {
+  const auto gg = graph::gen::rmat(17, 12, 0.57, 0.19, 0.19, 1);
+  const auto g = graph::build_csr(gg.edges, gg.num_vertices);
+  core::DistInfomapConfig cfg;
+  cfg.num_ranks = 1;
+  constexpr auto kFind = static_cast<std::size_t>(core::Phase::kFindBestModule);
+  double find_s = 0;
+  double arcs = 0;
+  for (auto _ : state) {
+    const auto result = core::distributed_infomap(g, cfg);
+    find_s += result.phase_seconds[kFind].at(0);
+    arcs += static_cast<double>(result.work[kFind].at(0).arcs_scanned);
+    benchmark::DoNotOptimize(result.codelength);
+  }
+  state.counters["find_ns_per_arc"] = arcs > 0 ? find_s * 1e9 / arcs : 0.0;
+  state.counters["arcs_scanned"] =
+      arcs / static_cast<double>(std::max<benchmark::IterationCount>(
+                 state.iterations(), 1));
+}
+BENCHMARK(BM_DistFindRoundRmat)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 void BM_CoarsenLfr1k(benchmark::State& state) {
   const auto& fg = lfr_flow_graph();

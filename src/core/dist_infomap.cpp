@@ -10,6 +10,7 @@
 #include "core/dist_internal.hpp"
 #include "partition/metrics.hpp"
 #include "util/check.hpp"
+#include "util/prefetch.hpp"
 
 namespace dinfomap::core::detail {
 
@@ -45,18 +46,17 @@ bool DistRank::min_label_yields(ModuleId cur, ModuleId target) {
   // module is blocked, the reverse merge — the small module's members
   // absorbing into the large one — is the admissible direction, and that is
   // the direction greedy map-equation search favors anyway.
-  const auto it_c = modules_.find(cur);
-  const auto it_t = modules_.find(target);
-  DINFOMAP_REQUIRE_MSG(it_c != modules_.end() && it_t != modules_.end(),
+  const ModuleStats* c = modules_.find(cur);
+  const ModuleStats* t = modules_.find(target);
+  DINFOMAP_REQUIRE_MSG(c != nullptr && t != nullptr,
                        "min-label guard consulted for an unsynced module");
   // Singleton endpoints never yield: during the consolidation phase every
   // greedy merge should be admissible (this is where the old free rounds did
   // their work), and a conflicting same-round pair of singleton moves is a
   // relabeling, not a codelength oscillation.
-  if (it_c->second.num_members <= 1 || it_t->second.num_members <= 1)
-    return false;
-  const double sc = it_c->second.sum_pr;
-  const double st = it_t->second.sum_pr;
+  if (c->num_members <= 1 || t->num_members <= 1) return false;
+  const double sc = c->sum_pr;
+  const double st = t->sum_pr;
   if (st != sc) return st < sc;  // yield on moves into the smaller module
   return target > cur;           // mass tie: yield away from the smaller label
 }
@@ -80,13 +80,12 @@ bool DistRank::can_prune(std::uint32_t li) const {
   // pure function of the (cur, candidate) module pair and the candidate's
   // boundary flag, and both are functions of vertex assignments already
   // covered by the stamp checks below.
-  const LocalVertex& lv = verts_[li];
-  const ModuleId cur = lv.module;
+  const ModuleId cur = module_of_[li];
   if (cur >= stat_stamp_.size() || stat_stamp_[cur] > le) return false;
   for (std::uint32_t a = arc_off_[li]; a < arc_off_[li + 1]; ++a) {
     const std::uint32_t t = arcs_[a].target;
     if (assign_stamp_[t] > le) return false;  // candidate set changed
-    const ModuleId m = verts_[t].module;
+    const ModuleId m = module_of_[t];
     if (m >= stat_stamp_.size() || stat_stamp_[m] > le) return false;
   }
   // The candidate set, every candidate's statistics, and our own module are
@@ -101,7 +100,7 @@ bool DistRank::can_prune(std::uint32_t li) const {
   const double q0 = last_q_[li];
   const double q1 = q_total_;
   if (q1 == q0) return true;
-  const double f_u = lv.out_flow;
+  const double f_u = verts_[li].out_flow;
   const double qlo = q0 < q1 ? q0 : q1;
   if (!(qlo >= 4.0 * f_u)) return false;
   const double shift = (q1 > q0 ? q1 - q0 : q0 - q1) * 6.0 * f_u / qlo;
@@ -110,26 +109,36 @@ bool DistRank::can_prune(std::uint32_t li) const {
 
 bool DistRank::best_move_for(std::uint32_t li, BestMove& best) {
   const LocalVertex& lv = verts_[li];
-  const ModuleId cur = lv.module;
+  const ModuleId cur = module_of_[li];
 
   // Flow from li to each neighbor module, and whether that module was
   // reached through a non-owned vertex (⇒ boundary module, §3.4). The
   // accumulator is rank-level scratch: allocation-free per vertex, cleared
   // in O(#touched), iterated in deterministic first-touch (= arc) order.
-  if (nbflow_.capacity() < level_n_) nbflow_.reset(level_n_);
+  // Each arc costs two reads, the arc itself and its target's module id:
+  // the arc carries the boundary bit, so no neighbor's LocalVertex is read.
+  // Along the row, the module id 8 arcs ahead and the accumulator slot 4
+  // arcs ahead are prefetched (hints on in-range elements only).
   nbflow_.clear();
-  for (std::uint32_t a = arc_off_[li]; a < arc_off_[li + 1]; ++a) {
-    const LocalVertex& nb = verts_[arcs_[a].target];
-    NeighborFlow& e = nbflow_[nb.module];
-    e.flow += arcs_[a].flow;
-    if (nb.kind != Kind::kOwned) e.boundary = 1;
-    ++wk(Phase::kFindBestModule).arcs_scanned;
+  const std::uint32_t row_begin = arc_off_[li];
+  const std::uint32_t row_end = arc_off_[li + 1];
+  for (std::uint32_t a = row_begin; a < row_end; ++a) {
+    if (a + 8 < row_end) util::prefetch_read(&module_of_[arcs_[a + 8].target]);
+    if (a + 4 < row_end) nbflow_.prefetch(module_of_[arcs_[a + 4].target]);
+    const LocalArc& arc = arcs_[a];
+    NeighborFlow& e = nbflow_[module_of_[arc.target]];
+    e.flow += arc.flow;
+    e.boundary = static_cast<std::uint8_t>(e.boundary | arc.boundary);
   }
+  wk(Phase::kFindBestModule).arcs_scanned += row_end - row_begin;
   if (nbflow_.empty()) return false;
+  // Every candidate is known now: start its table load before the first ΔL
+  // evaluation needs it.
+  for (const ModuleId mod : nbflow_.keys()) modules_.prefetch(mod);
 
   const double f_to_old = nbflow_.value_or(cur, {}).flow;
-  auto cur_it = modules_.find(cur);
-  DINFOMAP_REQUIRE_MSG(cur_it != modules_.end(),
+  const ModuleStats* cur_stats = modules_.find(cur);
+  DINFOMAP_REQUIRE_MSG(cur_stats != nullptr,
                        "vertex's own module missing from local table");
 
   double best_delta = -cfg_.move_epsilon;
@@ -143,8 +152,8 @@ bool DistRank::best_move_for(std::uint32_t li, BestMove& best) {
   for (const ModuleId mod : nbflow_.keys()) {
     if (mod == cur) continue;
     const NeighborFlow& e = *nbflow_.find(mod);
-    auto it = modules_.find(mod);
-    if (it == modules_.end()) {
+    const ModuleStats* stats = modules_.find(mod);
+    if (stats == nullptr) {
       // Candidate module not yet synced into the local table; the vertex
       // cannot consider it this round. Counted (not silent) so the invariant
       // watchdog can flag pathological skip rates.
@@ -163,8 +172,8 @@ bool DistRank::best_move_for(std::uint32_t li, BestMove& best) {
     d.f_u = lv.out_flow;
     d.f_to_old = f_to_old;
     d.f_to_new = e.flow;
-    d.old_stats = cur_it->second;
-    d.new_stats = it->second;
+    d.old_stats = *cur_stats;
+    d.new_stats = *stats;
     d.q_total = q_total_;
     const MoveOutcome out = eval_move(d);
     ++wk(Phase::kFindBestModule).delta_evals;
@@ -191,8 +200,8 @@ bool DistRank::best_move_for(std::uint32_t li, BestMove& best) {
 }
 
 void DistRank::apply_local_move(std::uint32_t li, const BestMove& mv) {
-  LocalVertex& lv = verts_[li];
-  modules_[lv.module] = mv.outcome.old_after;
+  const ModuleId old = module_of_[li];
+  modules_[old] = mv.outcome.old_after;
   modules_[mv.target] = mv.outcome.new_after;
   q_total_ += mv.outcome.delta_q_total;
   if (cfg_.async) {
@@ -200,11 +209,46 @@ void DistRank::apply_local_move(std::uint32_t li, const BestMove& mv) {
     // changed statistics, so all three share the tick.
     const std::uint64_t t = tick();
     stamp_assign(li, t);
-    stamp_stats(lv.module, t);
+    stamp_stats(old, t);
     stamp_stats(mv.target, t);
   }
-  lv.module = mv.target;
+  module_of_[li] = static_cast<VertexId>(mv.target);
   wk(Phase::kOther).module_updates += 2;
+}
+
+void DistRank::prefetch_visit(const std::vector<std::uint32_t>& order,
+                              std::size_t i) const {
+  const std::size_t n = order.size();
+  if (i + 16 < n) {
+    const std::uint32_t v = order[i + 16];
+    util::prefetch_read(&arc_off_[v]);
+    util::prefetch_read(&verts_[v]);
+    util::prefetch_read(&module_of_[v]);
+  }
+  if (i + 8 < n) {
+    const std::uint32_t v = order[i + 8];
+    const std::uint32_t begin = arc_off_[v];
+    const std::uint32_t end = arc_off_[v + 1];
+    if (begin < end) {
+      util::prefetch_read(&arcs_[begin]);
+      util::prefetch_read(&arcs_[std::min(begin + 4, end - 1)]);
+    }
+    modules_.prefetch(module_of_[v]);
+  }
+  if (i + 4 < n) {
+    const std::uint32_t v = order[i + 4];
+    const std::uint32_t begin = arc_off_[v];
+    const std::uint32_t end = std::min(arc_off_[v + 1], begin + 8);
+    for (std::uint32_t a = begin; a < end; ++a)
+      util::prefetch_read(&module_of_[arcs_[a].target]);
+  }
+  if (i + 2 < n) {
+    const std::uint32_t v = order[i + 2];
+    const std::uint32_t begin = arc_off_[v];
+    const std::uint32_t end = std::min(arc_off_[v + 1], begin + 4);
+    for (std::uint32_t a = begin; a < end; ++a)
+      nbflow_.prefetch(module_of_[arcs_[a].target]);
+  }
 }
 
 std::uint64_t DistRank::find_best_modules(bool with_delegates,
@@ -215,10 +259,9 @@ std::uint64_t DistRank::find_best_modules(bool with_delegates,
   util::deterministic_shuffle(order, rng);
 
   std::uint64_t moves = 0;
-  std::vector<std::uint8_t> dirty_flag(verts_.size(), 0);
-  for (std::uint32_t li : dirty_owned_) dirty_flag[li] = 1;
-
-  for (std::uint32_t li : order) {
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    prefetch_visit(order, i);
+    const std::uint32_t li = order[i];
     const bool is_hub = verts_[li].kind == Kind::kDelegate;
     if (is_hub && !with_delegates) continue;
     if (is_hub && cfg_.exact_hub_moves) continue;  // handled by the exact phase
@@ -230,10 +273,7 @@ std::uint64_t DistRank::find_best_modules(bool with_delegates,
     } else {
       apply_local_move(li, mv);
       ++moves;
-      if (!dirty_flag[li]) {
-        dirty_flag[li] = 1;
-        dirty_owned_.push_back(li);
-      }
+      mark_dirty(li);
     }
   }
   return moves;
@@ -250,23 +290,25 @@ std::uint64_t DistRank::apply_hub_winners(const std::vector<HubProposal>& winner
     ++hub_moves;  // identical count on every rank
     auto it = index_.find(win.hub);
     if (it == index_.end()) continue;  // hub has no arcs here
-    LocalVertex& lv = verts_[it->second];
-    if (lv.module == win.target) continue;
+    const std::uint32_t li = it->second;
+    const ModuleId cur = module_of_[li];
+    if (cur == win.target) continue;
     // Move the hub's mass between the local copies of the two modules; exit
     // probabilities are restored exactly by the swap phase of this round.
-    auto& old_m = modules_[lv.module];
-    old_m.sum_pr -= lv.node_flow;
+    const double flow = verts_[li].node_flow;
+    auto& old_m = modules_[cur];
+    old_m.sum_pr -= flow;
     old_m.num_members = old_m.num_members > 0 ? old_m.num_members - 1 : 0;
     auto& new_m = modules_[win.target];
-    new_m.sum_pr += lv.node_flow;
+    new_m.sum_pr += flow;
     new_m.num_members += 1;
     if (cfg_.async) {
       const std::uint64_t t = tick();
-      stamp_assign(it->second, t);
-      stamp_stats(lv.module, t);
+      stamp_assign(li, t);
+      stamp_stats(cur, t);
       stamp_stats(win.target, t);
     }
-    lv.module = win.target;
+    module_of_[li] = static_cast<VertexId>(win.target);
     wk(Phase::kBroadcastDelegates).module_updates += 2;
   }
   return hub_moves;
@@ -305,12 +347,11 @@ std::uint64_t DistRank::broadcast_delegates_exact() {
   // Ship each local hub's per-module flow partials (with the sender's
   // post-sync module stats attached) to the hub's owner, in hub order.
   std::vector<std::vector<HubFlowRecord>> out(p);
-  if (nbflow_.capacity() < level_n_) nbflow_.reset(level_n_);
   for (std::uint32_t li : hubs_) {
     const LocalVertex& hv = verts_[li];
     nbflow_.clear();
     for (std::uint32_t a = arc_off_[li]; a < arc_off_[li + 1]; ++a)
-      nbflow_[verts_[arcs_[a].target].module].flow += arcs_[a].flow;
+      nbflow_[module_of_[arcs_[a].target]].flow += arcs_[a].flow;
     wk(Phase::kBroadcastDelegates).arcs_scanned +=
         arc_off_[li + 1] - arc_off_[li];
     auto& sink = out[static_cast<std::size_t>(owner_of(hv.global))];
@@ -319,11 +360,10 @@ std::uint64_t DistRank::broadcast_delegates_exact() {
       rec.hub = hv.global;
       rec.module = mod;
       rec.flow = nbflow_.find(mod)->flow;
-      auto it = modules_.find(mod);
-      if (it != modules_.end()) {
-        rec.sum_pr = it->second.sum_pr;
-        rec.exit_pr = it->second.exit_pr;
-        rec.num_members = static_cast<std::int64_t>(it->second.num_members);
+      if (const ModuleStats* stats = modules_.find(mod)) {
+        rec.sum_pr = stats->sum_pr;
+        rec.exit_pr = stats->exit_pr;
+        rec.num_members = static_cast<std::int64_t>(stats->num_members);
       } else {
         rec.num_members = -1;  // stats unknown to the sender
       }
@@ -373,13 +413,13 @@ std::uint64_t DistRank::broadcast_delegates_exact() {
     auto it = index_.find(hub);
     DINFOMAP_REQUIRE_MSG(it != index_.end(), "owner does not hold its hub");
     const LocalVertex& hv = verts_[it->second];
-    const ModuleId cur = hv.module;
+    const ModuleId cur = module_of_[it->second];
     const auto cur_it =
         std::find_if(flows.begin(), flows.end(),
                      [cur](const Candidate& c) { return c.mod == cur; });
     const double f_to_old = cur_it != flows.end() ? cur_it->flow : 0.0;
-    auto own_cur = modules_.find(cur);
-    if (own_cur == modules_.end()) continue;
+    const ModuleStats* own_cur = modules_.find(cur);
+    if (own_cur == nullptr) continue;
 
     double best_delta = -cfg_.move_epsilon;
     ModuleId best_target = cur;
@@ -387,8 +427,8 @@ std::uint64_t DistRank::broadcast_delegates_exact() {
       const ModuleId mod = cand.mod;
       if (mod == cur) continue;
       ModuleStats stats;
-      if (auto own = modules_.find(mod); own != modules_.end())
-        stats = own->second;
+      if (const ModuleStats* own = modules_.find(mod))
+        stats = *own;
       else if (cand.have_stats)
         stats = cand.stats;
       else
@@ -398,7 +438,7 @@ std::uint64_t DistRank::broadcast_delegates_exact() {
       d.f_u = hv.out_flow;  // exact global hub flow
       d.f_to_old = f_to_old;
       d.f_to_new = cand.flow;  // exact global flow to the candidate
-      d.old_stats = own_cur->second;
+      d.old_stats = *own_cur;
       d.new_stats = stats;
       d.q_total = q_total_;
       const MoveOutcome outcome = eval_move(d);
@@ -439,19 +479,22 @@ HomeTotals DistRank::swap_boundary_info(std::uint64_t local_moves) {
   std::vector<std::vector<BoundaryRecord>> out(p);
   for (std::uint32_t li : dirty_owned_) {
     if (sub_off_[li] == sub_off_[li + 1]) continue;
-    const LocalVertex& lv = verts_[li];
     BoundaryRecord rec;
-    rec.vertex = lv.global;
-    rec.info.mod_id = lv.module;
-    if (auto mod_it = modules_.find(lv.module); mod_it != modules_.end()) {
-      rec.info.sum_pr = mod_it->second.sum_pr;
-      rec.info.exit_pr = mod_it->second.exit_pr;
-      rec.info.num_members =
-          static_cast<std::int32_t>(mod_it->second.num_members);
+    rec.vertex = verts_[li].global;
+    rec.info.mod_id = module_of_[li];
+    if (const ModuleStats* stats = modules_.find(rec.info.mod_id)) {
+      rec.info.sum_pr = stats->sum_pr;
+      rec.info.exit_pr = stats->exit_pr;
+      rec.info.num_members = static_cast<std::int32_t>(stats->num_members);
     }
     for (std::uint32_t s = sub_off_[li]; s < sub_off_[li + 1]; ++s)
       out[static_cast<std::size_t>(sub_ranks_[s])].push_back(rec);
   }
+  // A sync round re-arms every vertex it shipped. The async engine ships an
+  // owned vertex's record at most once per level and keeps its flag: the
+  // epoch deltas already carry each of its moves to the same subscribers.
+  if (!cfg_.async)
+    for (std::uint32_t li : dirty_owned_) dirty_flag_[li] = 0;
   dirty_owned_.clear();
   if (sent_stamp_.size() < level_n_) sent_stamp_.resize(level_n_, 0);
   // A module's first record in a destination batch carries its statistics;
@@ -489,17 +532,16 @@ HomeTotals DistRank::swap_boundary_info(std::uint64_t local_moves) {
       }
       auto it = index_.find(rec.vertex);
       if (it == index_.end()) continue;
-      if (cfg_.async && verts_[it->second].module != rec.info.mod_id)
+      if (cfg_.async && module_of_[it->second] != rec.info.mod_id)
         stamp_assign(it->second, tick());
-      verts_[it->second].module = rec.info.mod_id;
-      if (modules_.count(rec.info.mod_id)) continue;  // existing module
-      if (rec.info.is_sent) continue;                 // stats already shipped
-      ModuleStats stats;
+      module_of_[it->second] = static_cast<VertexId>(rec.info.mod_id);
+      if (modules_.contains(rec.info.mod_id)) continue;  // existing module
+      if (rec.info.is_sent) continue;  // stats already shipped
+      ModuleStats& stats = modules_[rec.info.mod_id];
       stats.sum_pr = rec.info.sum_pr;
       stats.exit_pr = rec.info.exit_pr;
       stats.num_members = static_cast<std::uint64_t>(
           std::max<std::int32_t>(rec.info.num_members, 0));
-      modules_.emplace(rec.info.mod_id, stats);
       if (cfg_.async) stamp_stats(rec.info.mod_id, tick());
       ++wk(Phase::kSwapBoundaryInfo).module_updates;
     }
@@ -521,16 +563,17 @@ HomeTotals DistRank::swap_boundary_info(std::uint64_t local_moves) {
         (lv.kind == Kind::kOwned && !settled(li)) ||
         (lv.kind == Kind::kDelegate && owner_of(lv.global) == r);
     if (controlled) {
-      ModulePartial& mp = partial_acc_[lv.module];
-      mp.mod_id = lv.module;
+      const ModuleId m = module_of_[li];
+      ModulePartial& mp = partial_acc_[m];
+      mp.mod_id = m;
       mp.sum_pr += lv.node_flow;
       mp.num_members += 1;
     }
   }
   for (std::uint32_t li = 0; li < verts_.size(); ++li) {
-    const ModuleId mu = verts_[li].module;
+    const ModuleId mu = module_of_[li];
     for (std::uint32_t a = arc_off_[li]; a < arc_off_[li + 1]; ++a) {
-      const ModuleId mv = verts_[arcs_[a].target].module;
+      const ModuleId mv = module_of_[arcs_[a].target];
       if (mu == mv) continue;
       ModulePartial& mp = partial_acc_[mu];
       mp.mod_id = mu;
@@ -542,7 +585,7 @@ HomeTotals DistRank::swap_boundary_info(std::uint64_t local_moves) {
   // local vertex currently references.
   for (std::uint32_t li = 0; li < verts_.size(); ++li) {
     if (settled(li)) continue;
-    const ModuleId m = verts_[li].module;
+    const ModuleId m = module_of_[li];
     partial_acc_[m].mod_id = m;  // no-op unless this touch created the entry
   }
 
@@ -626,17 +669,18 @@ HomeTotals DistRank::swap_boundary_info(std::uint64_t local_moves) {
     const std::uint64_t t = cfg_.async ? tick() : 0;
     for (const auto& batch : replies_in) {
       for (const ModuleInfo& info : batch) {
-        ModuleStats stats;
+        // One home answers for each module, and a sender's partials name a
+        // module once, so every id arrives once.
+        ModuleStats& stats = modules_[info.mod_id];
         stats.sum_pr = info.sum_pr;
         stats.exit_pr = info.exit_pr;
         stats.num_members = static_cast<std::uint64_t>(info.num_members);
-        modules_.emplace(info.mod_id, stats);
         if (cfg_.async) {
-          auto prev = prev_modules_.find(info.mod_id);
-          const bool changed = prev == prev_modules_.end() ||
-                               prev->second.sum_pr != stats.sum_pr ||
-                               prev->second.exit_pr != stats.exit_pr ||
-                               prev->second.num_members != stats.num_members;
+          const ModuleStats* prev = prev_modules_.find(info.mod_id);
+          const bool changed = prev == nullptr ||
+                               prev->sum_pr != stats.sum_pr ||
+                               prev->exit_pr != stats.exit_pr ||
+                               prev->num_members != stats.num_members;
           if (changed) stamp_stats(info.mod_id, t);
         }
         ++wk(Phase::kSwapBoundaryInfo).module_updates;
@@ -666,12 +710,9 @@ std::uint64_t DistRank::other_update(const HomeTotals& totals,
 
 void DistRank::sample_table_metrics() {
   if (metrics_ == nullptr) return;
-  auto& probes = metrics_->histogram("module_table.probe_len");
-  for (const auto& slot : modules_) probes.observe(modules_.probe_length(slot.first));
   metrics_->gauge("module_table.size").set(static_cast<double>(modules_.size()));
   metrics_->gauge("module_table.capacity")
       .set(static_cast<double>(modules_.capacity()));
-  metrics_->counter("flatmap.rehashes").set(modules_.rehashes());
 }
 
 DistRank::RoundResult DistRank::round(bool with_delegates,
@@ -765,10 +806,8 @@ void DistRank::async_level(bool with_delegates, OuterIterationInfo& info) {
   ghost_readers_.assign(verts_.size(), {});
   for (std::uint32_t li : movable_) {
     if (verts_[li].kind == Kind::kDelegate) continue;
-    for (std::uint32_t a = arc_off_[li]; a < arc_off_[li + 1]; ++a) {
-      const std::uint32_t t = arcs_[a].target;
-      if (verts_[t].kind != Kind::kOwned) ghost_readers_[t].push_back(li);
-    }
+    for (std::uint32_t a = arc_off_[li]; a < arc_off_[li + 1]; ++a)
+      if (arcs_[a].boundary) ghost_readers_[arcs_[a].target].push_back(li);
   }
 
   // Seed every movable non-hub; boundary vertices get a flat bonus on top of
@@ -781,7 +820,7 @@ void DistRank::async_level(bool with_delegates, OuterIterationInfo& info) {
     ++n_movable;
     bool boundary = false;
     for (std::uint32_t a = arc_off_[li]; a < arc_off_[li + 1]; ++a) {
-      if (verts_[arcs_[a].target].kind != Kind::kOwned) {
+      if (arcs_[a].boundary) {
         boundary = true;
         break;
       }
@@ -805,9 +844,7 @@ void DistRank::async_level(bool with_delegates, OuterIterationInfo& info) {
   // must never *end* in a regressed state — merges are irreversible, so
   // damage here would be locked in for every later level.
   double best_l = codelength_;
-  std::vector<ModuleId> best_assign(verts_.size());
-  for (std::uint32_t li = 0; li < verts_.size(); ++li)
-    best_assign[li] = verts_[li].module;
+  std::vector<VertexId> best_assign = module_of_;
 
   for (int epoch = 0; epoch < max_epochs; ++epoch) {
     obs::SpanScope epoch_span(trace_buf_, "AsyncEpoch");
@@ -816,9 +853,6 @@ void DistRank::async_level(bool with_delegates, OuterIterationInfo& info) {
 
     // --- drain: pop by priority, move, activate local readers -------------
     std::vector<std::vector<ModuleDeltaRecord>> delta_out(p);
-    if (dirty_flag_.size() != verts_.size())
-      dirty_flag_.assign(verts_.size(), 0);
-    for (std::uint32_t li : dirty_owned_) dirty_flag_[li] = 1;
     std::uint64_t epoch_local_moves = 0;
     {
       PhaseScope scope(*this, Phase::kFindBestModule);
@@ -828,18 +862,13 @@ void DistRank::async_level(bool with_delegates, OuterIterationInfo& info) {
         ++drained;
         BestMove mv;
         if (!best_move_for(li, mv)) continue;
-        const ModuleId old_mod = verts_[li].module;
+        const ModuleId old_mod = module_of_[li];
         apply_local_move(li, mv);
         ++epoch_local_moves;
-        if (!dirty_flag_[li]) {
-          dirty_flag_[li] = 1;
-          dirty_owned_.push_back(li);
-        }
+        mark_dirty(li);
         const double gain = -mv.delta_l;
-        for (std::uint32_t a = arc_off_[li]; a < arc_off_[li + 1]; ++a) {
-          const std::uint32_t t = arcs_[a].target;
-          if (verts_[t].kind == Kind::kOwned) worklist_.activate(t, gain);
-        }
+        for (std::uint32_t a = arc_off_[li]; a < arc_off_[li + 1]; ++a)
+          if (!arcs_[a].boundary) worklist_.activate(arcs_[a].target, gain);
         ModuleDeltaRecord rec;
         rec.vertex = verts_[li].global;
         rec.old_module = old_mod;
@@ -884,28 +913,29 @@ void DistRank::async_level(bool with_delegates, OuterIterationInfo& info) {
           auto it = index_.find(rec.vertex);
           if (it == index_.end()) continue;
           const std::uint32_t g = it->second;
-          if (verts_[g].module == rec.new_module) continue;
-          verts_[g].module = rec.new_module;
+          if (module_of_[g] == rec.new_module) continue;
+          module_of_[g] = static_cast<VertexId>(rec.new_module);
           const std::uint64_t t = tick();
           stamp_assign(g, t);
-          if (auto om = modules_.find(rec.old_module); om != modules_.end()) {
-            om->second.sum_pr -= rec.node_flow;
-            if (om->second.num_members > 0) --om->second.num_members;
+          if (modules_.contains(rec.old_module)) {
+            ModuleStats& om = modules_[rec.old_module];
+            om.sum_pr -= rec.node_flow;
+            if (om.num_members > 0) --om.num_members;
             stamp_stats(rec.old_module, t);
           }
-          if (auto nm = modules_.find(rec.new_module); nm != modules_.end()) {
-            nm->second.sum_pr += rec.node_flow;
-            ++nm->second.num_members;
+          const bool known = modules_.contains(rec.new_module);
+          ModuleStats& nm = modules_[rec.new_module];
+          if (known) {
+            nm.sum_pr += rec.node_flow;
+            ++nm.num_members;
           } else {
-            ModuleStats stats;
-            stats.sum_pr = rec.node_flow;
+            nm.sum_pr = rec.node_flow;
             // True exit flow is unknown here (reconciliation restores it);
             // estimate it as the mover's out-flow rather than zero — a
             // zero-exit module prices as a perfect sink in the map equation
             // and the drains over-merge into it.
-            stats.exit_pr = rec.node_flow;
-            stats.num_members = 1;
-            modules_.emplace(rec.new_module, stats);
+            nm.exit_pr = rec.node_flow;
+            nm.num_members = 1;
           }
           stamp_stats(rec.new_module, t);
           ++wk(Phase::kSwapBoundaryInfo).module_updates;
@@ -969,8 +999,7 @@ void DistRank::async_level(bool with_delegates, OuterIterationInfo& info) {
     if (reconciled) {
       if (codelength_ < best_l) {
         best_l = codelength_;
-        for (std::uint32_t li = 0; li < verts_.size(); ++li)
-          best_assign[li] = verts_[li].module;
+        best_assign = module_of_;
       }
       // Same stopping rules as the synchronous round loop, evaluated on the
       // exact per-reconciliation codelengths. A quiet epoch plus a move-free
@@ -1013,17 +1042,11 @@ void DistRank::async_level(bool with_delegates, OuterIterationInfo& info) {
   // the same home aggregation and the same reduction.
   if (codelength_ > best_l) {
     const std::uint64_t t = tick();
-    if (dirty_flag_.size() != verts_.size())
-      dirty_flag_.assign(verts_.size(), 0);
-    for (std::uint32_t li : dirty_owned_) dirty_flag_[li] = 1;
     for (std::uint32_t li = 0; li < verts_.size(); ++li) {
-      if (verts_[li].module == best_assign[li]) continue;
-      verts_[li].module = best_assign[li];
+      if (module_of_[li] == best_assign[li]) continue;
+      module_of_[li] = best_assign[li];
       stamp_assign(li, t);
-      if (verts_[li].kind == Kind::kOwned && !dirty_flag_[li]) {
-        dirty_flag_[li] = 1;
-        dirty_owned_.push_back(li);
-      }
+      if (verts_[li].kind == Kind::kOwned) mark_dirty(li);
     }
     (void)other_update(swap_boundary_info(0), 0);
     ++recons_out;
@@ -1051,7 +1074,7 @@ VertexId DistRank::merge_level() {
   for (const ModuleId slot : homed_.keys())
     if (homed_.find(slot)->num_members > 0) mine.push_back(homed_id(slot));
   for (std::uint32_t li = 0; li < verts_.size(); ++li)
-    if (settled(li)) mine.push_back(verts_[li].module);
+    if (settled(li)) mine.push_back(module_of_[li]);
   const auto announced = comm_.allgatherv(mine);
   constexpr VertexId kDead = ~VertexId{0};
   std::vector<VertexId> dense_of(level_n_, kDead);
@@ -1063,9 +1086,9 @@ VertexId DistRank::merge_level() {
   // Dense id of every local vertex's module, looked up once per vertex.
   std::vector<VertexId> coarse(verts_.size());
   for (std::uint32_t li = 0; li < verts_.size(); ++li) {
-    coarse[li] = dense_of[verts_[li].module];
+    coarse[li] = dense_of[module_of_[li]];
     DINFOMAP_REQUIRE_MSG(coarse[li] != kDead,
-                         "module " << verts_[li].module
+                         "module " << module_of_[li]
                                    << " missing from the live-id list");
   }
 
@@ -1178,6 +1201,7 @@ VertexId DistRank::merge_level() {
   const int r = comm_.rank();
   for (auto& lv : verts_)
     lv.kind = owner_of(lv.global) == r ? Kind::kOwned : Kind::kGhost;
+  mark_boundary_arcs();
   for (const auto& batch : info_in) {
     for (const CoarseVertexInfo& ci : batch) {
       auto it = index_.find(ci.vertex);
@@ -1190,9 +1214,9 @@ VertexId DistRank::merge_level() {
   for (std::uint32_t li = 0; li < verts_.size(); ++li)
     if (verts_[li].kind == Kind::kOwned) movable_.push_back(li);
 
+  level_n_ = k;
   setup_subscriptions();
   init_singleton_modules();
-  level_n_ = k;
   return k;
 }
 
@@ -1284,7 +1308,7 @@ void DistRank::execute() {
       DINFOMAP_REQUIRE_MSG(it != index_.end(),
                            "final-projection interest for non-owned vertex");
       push[sub.rank].push_back(
-          {sub.vertex, 0, verts_[it->second].module});
+          {sub.vertex, 0, module_of_[it->second]});
     }
     auto pushed_in = comm_.alltoallv(push);
     // A vertex may be pushed by several registrations; all carry its one

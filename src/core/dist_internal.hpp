@@ -77,18 +77,25 @@ class DistRank {
  private:
   friend struct DistRankTestPeer;
 
+  /// A vertex's module is not here but in module_of_: the move search reads
+  /// a neighbour's module on every arc and never needs the rest.
   struct LocalVertex {
     VertexId global = 0;
     Kind kind = Kind::kGhost;
     double node_flow = 0;  ///< exact for owned/delegate; unused for ghosts
     double out_flow = 0;   ///< total flow on non-self arcs (exact when known)
     double self_flow = 0;  ///< coarse-level intra flow
-    ModuleId module = 0;
   };
+  static_assert(sizeof(LocalVertex) == 32);
   struct LocalArc {
     std::uint32_t target = 0;  ///< local index
+    /// 1 iff the target is not owned here (a ghost or a hub), so the move
+    /// search learns it without reading the target's LocalVertex. Set once
+    /// per level by mark_boundary_arcs, after the kinds are final.
+    std::uint8_t boundary = 0;
     double flow = 0;
   };
+  static_assert(sizeof(LocalArc) == 16);
 
   // ---- setup -------------------------------------------------------------
   void setup_stage1(const graph::GraphView& graph,
@@ -116,6 +123,12 @@ class DistRank {
   void install_local_graph(const std::vector<SourceRow>& rows,
                            int num_ranks_mod, VertexId level_n);
   void setup_subscriptions();
+  /// Set every arc's boundary bit from its target's kind; called at setup
+  /// and after every merge, once the level's kinds are final.
+  void mark_boundary_arcs();
+  /// Every vertex its own module: module_of_ is the identity, and modules_
+  /// holds each non-ghost, non-settled vertex's stats. Sizes modules_ and
+  /// nbflow_ to level_n_.
   void init_singleton_modules();
 
   // ---- one synchronous round (either stage) ------------------------------
@@ -138,6 +151,15 @@ class DistRank {
     round_mdl_.push_back(codelength_);
   }
 
+  /// Prefetch ahead of vertex order[i] along the visit order, so the loads
+  /// of order[i + k] are in flight while order[i] is evaluated: its row
+  /// bounds, record and module id at k = 16, its first arcs and own module
+  /// entry at k = 8, the module ids of its first 8 targets at k = 4, and the
+  /// nbflow_ slots of its first 4 targets' modules at k = 2. Each stage
+  /// reads only what an earlier one fetched. Hints only: every address is
+  /// that of an in-range element, and no result can change.
+  void prefetch_visit(const std::vector<std::uint32_t>& order,
+                      std::size_t i) const;
   /// Phase 1: greedy pass; immediate moves for owned, proposals for hubs.
   std::uint64_t find_best_modules(bool with_delegates, util::Xoshiro256& rng,
                                   std::vector<HubProposal>& proposals);
@@ -172,6 +194,12 @@ class DistRank {
   bool best_move_for(std::uint32_t li, BestMove& best);
 
   void apply_local_move(std::uint32_t li, const BestMove& mv);
+  /// Queue owned vertex `li` for the next swap's boundary records, once.
+  void mark_dirty(std::uint32_t li) {
+    if (dirty_flag_[li]) return;
+    dirty_flag_[li] = 1;
+    dirty_owned_.push_back(li);
+  }
 
   /// §3.4 anti-bouncing, per-pair deterministic tiebreak: (mass, label)
   /// defines a total order over modules and a non-singleton boundary move
@@ -290,8 +318,8 @@ class DistRank {
     obs::SpanScope span_;
   };
 
-  /// Sample flight-recorder gauges/histograms that describe the current
-  /// tables (module-table probe lengths, sizes). No-op unless metrics are on.
+  /// Sample the flight-recorder gauges of the module table (entries, slots).
+  /// No-op unless metrics are on.
   void sample_table_metrics();
 
   comm::Comm& comm_;
@@ -313,13 +341,18 @@ class DistRank {
   std::vector<std::uint32_t> movable_;   // local indices, owned first
   std::vector<std::uint32_t> hubs_;      // local indices of delegates
 
-  /// Per-rank module table. Open addressing: evaluate_move probes it once
-  /// per candidate module, which made unordered_map bucket chasing the
-  /// FindBestModule bottleneck (see DESIGN.md "Hot-path data structures").
-  util::FlatMap<ModuleId, ModuleStats> modules_;
+  /// Module of every local vertex, by local index: the only store of it.
+  /// Module ids are current-level vertex ids, so 4 bytes hold one.
+  std::vector<VertexId> module_of_;
 
-  /// Reusable move-search scratch. Module ids at any level are that level's
-  /// vertex ids, so a dense accumulator of capacity level_n_ covers all keys.
+  /// Per-rank module table, indexed by module id (< level_n_): a candidate
+  /// lookup is one index, not a hash probe. A module is present once touched
+  /// since the last clear; an absent candidate is skipped (skipped_unsynced).
+  util::SparseAccumulator<ModuleId, ModuleStats> modules_;
+
+  /// Reusable move-search scratch, sized to level_n_ in
+  /// init_singleton_modules: module ids at any level are that level's vertex
+  /// ids, so a dense accumulator of that capacity covers all keys.
   struct NeighborFlow {
     double flow = 0;
     std::uint8_t boundary = 0;  ///< reached through a non-owned vertex
@@ -329,7 +362,7 @@ class DistRank {
   util::SparseAccumulator<ModuleId, ModulePartial> partial_acc_;
   PlogpMemo memo_;
 
-  /// modules_.find misses in the move search (candidate module not yet
+  /// modules_ misses in the move search (candidate module not yet
   /// synced locally → vertex skipped this round). Previously silent; now
   /// counted so the invariant watchdog can flag pathological skip rates.
   std::uint64_t skipped_unsynced_round_ = 0;
@@ -356,13 +389,12 @@ class DistRank {
   /// replaces the table wholesale, and only entries that actually changed
   /// bitwise may stamp (otherwise every reconciliation would reactivate
   /// every vertex).
-  util::FlatMap<ModuleId, ModuleStats> prev_modules_;
+  util::SparseAccumulator<ModuleId, ModuleStats> prev_modules_;
 
   // ---- async worklist state (cfg_.async) ----------------------------------
   /// Lazy-deletion priority queue over local vertex indices (extracted to
   /// util so the dcheck harness drives the same implementation).
   util::LazyPriorityWorklist worklist_;
-  std::vector<std::uint8_t> dirty_flag_; ///< async dedup for dirty_owned_
   /// Per local *non-owned* vertex: owned local readers (reverse adjacency),
   /// built per level in async mode so an incoming delta for a ghost/hub can
   /// reactivate exactly the local vertices that read it.
@@ -380,6 +412,10 @@ class DistRank {
 
   /// Owned vertices that changed module since the last swap.
   std::vector<std::uint32_t> dirty_owned_;
+  /// Per local vertex, sized per level: set once mark_dirty queued it. The
+  /// sync swap clears the flags it ships; the async engine keeps them for the
+  /// level (see swap_boundary_info).
+  std::vector<std::uint8_t> dirty_flag_;
   /// Ranks reading local vertex li (owned vertices only), ascending:
   /// sub_ranks_[sub_off_[li] .. sub_off_[li + 1]).
   std::vector<std::uint32_t> sub_off_;

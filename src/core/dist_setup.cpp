@@ -55,7 +55,7 @@ void DistRank::setup_stage1(const graph::GraphView& graph,
     auto rank_of = first;
     for (const auto& nb : graph.neighbors(u, cursor)) {
       if (*rank_of++ != r) continue;
-      arcs_.push_back({nb.target, nb.weight});
+      arcs_.push_back({nb.target, 0, nb.weight});
       local_w += nb.weight;
     }
     rows.push_back({u, static_cast<std::uint32_t>(arcs_.size()), 0.0});
@@ -76,6 +76,7 @@ void DistRank::setup_stage1(const graph::GraphView& graph,
     else
       lv.kind = Kind::kGhost;
   }
+  mark_boundary_arcs();
 
   // Hub flows are spread over ranks; reduce them to exact global values.
   std::vector<VertexId> hub_ids;
@@ -186,7 +187,7 @@ void DistRank::build_local_graph(std::vector<std::vector<CoarseArc>>& runs,
                triples[i - 1].target == t.target) {
       arcs_.back().flow += t.flow;
     } else {
-      arcs_.push_back({t.target, t.flow});
+      arcs_.push_back({t.target, 0, t.flow});
       rows.back().end = static_cast<std::uint32_t>(arcs_.size());
     }
   }
@@ -217,7 +218,6 @@ void DistRank::install_local_graph(const std::vector<SourceRow>& rows,
   for (VertexId v = 0; v < level_n; ++v) {
     if (slot[v] == kAbsent) continue;
     verts_[slot[v]].global = v;
-    verts_[slot[v]].module = v;
     index_.emplace(v, slot[v]);
   }
 
@@ -273,9 +273,16 @@ void DistRank::setup_subscriptions() {
       sub_ranks_[cursor[requested[k++]]++] = src;
 }
 
+void DistRank::mark_boundary_arcs() {
+  for (LocalArc& a : arcs_)
+    a.boundary = verts_[a.target].kind != Kind::kOwned ? 1 : 0;
+}
+
 void DistRank::init_singleton_modules() {
-  modules_.clear();
+  modules_.reset(level_n_);
+  nbflow_.reset(level_n_);
   dirty_owned_.clear();
+  dirty_flag_.assign(verts_.size(), 0);
   round_index_ = 0;
   if (cfg_.async) {
     // Force a full activity reset at the next round/epoch: vertex and module
@@ -285,25 +292,24 @@ void DistRank::init_singleton_modules() {
     assign_stamp_.clear();
     stat_stamp_.clear();
     last_eval_.clear();
-    prev_modules_.clear();
+    prev_modules_.reset(level_n_);
     worklist_.reset(0);
-    dirty_flag_.clear();
     ghost_readers_.clear();
   }
   num_settled_ = 0;
+  module_of_.resize(verts_.size());
   for (std::uint32_t li = 0; li < verts_.size(); ++li) {
-    LocalVertex& lv = verts_[li];
-    lv.module = lv.global;
+    const LocalVertex& lv = verts_[li];
+    module_of_[li] = lv.global;
     if (lv.kind == Kind::kGhost) continue;
     if (settled(li)) {
       ++num_settled_;
       continue;
     }
-    ModuleStats stats;
+    ModuleStats& stats = modules_[lv.global];
     stats.sum_pr = lv.node_flow;
     stats.exit_pr = lv.out_flow;
     stats.num_members = 1;
-    modules_.emplace(static_cast<ModuleId>(lv.global), stats);
   }
 }
 

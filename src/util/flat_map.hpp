@@ -1,9 +1,9 @@
 // Open-addressing hash map (linear probing, power-of-two capacity, Fibonacci
 // hashing) for integral keys. Replaces `std::unordered_map` in lookup-heavy
-// hot paths — the per-rank module table of the distributed Infomap probes this
-// once per candidate module per ΔL evaluation, and a node-based map pays a
-// bucket-pointer chase plus an allocation per insert. Slots live in one
-// contiguous array, so a probe is one cache line in the common case.
+// paths — the distributed Infomap's global→local vertex index — where a
+// node-based map pays a bucket-pointer chase plus an allocation per insert.
+// Slots live in one contiguous array, so a probe is one cache line in the
+// common case.
 //
 // Not a general container: no erase (the algorithms only ever clear whole
 // tables between rounds), keys are value types, and iteration order is slot
@@ -58,11 +58,6 @@ class FlatMap {
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
-
-  /// Growth rehashes so far: times a non-empty table re-inserted all its
-  /// entries into a larger slot array (feeds the `flatmap.rehashes` metric).
-  /// clear() keeps the count — it tracks lifetime rehash work.
-  [[nodiscard]] std::uint64_t rehashes() const { return rehashes_; }
 
   /// Set the maximum load factor to `num/den` (entries ≤ capacity·num/den).
   /// Lower = fewer probe collisions, more memory; higher = denser tables,
@@ -137,20 +132,6 @@ class FlatMap {
     return static_cast<std::uint64_t>(key) * 0x9E3779B97F4A7C15ull;
   }
 
-  /// Diagnostic: slots inspected to reach `key` (1 = home slot, 0 = absent or
-  /// empty table). Flight-recorder sampling only — never on the hot path.
-  [[nodiscard]] std::size_t probe_length(K key) const {
-    if (slots_.empty()) return 0;
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t i = static_cast<std::size_t>(mix(key) >> shift_) & mask;
-    std::size_t probes = 1;
-    while (slots_[i].used && slots_[i].first != key) {
-      i = (i + 1) & mask;
-      ++probes;
-    }
-    return slots_[i].used ? probes : 0;
-  }
-
  private:
   static constexpr std::size_t kMinCapacity = 16;
 
@@ -173,7 +154,6 @@ class FlatMap {
   }
 
   void rehash(std::size_t new_cap) {
-    if (size_ > 0) ++rehashes_;
     std::vector<Slot> old = std::move(slots_);
     slots_.assign(new_cap, Slot{});
     shift_ = 64;
@@ -196,7 +176,6 @@ class FlatMap {
   // degrades sharply past that). Adjustable per table via set_max_load.
   std::size_t max_load_num_ = 7;
   std::size_t max_load_den_ = 8;
-  std::uint64_t rehashes_ = 0;
 };
 
 }  // namespace dinfomap::util

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "util/check.hpp"
+#include "util/prefetch.hpp"
 
 namespace dinfomap::util {
 
@@ -71,6 +72,15 @@ class SparseAccumulator {
   [[nodiscard]] V value_or(K key, V fallback) const {
     const V* v = find(key);
     return v ? *v : fallback;
+  }
+
+  /// Prefetch the stamp and value slots of `key` ahead of a find or a
+  /// touch. A hint only: no state changes. Keys must be < capacity().
+  void prefetch(K key) const {
+    const auto i = static_cast<std::size_t>(key);
+    DINFOMAP_ASSERT(i < values_.size());
+    prefetch_read(&stamp_[i]);
+    prefetch_read(&values_[i]);
   }
 
   /// Touched keys in deterministic first-touch order.

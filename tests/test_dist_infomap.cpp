@@ -51,9 +51,9 @@ struct DistRankTestPeer {
     for (int i = 0; i < rounds; ++i) (void)rank.round(/*with_delegates=*/true, rng);
     std::set<std::pair<ModuleId, ModuleId>> pairs;
     for (std::uint32_t li = 0; li < rank.verts_.size(); ++li) {
-      const ModuleId m = rank.verts_[li].module;
+      const ModuleId m = rank.module_of_[li];
       for (std::uint32_t a = rank.arc_off_[li]; a < rank.arc_off_[li + 1]; ++a)
-        pairs.emplace(m, rank.verts_[rank.arcs_[a].target].module);
+        pairs.emplace(m, rank.module_of_[rank.arcs_[a].target]);
       if (rank.verts_[li].self_flow > 0 && rank.verts_[li].kind != Kind::kGhost)
         pairs.emplace(m, m);
     }
@@ -81,8 +81,8 @@ struct DistRankTestPeer {
       for (std::uint32_t li = 0; li < rank.verts_.size(); ++li) {
         if (!rank.settled(li)) continue;
         ++probe.settled[level];
-        const ModuleId m = rank.verts_[li].module;
-        if (rank.modules_.find(m) != rank.modules_.end() ||
+        const ModuleId m = rank.module_of_[li];
+        if (rank.modules_.contains(m) ||
             rank.homed_.find(rank.home_slot(m)) != nullptr)
           ++probe.in_tables;
       }
@@ -129,6 +129,108 @@ struct DistRankTestPeer {
     for (std::uint32_t li = 0; li < rank.verts_.size(); ++li)
       EXPECT_EQ(rank.local_index(rank.verts_[li].global), li);
     return g;
+  }
+
+  /// After execute()'s prologue, point the first neighbour of one owned
+  /// vertex at a module id the local table does not hold, then evaluate the
+  /// vertex: that candidate must be skipped and counted, never chosen.
+  struct UnsyncedProbe {
+    bool ran = false;
+    std::uint64_t skipped = 0;
+    bool chose_missing = false;
+  };
+  static UnsyncedProbe unsynced_probe(DistRank& rank) {
+    UnsyncedProbe probe;
+    rank.setup_subscriptions();
+    rank.init_singleton_modules();
+    (void)rank.other_update(rank.swap_boundary_info(0), 0);
+    ModuleId missing = rank.level_n_;
+    for (ModuleId m = 0; m < rank.level_n_; ++m) {
+      if (!rank.modules_.contains(m)) {
+        missing = m;
+        break;
+      }
+    }
+    if (missing == rank.level_n_) return probe;
+    for (const std::uint32_t li : rank.movable_) {
+      if (rank.verts_[li].kind != Kind::kOwned) continue;
+      if (rank.arc_off_[li] == rank.arc_off_[li + 1]) continue;
+      rank.module_of_[rank.arcs_[rank.arc_off_[li]].target] =
+          static_cast<VertexId>(missing);
+      const std::uint64_t before = rank.skipped_unsynced_round_;
+      DistRank::BestMove mv;
+      const bool found = rank.best_move_for(li, mv);
+      probe.ran = true;
+      probe.skipped = rank.skipped_unsynced_round_ - before;
+      probe.chose_missing = found && mv.target == missing;
+      break;
+    }
+    return probe;
+  }
+
+  /// What one rank shows of the level layout: arcs whose boundary bit
+  /// disagrees with their target's kind, held vertices whose module_of_
+  /// entry disagrees with the owner's, and rounds whose changed owned
+  /// entries do not match the moves the round reported.
+  struct LayoutProbe {
+    std::uint64_t checks = 0;
+    std::uint64_t bad_boundary = 0;
+    std::uint64_t bad_module = 0;
+    std::uint64_t bad_moves = 0;
+  };
+  static void check_boundary_bits(const DistRank& rank, LayoutProbe& probe) {
+    ++probe.checks;
+    for (const auto& a : rank.arcs_)
+      if ((a.boundary != 0) != (rank.verts_[a.target].kind != Kind::kOwned))
+        ++probe.bad_boundary;
+  }
+  /// Every rank publishes (vertex, module) for the vertices it controls, and
+  /// checks each vertex it holds against that from-scratch assignment.
+  static void check_modules(DistRank& rank, LayoutProbe& probe) {
+    std::vector<std::uint64_t> mine;
+    for (std::uint32_t li = 0; li < rank.verts_.size(); ++li) {
+      const auto& lv = rank.verts_[li];
+      if (lv.kind == Kind::kGhost || rank.owner_of(lv.global) != rank.comm_.rank())
+        continue;
+      mine.push_back(lv.global);
+      mine.push_back(rank.module_of_[li]);
+    }
+    std::vector<std::uint64_t> truth(rank.level_n_, ~std::uint64_t{0});
+    for (const auto& batch : rank.comm_.allgatherv(mine))
+      for (std::size_t i = 0; i + 1 < batch.size(); i += 2)
+        truth[batch[i]] = batch[i + 1];
+    for (std::uint32_t li = 0; li < rank.verts_.size(); ++li)
+      if (truth[rank.verts_[li].global] != rank.module_of_[li]) ++probe.bad_module;
+  }
+  /// One sync round: its owned non-hub vertices that changed module must be
+  /// exactly the round's local moves (each is visited once per round).
+  static void checked_round(DistRank& rank, bool with_delegates,
+                            util::Xoshiro256& rng, LayoutProbe& probe) {
+    const std::vector<VertexId> before = rank.module_of_;
+    const DistRank::RoundResult rr = rank.round(with_delegates, rng);
+    std::uint64_t changed = 0;
+    for (std::uint32_t li = 0; li < rank.verts_.size(); ++li)
+      if (rank.verts_[li].kind == Kind::kOwned && rank.module_of_[li] != before[li])
+        ++changed;
+    if (changed != rr.local_moves) ++probe.bad_moves;
+    check_modules(rank, probe);
+  }
+  static LayoutProbe layout_probe(DistRank& rank) {
+    LayoutProbe probe;
+    util::Xoshiro256 rng(util::derive_seed(rank.cfg_.seed, rank.comm_.rank()));
+    check_boundary_bits(rank, probe);
+    rank.setup_subscriptions();
+    rank.init_singleton_modules();
+    (void)rank.other_update(rank.swap_boundary_info(0), 0);
+    check_modules(rank, probe);
+    for (int level = 0; level < 3; ++level) {
+      for (int i = 0; i < 2; ++i) checked_round(rank, level == 0, rng, probe);
+      (void)rank.merge_level();
+      check_boundary_bits(rank, probe);
+      (void)rank.other_update(rank.swap_boundary_info(0), 0);
+      check_modules(rank, probe);
+    }
+    return probe;
   }
 };
 }  // namespace dinfomap::core::detail
@@ -646,4 +748,52 @@ TEST(DistInfomap, BuildLocalGraphMatchesGlobalSortReference) {
           << "rank " << r << " trial " << trial;
     }
   });
+}
+
+TEST(DistInfomap, UnsyncedCandidateIsSkippedAndCounted) {
+  // A candidate module missing from the local table cannot be priced: the
+  // move search skips it and counts it in skipped_unsynced. Isolated ids
+  // 200..207 are settled, so no table holds their modules, at any p.
+  const auto gg = gen::sbm(200, 4, 0.2, 0.02, 7);
+  const auto g = dg::build_csr(gg.edges, gg.num_vertices + 8);
+  for (int p : {1, 2, 4}) {
+    const auto cfg = config_for(p);
+    const auto part = dinfomap::partition::make_delegate(
+        g, p, dc::resolve_degree_threshold(g, cfg));
+    std::vector<Peer::UnsyncedProbe> probes(p);
+    dinfomap::comm::Runtime::run(p, [&](dinfomap::comm::Comm& comm) {
+      dc::detail::DistRank rank(comm, g, part, cfg);
+      probes[comm.rank()] = Peer::unsynced_probe(rank);
+    });
+    for (int r = 0; r < p; ++r) {
+      EXPECT_TRUE(probes[r].ran) << "p=" << p << " rank " << r;
+      EXPECT_EQ(probes[r].skipped, 1u) << "p=" << p << " rank " << r;
+      EXPECT_FALSE(probes[r].chose_missing) << "p=" << p << " rank " << r;
+    }
+  }
+}
+
+TEST(DistInfomap, BoundaryBitsAndModuleArrayStayExact) {
+  // After setup and after every merge each arc's boundary bit equals "the
+  // target is not owned here"; after every round and merge each held
+  // vertex's module_of_ entry equals its owner's, and the owned entries a
+  // round changed are exactly its reported moves.
+  const auto gg = gen::sbm(240, 6, 0.2, 0.02, 29);
+  const auto g = dg::build_csr(gg.edges, gg.num_vertices + 5);
+  for (int p : {1, 2, 3, 4}) {
+    const auto cfg = config_for(p);
+    const auto part = dinfomap::partition::make_delegate(
+        g, p, dc::resolve_degree_threshold(g, cfg));
+    std::vector<Peer::LayoutProbe> probes(p);
+    dinfomap::comm::Runtime::run(p, [&](dinfomap::comm::Comm& comm) {
+      dc::detail::DistRank rank(comm, g, part, cfg);
+      probes[comm.rank()] = Peer::layout_probe(rank);
+    });
+    for (int r = 0; r < p; ++r) {
+      EXPECT_EQ(probes[r].checks, 4u) << "p=" << p << " rank " << r;
+      EXPECT_EQ(probes[r].bad_boundary, 0u) << "p=" << p << " rank " << r;
+      EXPECT_EQ(probes[r].bad_module, 0u) << "p=" << p << " rank " << r;
+      EXPECT_EQ(probes[r].bad_moves, 0u) << "p=" << p << " rank " << r;
+    }
+  }
 }

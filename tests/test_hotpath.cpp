@@ -206,17 +206,6 @@ TEST(FlatMap, AgreesWithUnorderedMapUnderRandomWorkload) {
   for (const auto& [k, v] : ref) EXPECT_DOUBLE_EQ(m.find(k)->second, v);
 }
 
-TEST(FlatMap, RehashCounterTracksGrowthOnly) {
-  du::FlatMap<std::uint64_t, int> m;
-  EXPECT_EQ(m.rehashes(), 0u);
-  m.reserve(1000);  // allocation of an empty table is not a rehash
-  EXPECT_EQ(m.rehashes(), 0u);
-  for (std::uint64_t k = 0; k < 1000; ++k) m[k] = 1;
-  EXPECT_EQ(m.rehashes(), 0u) << "reserve should have pre-sized the table";
-  for (std::uint64_t k = 1000; k < 20'000; ++k) m[k] = 1;
-  EXPECT_GT(m.rehashes(), 0u);
-}
-
 TEST(FlatMap, ConfigurableLoadFactorIsHonored) {
   // A denser table (95%) grows later than the default 7/8; a sparser one
   // (50%) grows earlier. Contents are unaffected either way.

@@ -332,18 +332,6 @@ TEST(Metrics, JsonExportIsByteStableAcrossInsertionOrder) {
   EXPECT_EQ(a.to_json(), a.to_json());
 }
 
-// --- flat-map probe diagnostics ---------------------------------------------
-
-TEST(FlatMapProbe, ProbeLengthPositiveForPresentZeroForAbsent) {
-  du::FlatMap<std::uint64_t, int> m;
-  for (std::uint64_t k = 0; k < 64; ++k) m[k * 3] = static_cast<int>(k);
-  for (std::uint64_t k = 0; k < 64; ++k)
-    EXPECT_GE(m.probe_length(k * 3), 1u) << "k=" << k;
-  EXPECT_EQ(m.probe_length(1), 0u);  // absent key
-  du::FlatMap<std::uint64_t, int> empty;
-  EXPECT_EQ(empty.probe_length(5), 0u);
-}
-
 // --- watchdog ---------------------------------------------------------------
 
 namespace {
@@ -641,7 +629,6 @@ TEST(RunReport, FilledByDistributedRun) {
     const auto doc = parse_json(mj);
     ASSERT_TRUE(doc.has_value()) << mj;
     EXPECT_NE(doc->get("histograms")->get("comm.msg_bytes"), nullptr);
-    EXPECT_NE(doc->get("histograms")->get("module_table.probe_len"), nullptr);
     EXPECT_NE(doc->get("counters")->get("comm.p2p_messages"), nullptr);
     EXPECT_NE(doc->get("counters")->get("moves.skipped_unsynced"), nullptr);
     EXPECT_NE(doc->get("counters")->get("comm.packed_exchanges"), nullptr);
