@@ -1,9 +1,9 @@
 // Microbenchmarks (google-benchmark) of the hot kernels: plogp, ΔL
 // evaluation, the sequential move pass, the distributed move search,
 // coarsening, and the comm collectives —
-// plus before/after kernels for the ISSUE-1 hot-path data structures
-// (SparseAccumulator vs unordered_map gather, FlatMap vs node-based module
-// table, memoized vs plain plogp in evaluate_move).
+// plus before/after kernels for the hot-path data structures
+// (SparseAccumulator vs unordered_map gather, memoized vs plain plogp in
+// evaluate_move).
 //
 // main() first hand-times the before/after kernels and writes the
 // machine-readable perf-trajectory artifact bench_results/BENCH_hotpath.json
@@ -31,7 +31,6 @@
 #include "graph/builder.hpp"
 #include "graph/edgelist_io.hpp"
 #include "graph/gen/generators.hpp"
-#include "util/flat_map.hpp"
 #include "util/random.hpp"
 #include "util/sparse_accumulator.hpp"
 #include "util/timer.hpp"
@@ -170,56 +169,6 @@ void BM_GatherAccumulator(benchmark::State& state) {
     benchmark::DoNotOptimize(gather_accumulator(fg, mods, acc));
 }
 BENCHMARK(BM_GatherAccumulator)->Unit(benchmark::kMicrosecond);
-
-// --- before/after kernel B: module-table probe ------------------------------
-// The evaluate_move candidate lookup pattern: random finds + occasional
-// updates against a table of live modules.
-
-template <typename Table>
-double module_table_probe(Table& table, const std::vector<std::uint64_t>& keys,
-                          const std::vector<std::uint64_t>& probes) {
-  table.clear();
-  for (std::uint64_t k : keys)
-    table.emplace(k, core::ModuleStats{1.0 / static_cast<double>(k + 1),
-                                       0.5 / static_cast<double>(k + 1), 1});
-  double checksum = 0;
-  for (std::uint64_t q : probes) {
-    auto it = table.find(q);
-    if (it != table.end()) {
-      checksum += it->second.sum_pr;
-      it->second.exit_pr += 1e-9;
-    }
-  }
-  return checksum;
-}
-
-std::pair<std::vector<std::uint64_t>, std::vector<std::uint64_t>>
-module_table_workload() {
-  constexpr std::size_t kModules = 4096;
-  constexpr std::size_t kProbes = 1 << 18;
-  std::vector<std::uint64_t> keys(kModules);
-  util::Xoshiro256 rng(11);
-  for (auto& k : keys) k = rng.next() % (kModules * 8);
-  std::vector<std::uint64_t> probes(kProbes);
-  for (auto& q : probes) q = rng.next() % (kModules * 8);
-  return {std::move(keys), std::move(probes)};
-}
-
-void BM_ModuleTableUnordered(benchmark::State& state) {
-  const auto [keys, probes] = module_table_workload();
-  std::unordered_map<std::uint64_t, core::ModuleStats> table;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(module_table_probe(table, keys, probes));
-}
-BENCHMARK(BM_ModuleTableUnordered)->Unit(benchmark::kMicrosecond);
-
-void BM_ModuleTableFlat(benchmark::State& state) {
-  const auto [keys, probes] = module_table_workload();
-  util::FlatMap<std::uint64_t, core::ModuleStats> table;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(module_table_probe(table, keys, probes));
-}
-BENCHMARK(BM_ModuleTableFlat)->Unit(benchmark::kMicrosecond);
 
 void BM_SequentialInfomapLfr1k(benchmark::State& state) {
   const auto gg = graph::gen::lfr_lite({}, 7);
@@ -377,24 +326,6 @@ void emit_hotpath_json() {
                 "(%.2fx vs fresh, %.2fx vs reused)\n",
                 fresh * 1e6, reused * 1e6, flat * 1e6, fresh / flat,
                 reused / flat);
-  }
-
-  {
-    const auto [keys, probes] = module_table_workload();
-    std::unordered_map<std::uint64_t, core::ModuleStats> umap;
-    util::FlatMap<std::uint64_t, core::ModuleStats> fmap;
-    const double node =
-        best_seconds(kReps, [&] { return module_table_probe(umap, keys, probes); });
-    const double flat =
-        best_seconds(kReps, [&] { return module_table_probe(fmap, keys, probes); });
-    json.begin_row()
-        .field("kernel", "module_table_probe")
-        .field("graph", "synthetic_4k_modules")
-        .field("unordered_us", node * 1e6)
-        .field("flat_map_us", flat * 1e6)
-        .field("speedup", node / flat);
-    std::printf("module table: unordered %.1fus flat %.1fus (%.2fx)\n",
-                node * 1e6, flat * 1e6, node / flat);
   }
 
   {

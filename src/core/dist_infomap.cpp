@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <optional>
 
 #include "comm/runtime.hpp"
@@ -61,17 +62,6 @@ bool DistRank::min_label_yields(ModuleId cur, ModuleId target) {
   return target > cur;           // mass tie: yield away from the smaller label
 }
 
-void DistRank::ensure_activity_state() {
-  if (assign_stamp_.size() != verts_.size()) {
-    clock_ = 1;
-    assign_stamp_.assign(verts_.size(), 1);
-    last_eval_.assign(verts_.size(), 0);
-    last_margin_.assign(verts_.size(), 0.0);
-    last_q_.assign(verts_.size(), 0.0);
-  }
-  if (stat_stamp_.size() != level_n_) stat_stamp_.assign(level_n_, 1);
-}
-
 bool DistRank::can_prune(std::uint32_t li) const {
   const std::uint64_t le = last_eval_[li];
   if (le == 0) return false;                 // never evaluated at this level
@@ -80,13 +70,11 @@ bool DistRank::can_prune(std::uint32_t li) const {
   // pure function of the (cur, candidate) module pair and the candidate's
   // boundary flag, and both are functions of vertex assignments already
   // covered by the stamp checks below.
-  const ModuleId cur = module_of_[li];
-  if (cur >= stat_stamp_.size() || stat_stamp_[cur] > le) return false;
+  if (stat_stamp_[module_of_[li]] > le) return false;
   for (std::uint32_t a = arc_off_[li]; a < arc_off_[li + 1]; ++a) {
     const std::uint32_t t = arcs_[a].target;
     if (assign_stamp_[t] > le) return false;  // candidate set changed
-    const ModuleId m = module_of_[t];
-    if (m >= stat_stamp_.size() || stat_stamp_[m] > le) return false;
+    if (stat_stamp_[module_of_[t]] > le) return false;
   }
   // The candidate set, every candidate's statistics, and our own module are
   // bitwise what the last evaluation saw; only the global q_total may have
@@ -288,9 +276,8 @@ std::uint64_t DistRank::apply_hub_winners(const std::vector<HubProposal>& winner
   for (const HubProposal& win : winners) {
     if (win.delta_l >= -cfg_.move_epsilon) continue;
     ++hub_moves;  // identical count on every rank
-    auto it = index_.find(win.hub);
-    if (it == index_.end()) continue;  // hub has no arcs here
-    const std::uint32_t li = it->second;
+    const std::uint32_t li = local_index(win.hub);
+    if (li == kNotHere) continue;  // hub has no arcs here
     const ModuleId cur = module_of_[li];
     if (cur == win.target) continue;
     // Move the hub's mass between the local copies of the two modules; exit
@@ -410,10 +397,10 @@ std::uint64_t DistRank::broadcast_delegates_exact() {
       }
     }
     DINFOMAP_REQUIRE_MSG(owner_of(hub) == r, "hub flows sent to wrong owner");
-    auto it = index_.find(hub);
-    DINFOMAP_REQUIRE_MSG(it != index_.end(), "owner does not hold its hub");
-    const LocalVertex& hv = verts_[it->second];
-    const ModuleId cur = module_of_[it->second];
+    const std::uint32_t hub_li = local_index(hub);
+    DINFOMAP_REQUIRE_MSG(hub_li != kNotHere, "owner does not hold its hub");
+    const LocalVertex& hv = verts_[hub_li];
+    const ModuleId cur = module_of_[hub_li];
     const auto cur_it =
         std::find_if(flows.begin(), flows.end(),
                      [cur](const Candidate& c) { return c.mod == cur; });
@@ -496,7 +483,6 @@ HomeTotals DistRank::swap_boundary_info(std::uint64_t local_moves) {
   if (!cfg_.async)
     for (std::uint32_t li : dirty_owned_) dirty_flag_[li] = 0;
   dirty_owned_.clear();
-  if (sent_stamp_.size() < level_n_) sent_stamp_.resize(level_n_, 0);
   // A module's first record in a destination batch carries its statistics;
   // one stamp epoch per batch replaces a per-destination sent set.
   const auto first_in_batch = [&](ModuleId m) {
@@ -530,11 +516,11 @@ HomeTotals DistRank::swap_boundary_info(std::uint64_t local_moves) {
                    " statistics shipped twice in one boundary batch";
         recorder_->report_anomaly(comm_.rank(), std::move(a));
       }
-      auto it = index_.find(rec.vertex);
-      if (it == index_.end()) continue;
-      if (cfg_.async && module_of_[it->second] != rec.info.mod_id)
-        stamp_assign(it->second, tick());
-      module_of_[it->second] = static_cast<VertexId>(rec.info.mod_id);
+      const std::uint32_t li = local_index(rec.vertex);
+      if (li == kNotHere) continue;
+      if (cfg_.async && module_of_[li] != rec.info.mod_id)
+        stamp_assign(li, tick());
+      module_of_[li] = static_cast<VertexId>(rec.info.mod_id);
       if (modules_.contains(rec.info.mod_id)) continue;  // existing module
       if (rec.info.is_sent) continue;  // stats already shipped
       ModuleStats& stats = modules_[rec.info.mod_id];
@@ -554,7 +540,6 @@ HomeTotals DistRank::swap_boundary_info(std::uint64_t local_moves) {
   // scan reads every local arc once; that is the phase's arcs_scanned.
   // Settled vertices send nothing: their modules' stats are all zero but the
   // member count, which the alive total carries instead.
-  if (partial_acc_.capacity() < level_n_) partial_acc_.reset(level_n_);
   partial_acc_.clear();
   const int r = comm_.rank();
   for (std::uint32_t li = 0; li < verts_.size(); ++li) {
@@ -596,9 +581,6 @@ HomeTotals DistRank::swap_boundary_info(std::uint64_t local_moves) {
 
   // Homes fold the partials in (source rank, sender order): first-touch
   // order of homed_, and the order of every FP sum over it.
-  const auto home_slots = (level_n_ + static_cast<VertexId>(p) - 1) /
-                          static_cast<VertexId>(p);
-  if (homed_.capacity() < home_slots) homed_.reset(home_slots);
   homed_.clear();
   for (int src = 0; src < p; ++src) {
     for (const ModulePartial& mp : partials_in[src]) {
@@ -796,7 +778,6 @@ std::uint64_t DistRank::async_reconcile(bool with_delegates,
 }
 
 void DistRank::async_level(bool with_delegates, OuterIterationInfo& info) {
-  ensure_activity_state();
   const int p = comm_.size();
   int& recons_out = info.inner_passes;
 
@@ -910,9 +891,8 @@ void DistRank::async_level(bool with_delegates, OuterIterationInfo& info) {
       // the staleness the kAsyncMaxLag budget bounds.
       for (int src = 0; src < p; ++src) {
         for (const ModuleDeltaRecord& rec : deltas_in[src]) {
-          auto it = index_.find(rec.vertex);
-          if (it == index_.end()) continue;
-          const std::uint32_t g = it->second;
+          const std::uint32_t g = local_index(rec.vertex);
+          if (g == kNotHere) continue;
           if (module_of_[g] == rec.new_module) continue;
           module_of_[g] = static_cast<VertexId>(rec.new_module);
           const std::uint64_t t = tick();
@@ -1141,57 +1121,17 @@ VertexId DistRank::merge_level() {
     info_out[cu % static_cast<VertexId>(p)].push_back({cu, 0, 0.0});
   }
 
-  // 4. Projection queries (each level-0 vertex's coarse id advances by
-  //    asking the owner of its current vertex for that vertex's module) ride
-  //    the same packed exchange as the coarse arcs and node flows — one
-  //    collective where three back-to-back alltoallv rounds used to run.
-  std::vector<std::vector<ProjectionQuery>> queries(p);
-  std::vector<std::vector<std::size_t>> query_slot(p);  // index into proj_
-  for (std::size_t i = 0; i < proj_.size(); ++i) {
-    const int dest = owner_of(proj_[i]);
-    queries[dest].push_back({proj_[i]});
-    query_slot[dest].push_back(i);
-  }
+  // 4. This level's map, each owned vertex's coarse id: result assembly
+  //    composes the level maps into the level-0 assignment.
+  append_level_map(coarse);
+
+  // 5. Coarse arcs and node flows to their new owners in one packed exchange.
   obs::SpanScope redist_span(trace_buf_, "Redistribute");
-  auto [queries_in, coarse_in, info_in] =
-      comm_.alltoallv_packed(queries, coarse_out, info_out);
+  auto [coarse_in, info_in] = comm_.alltoallv_packed(coarse_out, info_out);
   std::vector<std::vector<CoarseArc>>().swap(coarse_out);
+  if (metrics_ != nullptr) metrics_->counter("comm.packed_exchanges").inc();
 
-  // Answer against the *pre-rebuild* state, and register each querier's
-  // interest with the answered vertex's new 1D owner (dense % p, computable
-  // here) so the final projection becomes a single unsolicited push. Many
-  // level-0 vertices project onto the same coarse vertex; one registration
-  // per (vertex, rank) pair suffices, and registered_by[next] names the last
-  // querier registered for `next` (queriers are walked in rank order).
-  std::vector<std::vector<ProjectionAnswer>> answers(p);
-  std::vector<std::vector<ProjectionInterest>> interest_out(p);
-  std::vector<int> registered_by(k, -1);
-  for (int src = 0; src < p; ++src) {
-    answers[src].reserve(queries_in[src].size());
-    for (const ProjectionQuery& q : queries_in[src]) {
-      auto it = index_.find(q.current);
-      DINFOMAP_REQUIRE_MSG(it != index_.end(),
-                           "projection query for non-owned vertex");
-      const VertexId next = coarse[it->second];
-      answers[src].push_back({next});
-      if (registered_by[next] == src) continue;
-      registered_by[next] = src;
-      interest_out[next % static_cast<VertexId>(p)].push_back({next, src});
-    }
-  }
-  auto [answers_in, interest_in] = comm_.alltoallv_packed(answers, interest_out);
-  for (int src = 0; src < p; ++src) {
-    DINFOMAP_REQUIRE(answers_in[src].size() == query_slot[src].size());
-    for (std::size_t j = 0; j < answers_in[src].size(); ++j)
-      proj_[query_slot[src][j]] = answers_in[src][j].next;
-  }
-  proj_subscribers_.clear();
-  for (const auto& batch : interest_in)
-    proj_subscribers_.insert(proj_subscribers_.end(), batch.begin(),
-                             batch.end());
-  if (metrics_ != nullptr) metrics_->counter("comm.packed_exchanges").inc(2);
-
-  // 5. Rebuild from the shipped streams.
+  // 6. Rebuild from the shipped streams.
   build_local_graph(coarse_in, p, k);
   if (metrics_ != nullptr) {
     metrics_->counter("merge.coarse_arcs_shipped").inc(shipped);
@@ -1204,9 +1144,9 @@ VertexId DistRank::merge_level() {
   mark_boundary_arcs();
   for (const auto& batch : info_in) {
     for (const CoarseVertexInfo& ci : batch) {
-      auto it = index_.find(ci.vertex);
-      DINFOMAP_REQUIRE_MSG(it != index_.end(), "coarse info for unknown vertex");
-      verts_[it->second].node_flow = ci.node_flow;
+      const std::uint32_t li = local_index(ci.vertex);
+      DINFOMAP_REQUIRE_MSG(li != kNotHere, "coarse info for unknown vertex");
+      verts_[li].node_flow = ci.node_flow;
     }
   }
   movable_.clear();
@@ -1215,6 +1155,7 @@ VertexId DistRank::merge_level() {
     if (verts_[li].kind == Kind::kOwned) movable_.push_back(li);
 
   level_n_ = k;
+  level_sizes_.push_back(k);
   setup_subscriptions();
   init_singleton_modules();
   return k;
@@ -1295,44 +1236,8 @@ void DistRank::execute() {
   stage_span.reset();
   stage2_seconds_ = stage_timer.seconds();
 
-  // ---- final projection: level-0 owned vertex → final module -------------
-  {
-    obs::SpanScope proj_span(trace_buf_, "FinalProjection");
-    const int p = comm_.size();
-    // Interest was registered with each coarse vertex's owner during the last
-    // merge (stage 1 always merges once), so owners push final modules
-    // unsolicited — one exchange where the query/answer pair used to take two.
-    std::vector<std::vector<FinalModuleRecord>> push(p);
-    for (const ProjectionInterest& sub : proj_subscribers_) {
-      auto it = index_.find(sub.vertex);
-      DINFOMAP_REQUIRE_MSG(it != index_.end(),
-                           "final-projection interest for non-owned vertex");
-      push[sub.rank].push_back(
-          {sub.vertex, 0, module_of_[it->second]});
-    }
-    auto pushed_in = comm_.alltoallv(push);
-    // A vertex may be pushed by several registrations; all carry its one
-    // final module, so the sorted records are searched by vertex alone.
-    std::vector<FinalModuleRecord> module_of;
-    for (const auto& batch : pushed_in)
-      module_of.insert(module_of.end(), batch.begin(), batch.end());
-    const auto by_vertex = [](const FinalModuleRecord& a,
-                              const FinalModuleRecord& b) {
-      return a.vertex < b.vertex;
-    };
-    std::sort(module_of.begin(), module_of.end(), by_vertex);
-    final_assignment_.clear();
-    final_assignment_.reserve(owned0_.size());
-    for (std::size_t i = 0; i < proj_.size(); ++i) {
-      const auto it = std::lower_bound(module_of.begin(), module_of.end(),
-                                       FinalModuleRecord{proj_[i], 0, 0},
-                                       by_vertex);
-      DINFOMAP_REQUIRE_MSG(it != module_of.end() && it->vertex == proj_[i],
-                           "no pushed module for projected vertex");
-      final_assignment_.emplace_back(owned0_[i],
-                                     static_cast<VertexId>(it->module));
-    }
-  }
+  // The last level map: each owned vertex's final module.
+  append_level_map(module_of_);
 }
 
 perf::WorkCounters DistRank::stage_work(int stage) const {
@@ -1450,17 +1355,54 @@ void require_supported_input(const graph::GraphView& graph,
                          "(the builder separates them)");
 }
 
-/// Dense-relabel a raw per-vertex module array (final module ids are
-/// arbitrary VertexIds) into contiguous [0, k).
-graph::Partition densify_assignment(const std::vector<graph::VertexId>& raw) {
-  std::vector<graph::VertexId> sorted = raw;
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  graph::Partition dense(raw.size(), 0);
-  for (std::size_t v = 0; v < raw.size(); ++v)
-    dense[v] = static_cast<graph::VertexId>(
-        std::lower_bound(sorted.begin(), sorted.end(), raw[v]) - sorted.begin());
-  return dense;
+/// Dense-relabel module ids below `num_ids` into contiguous [0, k): each id
+/// becomes its rank among the used ones.
+graph::Partition densify_assignment(graph::Partition raw,
+                                    graph::VertexId num_ids) {
+  constexpr graph::VertexId kUnused = ~graph::VertexId{0};
+  std::vector<graph::VertexId> slot(num_ids, kUnused);
+  for (const graph::VertexId m : raw) slot[m] = 0;
+  graph::VertexId k = 0;
+  for (graph::VertexId& id : slot)
+    if (id != kUnused) id = k++;
+  for (graph::VertexId& m : raw) m = slot[m];
+  return raw;
+}
+
+/// The level-0 assignment from every rank's level maps (DistRank::level_maps,
+/// one batch per rank) and the level sizes n_0..n_L. Level l's map of vertex
+/// v sits in rank (v mod p)'s segment for l at position v / p. Walking back
+/// from the last level, whose map holds final modules (level-L ids, so the
+/// walk starts from the identity on them), each level's final module is its
+/// coarse vertex's: f_l[v] = f_{l+1}[c_l[v]].
+graph::Partition compose_assignment(
+    const std::vector<graph::VertexId>& level_sizes,
+    const std::vector<std::vector<graph::VertexId>>& maps) {
+  const auto p = static_cast<graph::VertexId>(maps.size());
+  std::vector<std::size_t> end(maps.size());
+  for (std::size_t r = 0; r < maps.size(); ++r) end[r] = maps[r].size();
+  graph::Partition above(level_sizes.back());  // f_{l+1}
+  std::iota(above.begin(), above.end(), graph::VertexId{0});
+  graph::Partition here;  // f_l
+  for (std::size_t l = level_sizes.size(); l-- > 0;) {
+    const graph::VertexId n = level_sizes[l];
+    here.assign(n, 0);
+    for (graph::VertexId r = 0; r < p; ++r) {
+      const graph::VertexId count = n > r ? (n - r + p - 1) / p : 0;
+      DINFOMAP_REQUIRE_MSG(end[r] >= count,
+                           "rank " << r << " sent a short level map");
+      end[r] -= count;
+      const graph::VertexId* seg = maps[r].data() + end[r];
+      for (graph::VertexId i = 0; i < count; ++i) {
+        DINFOMAP_REQUIRE(seg[i] < above.size());
+        here[r + i * p] = above[seg[i]];
+      }
+    }
+    above.swap(here);
+  }
+  for (graph::VertexId r = 0; r < p; ++r)
+    DINFOMAP_REQUIRE_MSG(end[r] == 0, "rank " << r << " sent a long level map");
+  return densify_assignment(std::move(above), level_sizes.back());
 }
 
 /// Blocks-backend epilogue: publish the decode-cache counters as
@@ -1487,7 +1429,7 @@ void publish_blockgraph_stats(const graph::GraphView& graph,
   }
 }
 
-/// Everything rank 0 needs from one rank besides its assignment pairs;
+/// Everything rank 0 needs from one rank besides its level maps;
 /// trivially copyable, so it crosses the transport in one gather.
 struct RankSummary {
   std::array<perf::WorkCounters, kNumPhases> work;
@@ -1532,13 +1474,7 @@ DistInfomapResult run_rank(const graph::GraphView& graph,
     m->counter("mailbox.delivered").set(mine.stats.inbox_delivered);
   }
 
-  std::vector<graph::VertexId> flat;
-  flat.reserve(rank.final_assignment().size() * 2);
-  for (const auto& [v, m] : rank.final_assignment()) {
-    flat.push_back(v);
-    flat.push_back(m);
-  }
-  const auto pair_batches = comm.gatherv(0, flat);
+  const auto map_batches = comm.gatherv(0, rank.level_maps());
   const auto summaries = comm.gatherv(0, std::vector<RankSummary>{mine});
 
   DistInfomapResult result;
@@ -1554,11 +1490,10 @@ DistInfomapResult run_rank(const graph::GraphView& graph,
   result.stage2_wall_seconds = rank.stage2_seconds();
   if (self != 0) return result;
 
-  std::vector<graph::VertexId> raw(graph.num_vertices(), 0);
-  for (const auto& batch : pair_batches)
-    for (std::size_t i = 0; i + 1 < batch.size(); i += 2)
-      raw[batch[i]] = batch[i + 1];
-  result.assignment = densify_assignment(raw);
+  {
+    obs::SpanScope span(recorder.track(0), "FinalProjection");
+    result.assignment = compose_assignment(rank.level_sizes(), map_batches);
+  }
 
   for (const auto& batch : summaries) {
     const RankSummary& s = batch.at(0);

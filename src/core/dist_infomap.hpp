@@ -170,9 +170,11 @@ DistInfomapResult distributed_infomap(const graph::GraphView& graph,
 /// single-process overloads build it — and `config.num_ranks` must equal
 /// `transport.size()`.
 ///
-/// Per-rank results (assignment fragments, work counters, comm counters,
-/// injected-fault tallies) are gathered to rank 0 over the transport itself;
-/// rank 0 returns the fully assembled DistInfomapResult, other ranks return
+/// Per-rank results (level maps, work counters, comm counters, injected-fault
+/// tallies) are gathered to rank 0 over the transport itself; rank 0
+/// composes the level maps — each level's vertex → coarse vertex, the last
+/// level's vertex → final module — into the level-0 assignment and
+/// returns the fully assembled DistInfomapResult, other ranks return
 /// a skeleton carrying only their locally visible fields. Bit-identical to
 /// the in-process overloads for a fixed (seed, ranks): same partition,
 /// codelengths, round traces, and comm counters.

@@ -13,7 +13,6 @@
 #include "partition/arc_partition.hpp"
 #include "perf/work_counters.hpp"
 #include "util/check.hpp"
-#include "util/flat_map.hpp"
 #include "util/random.hpp"
 #include "util/sparse_accumulator.hpp"
 #include "util/timer.hpp"
@@ -66,10 +65,13 @@ class DistRank {
   double phase_seconds(Phase ph) const {
     return phase_sec_[static_cast<int>(ph)];
   }
-  /// (level-0 vertex, final module) pairs for vertices owned by this rank.
-  const std::vector<std::pair<VertexId, VertexId>>& final_assignment() const {
-    return final_assignment_;
-  }
+  /// Global vertex count of every level: n0 first, then each merge's.
+  const std::vector<VertexId>& level_sizes() const { return level_sizes_; }
+  /// This rank's level maps, one segment per entry of level_sizes(): for
+  /// every level, the vertices v ≡ rank (mod p) in ascending order; each
+  /// non-final level maps v to its coarse vertex at the next level, the last
+  /// one to its final module (a last-level vertex id).
+  const std::vector<VertexId>& level_maps() const { return level_maps_; }
   /// Move-search candidates skipped because their module was not yet in the
   /// local table (whole run; see moves.skipped_unsynced metric).
   std::uint64_t skipped_unsynced() const { return skipped_unsynced_total_; }
@@ -118,7 +120,7 @@ class DistRank {
   /// non-self arcs with *global* targets, grouped by source in the order of
   /// `rows` (ascending sources, each row target-sorted without duplicates).
   /// Takes the vertex universe from the arc endpoints plus every vertex
-  /// owned here, fills verts_/index_/arc_off_, relabels targets to local
+  /// owned here, fills verts_/local_of_/arc_off_, relabels targets to local
   /// indices and sums each vertex's out-flow.
   void install_local_graph(const std::vector<SourceRow>& rows,
                            int num_ranks_mod, VertexId level_n);
@@ -127,9 +129,15 @@ class DistRank {
   /// and after every merge, once the level's kinds are final.
   void mark_boundary_arcs();
   /// Every vertex its own module: module_of_ is the identity, and modules_
-  /// holds each non-ghost, non-settled vertex's stats. Sizes modules_ and
-  /// nbflow_ to level_n_.
+  /// holds each non-ghost, non-settled vertex's stats. The one sizing point
+  /// of every per-level table: the module-id-indexed ones (modules_, nbflow_,
+  /// partial_acc_, sent_stamp_, homed_'s slots, and with async stat_stamp_
+  /// and prev_modules_) and the per-local-vertex ones (dirty_flag_, and with
+  /// async the stamp, evaluation and margin arrays).
   void init_singleton_modules();
+  /// Append per_local[li] of every vertex this rank owns at the current
+  /// level, in ascending id order, as the next segment of level_maps_.
+  void append_level_map(const std::vector<VertexId>& per_local);
 
   // ---- one synchronous round (either stage) ------------------------------
   struct RoundResult {
@@ -180,8 +188,8 @@ class DistRank {
   std::uint64_t other_update(const HomeTotals& totals, std::uint64_t hub_moves);
 
   // ---- merging ------------------------------------------------------------
-  /// Contract modules into the next-level graph, redistribute 1D, advance
-  /// the level-0 projection. Returns the new global vertex count.
+  /// Contract modules into the next-level graph, redistribute 1D, and record
+  /// this level's map. Returns the new global vertex count.
   VertexId merge_level();
 
   /// Evaluate the best move for local vertex `li`; returns true if a strictly
@@ -209,19 +217,12 @@ class DistRank {
   [[nodiscard]] bool min_label_yields(ModuleId cur, ModuleId target);
 
   // ---- event clock of the async engine (DESIGN.md §12) --------------------
-  /// (Re)size the stamp arrays for the current level; called lazily at the
-  /// top of every async level so merge_level never has to know about them.
-  void ensure_activity_state();
   std::uint64_t tick() { return ++clock_; }
   void stamp_assign(std::uint32_t li, std::uint64_t t) {
-    // Bounds check covers the window between init_singleton_modules (which
-    // clears the arrays on a level change) and the next ensure_activity_state;
-    // a missed stamp there is harmless because the arrays are rebuilt with
-    // "everything active" anyway.
-    if (cfg_.async && li < assign_stamp_.size()) assign_stamp_[li] = t;
+    if (cfg_.async) assign_stamp_[li] = t;
   }
   void stamp_stats(ModuleId m, std::uint64_t t) {
-    if (cfg_.async && m < stat_stamp_.size()) stat_stamp_[m] = t;
+    if (cfg_.async) stat_stamp_[m] = t;
   }
   /// True when re-evaluating `li` provably reproduces its last (no-move)
   /// outcome: no neighbor assignment, candidate-module statistic, or own
@@ -280,11 +281,12 @@ class DistRank {
   [[nodiscard]] int owner_of(VertexId v) const {
     return static_cast<int>(v % static_cast<VertexId>(comm_.size()));
   }
-  /// Local index of a vertex this rank holds (contract: it is held here).
-  [[nodiscard]] std::uint32_t local_index(VertexId v) {
-    const auto it = index_.find(v);
-    DINFOMAP_REQUIRE_MSG(it != index_.end(), "vertex " << v << " not held here");
-    return it->second;
+  /// local_index's answer for a vertex this rank does not hold.
+  static constexpr std::uint32_t kNotHere = ~std::uint32_t{0};
+  /// Local index of global vertex `v`, or kNotHere. Ids at or above the
+  /// level's vertex count (they arrive off the wire) are not held either.
+  [[nodiscard]] std::uint32_t local_index(VertexId v) const {
+    return v < local_of_.size() ? local_of_[v] : kNotHere;
   }
 
   perf::WorkCounters& wk(Phase ph) { return work_[static_cast<int>(ph)]; }
@@ -335,8 +337,9 @@ class DistRank {
   double node_term_ = 0;   ///< Σ plogp(p_α), level 0 (global)
 
   std::vector<LocalVertex> verts_;
-  util::FlatMap<VertexId, std::uint32_t> index_;       // global -> local
-  std::vector<std::uint32_t> arc_off_;                 // size verts_+1
+  /// Global -> local index, one slot per level vertex (kNotHere if not held).
+  std::vector<std::uint32_t> local_of_;
+  std::vector<std::uint32_t> arc_off_;  // size verts_+1
   std::vector<LocalArc> arcs_;
   std::vector<std::uint32_t> movable_;   // local indices, owned first
   std::vector<std::uint32_t> hubs_;      // local indices of delegates
@@ -369,7 +372,10 @@ class DistRank {
   std::uint64_t skipped_unsynced_total_ = 0;
 
   // ---- event clock state (cfg_.async; empty otherwise) -------------------
-  std::uint64_t clock_ = 1;  ///< per-rank monotone event clock
+  /// Per-rank monotone event clock, restarted at 1 per level. A stamp written
+  /// before a vertex's first evaluation at a level is at most that
+  /// evaluation's clock, so it never blocks a prune.
+  std::uint64_t clock_ = 1;
   /// Per local vertex: clock at its last module-assignment change (own move,
   /// hub winner, ghost update).
   std::vector<std::uint64_t> assign_stamp_;
@@ -440,17 +446,11 @@ class DistRank {
            static_cast<ModuleId>(comm_.rank());
   }
 
-  /// Level-0 vertices owned by this rank and their current coarse vertex.
-  std::vector<VertexId> owned0_;
-  std::vector<VertexId> proj_;
-  /// (coarse vertex we own, rank projecting onto it) — registered during the
-  /// latest merge's packed exchange so the final projection is a single
-  /// unsolicited push instead of a query/answer round trip.
-  std::vector<ProjectionInterest> proj_subscribers_;
+  std::vector<VertexId> level_sizes_;  ///< see level_sizes()
+  std::vector<VertexId> level_maps_;   ///< see level_maps()
 
   std::vector<OuterIterationInfo> trace_;
   std::vector<double> round_mdl_;
-  std::vector<std::pair<VertexId, VertexId>> final_assignment_;
   int stage1_rounds_ = 0;
   int stage2_levels_ = 0;
   double stage1_seconds_ = 0;

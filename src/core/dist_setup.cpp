@@ -84,8 +84,8 @@ void DistRank::setup_stage1(const graph::GraphView& graph,
     if (part.delegate(v)) hub_ids.push_back(v);
   std::vector<double> hub_flow(hub_ids.size(), 0.0);
   for (std::size_t i = 0; i < hub_ids.size(); ++i) {
-    auto it = index_.find(hub_ids[i]);
-    if (it != index_.end()) hub_flow[i] = verts_[it->second].out_flow;
+    const std::uint32_t li = local_index(hub_ids[i]);
+    if (li != kNotHere) hub_flow[i] = verts_[li].out_flow;
   }
   hub_flow = comm_.allreduce(hub_flow, comm::ReduceOp::kSum);
 
@@ -103,13 +103,13 @@ void DistRank::setup_stage1(const graph::GraphView& graph,
     }
   }
   for (std::size_t i = 0; i < hub_ids.size(); ++i) {
-    auto it = index_.find(hub_ids[i]);
-    if (it == index_.end()) continue;
-    auto& lv = verts_[it->second];
+    const std::uint32_t li = local_index(hub_ids[i]);
+    if (li == kNotHere) continue;
+    auto& lv = verts_[li];
     lv.out_flow = hub_flow[i];
     lv.node_flow = hub_flow[i];
-    movable_.push_back(it->second);
-    hubs_.push_back(it->second);
+    movable_.push_back(li);
+    hubs_.push_back(li);
   }
 
   // Level-0 node term: each vertex counted once, at its owner.
@@ -118,14 +118,8 @@ void DistRank::setup_stage1(const graph::GraphView& graph,
     if (owner_of(lv.global) == r && lv.kind != Kind::kGhost)
       term += plogp(lv.node_flow);
   node_term_ = comm_.allreduce(term, comm::ReduceOp::kSum);
-
-  // Level-0 projection starts as the identity on owned vertices.
-  owned0_.clear();
-  for (VertexId v = static_cast<VertexId>(r); v < n0_;
-       v += static_cast<VertexId>(p))
-    owned0_.push_back(v);
-  proj_ = owned0_;
   level_n_ = n0_;
+  level_sizes_.assign(1, n0_);
 }
 
 void DistRank::build_local_graph(std::vector<std::vector<CoarseArc>>& runs,
@@ -201,25 +195,20 @@ void DistRank::install_local_graph(const std::vector<SourceRow>& rows,
   // Vertex universe: arc endpoints plus every vertex owned here (so isolated
   // owned vertices stay addressable and countable). Local indices ascend
   // with global ids; slot[v] holds v's local index once assigned.
-  constexpr std::uint32_t kAbsent = ~std::uint32_t{0};
-  std::vector<std::uint32_t> slot(level_n, kAbsent);
+  std::vector<std::uint32_t>& slot = local_of_;
+  slot.assign(level_n, kNotHere);
   for (const SourceRow& row : rows) slot[row.source] = 0;
   for (const LocalArc& a : arcs_) slot[a.target] = 0;
   for (VertexId v = r; v < level_n; v += static_cast<VertexId>(num_ranks_mod))
     slot[v] = 0;
   std::uint32_t num_local = 0;
   for (VertexId v = 0; v < level_n; ++v)
-    if (slot[v] != kAbsent) slot[v] = num_local++;
+    if (slot[v] != kNotHere) slot[v] = num_local++;
 
   verts_.clear();
   verts_.resize(num_local);
-  index_.clear();
-  index_.reserve(num_local);
-  for (VertexId v = 0; v < level_n; ++v) {
-    if (slot[v] == kAbsent) continue;
-    verts_[slot[v]].global = v;
-    index_.emplace(v, slot[v]);
-  }
+  for (VertexId v = 0; v < level_n; ++v)
+    if (slot[v] != kNotHere) verts_[slot[v]].global = v;
 
   // Rows ascend by source, so each local vertex's arcs are contiguous and
   // local sources ascend too.
@@ -256,10 +245,10 @@ void DistRank::setup_subscriptions() {
   std::vector<std::uint32_t> requested;
   for (int src = 0; src < p; ++src) {
     for (const SubscribeRequest& req : incoming[src]) {
-      auto it = index_.find(req.vertex);
-      DINFOMAP_REQUIRE_MSG(it != index_.end(),
+      const std::uint32_t li = local_index(req.vertex);
+      DINFOMAP_REQUIRE_MSG(li != kNotHere,
                            "subscription for a vertex the owner does not hold");
-      requested.push_back(it->second);
+      requested.push_back(li);
     }
   }
   sub_off_.assign(verts_.size() + 1, 0);
@@ -279,19 +268,25 @@ void DistRank::mark_boundary_arcs() {
 }
 
 void DistRank::init_singleton_modules() {
+  const auto p = static_cast<VertexId>(comm_.size());
+  const std::size_t n = verts_.size();
   modules_.reset(level_n_);
   nbflow_.reset(level_n_);
+  partial_acc_.reset(level_n_);
+  homed_.reset((level_n_ + p - 1) / p);
+  sent_stamp_.assign(level_n_, 0);
   dirty_owned_.clear();
-  dirty_flag_.assign(verts_.size(), 0);
+  dirty_flag_.assign(n, 0);
   round_index_ = 0;
   if (cfg_.async) {
-    // Force a full activity reset at the next round/epoch: vertex and module
-    // id spaces change across levels, so stamps must not carry over (the
-    // stamp helpers bounds-check, making the window between here and the
-    // next ensure_activity_state safe).
-    assign_stamp_.clear();
-    stat_stamp_.clear();
-    last_eval_.clear();
+    // Vertex and module id spaces change across levels, so no stamp carries
+    // over: every vertex starts unevaluated at this level.
+    clock_ = 1;
+    assign_stamp_.assign(n, 1);
+    last_eval_.assign(n, 0);
+    last_margin_.assign(n, 0.0);
+    last_q_.assign(n, 0.0);
+    stat_stamp_.assign(level_n_, 1);
     prev_modules_.reset(level_n_);
     worklist_.reset(0);
     ghost_readers_.clear();
@@ -311,6 +306,12 @@ void DistRank::init_singleton_modules() {
     stats.exit_pr = lv.out_flow;
     stats.num_members = 1;
   }
+}
+
+void DistRank::append_level_map(const std::vector<VertexId>& per_local) {
+  const int r = comm_.rank();
+  for (std::uint32_t li = 0; li < verts_.size(); ++li)
+    if (owner_of(verts_[li].global) == r) level_maps_.push_back(per_local[li]);
 }
 
 }  // namespace dinfomap::core::detail

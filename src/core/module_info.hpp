@@ -101,36 +101,11 @@ struct CoarseVertexInfo {
   double node_flow = 0;
 };
 
-/// Projection query/answer for tracking level-0 assignments through merges.
-struct ProjectionQuery {
-  graph::VertexId current = 0;  ///< current coarse vertex of some level-0 vertex
-};
-struct ProjectionAnswer {
-  graph::VertexId next = 0;  ///< its coarse vertex at the next level
-};
-
-/// Interest registration piggybacked on the merge exchange: "rank `rank`
-/// projects level-0 vertices onto coarse vertex `vertex`; push its final
-/// module there". Lets the final projection run as one push instead of a
-/// query/answer round trip.
-struct ProjectionInterest {
-  graph::VertexId vertex = 0;
-  std::int32_t rank = 0;
-};
-
-/// The final-projection push: coarse `vertex` ended the run in `module`.
-struct FinalModuleRecord {
-  graph::VertexId vertex = 0;
-  std::uint32_t pad_ = 0;
-  ModuleId module = 0;
-};
-
 /// Async engine: one committed move, pushed unsolicited to every subscriber
-/// of the moved vertex at the end of the epoch (same push shape as the
-/// final-projection records — subscribers were registered up front, so no
-/// query/answer round trip). Receivers update their ghost copy, adjust module
-/// mass estimates by `node_flow`, and reactivate local readers with priority
-/// `gain` (the mover's achieved |ΔL|).
+/// of the moved vertex at the end of the epoch (subscribers were registered
+/// up front, so no query/answer round trip). Receivers update their ghost
+/// copy, adjust module mass estimates by `node_flow`, and reactivate local
+/// readers with priority `gain` (the mover's achieved |ΔL|).
 struct ModuleDeltaRecord {
   graph::VertexId vertex = 0;
   std::uint32_t pad_ = 0;

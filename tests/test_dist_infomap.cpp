@@ -71,6 +71,7 @@ struct DistRankTestPeer {
     VertexId level_n[2] = {0, 0};
     std::uint64_t other_collectives = 0;  ///< of one other_update call
     std::uint64_t round_collectives = 0;  ///< of one stage-2 sync round
+    std::uint64_t merge_collectives = 0;  ///< of one merge_level call
   };
   static SettledProbe settled_probe(DistRank& rank) {
     SettledProbe probe;
@@ -93,7 +94,9 @@ struct DistRankTestPeer {
     (void)rank.other_update(rank.swap_boundary_info(0), 0);
     look(0);
     (void)rank.round(/*with_delegates=*/true, rng);
+    const auto before_merge = calls();
     (void)rank.merge_level();
+    probe.merge_collectives = calls() - before_merge;
     const HomeTotals totals = rank.swap_boundary_info(0);
     const auto before_other = calls();
     (void)rank.other_update(totals, 0);
@@ -128,6 +131,9 @@ struct DistRankTestPeer {
     for (const auto& a : rank.arcs_) g.arcs.emplace_back(a.target, a.flow);
     for (std::uint32_t li = 0; li < rank.verts_.size(); ++li)
       EXPECT_EQ(rank.local_index(rank.verts_[li].global), li);
+    // Ids off the wire may lie past the level: not held, never out of bounds.
+    EXPECT_EQ(rank.local_index(level_n), DistRank::kNotHere);
+    EXPECT_EQ(rank.local_index(~VertexId{0}), DistRank::kNotHere);
     return g;
   }
 
@@ -591,7 +597,10 @@ TEST(DistInfomap, SettledVerticesStayOutOfTheSyncRound) {
   // every rank holds settled vertices at both levels. They get no module
   // table entry and no home slot, yet the alive count includes them; a
   // stage-2 round costs exactly its three alltoallvs (the codelength sums
-  // ride the reply), and other_update communicates nothing.
+  // ride the reply), and other_update communicates nothing. A merge costs
+  // four collectives: the live-id allgatherv (a gather and a broadcast), one
+  // packed exchange of coarse arcs and node flows, and the next level's
+  // subscription alltoallv.
   auto gg = gen::sbm(48, 2, 0.5, 0.04, 5);
   gg.edges.push_back({48, 49, 1.0});
   gg.edges.push_back({49, 50, 1.0});
@@ -613,6 +622,7 @@ TEST(DistInfomap, SettledVerticesStayOutOfTheSyncRound) {
     EXPECT_EQ(pr.in_tables, 0u) << "rank " << r;
     EXPECT_EQ(pr.other_collectives, 0u) << "rank " << r;
     EXPECT_EQ(pr.round_collectives, 3u) << "rank " << r;
+    EXPECT_EQ(pr.merge_collectives, 4u) << "rank " << r;
     for (int level : {0, 1}) {
       settled[level] += pr.settled[level];
       // Every vertex is its own module right after a (re)build.

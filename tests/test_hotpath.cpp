@@ -1,6 +1,6 @@
-// Tests of the hot-path data structures (SparseAccumulator, FlatMap,
-// PlogpMemo) and the determinism contract of the rewritten move-search
-// paths: bit-identical results across repeats and under seeded fault plans.
+// Tests of the hot-path data structures (SparseAccumulator, PlogpMemo) and
+// the determinism contract of the rewritten move-search paths: bit-identical
+// results across repeats and under seeded fault plans.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,7 +11,6 @@
 #include "core/mapequation.hpp"
 #include "graph/builder.hpp"
 #include "graph/gen/generators.hpp"
-#include "util/flat_map.hpp"
 #include "util/random.hpp"
 #include "util/sparse_accumulator.hpp"
 
@@ -95,144 +94,6 @@ TEST(SparseAccumulator, StructValuesDefaultInitialize) {
   acc.clear();
   EXPECT_DOUBLE_EQ(acc[2].flow, 0.0);
   EXPECT_EQ(acc[2].boundary, 0);
-}
-
-// --- FlatMap ----------------------------------------------------------------
-
-TEST(FlatMap, InsertFindUpdate) {
-  du::FlatMap<std::uint64_t, int> m;
-  EXPECT_TRUE(m.empty());
-  EXPECT_EQ(m.find(7), m.end());
-  m[7] = 1;
-  m[7] += 2;
-  auto [it, inserted] = m.emplace(9, 5);
-  EXPECT_TRUE(inserted);
-  EXPECT_EQ(it->second, 5);
-  auto [it2, inserted2] = m.emplace(9, 99);
-  EXPECT_FALSE(inserted2);
-  EXPECT_EQ(it2->second, 5);
-  ASSERT_NE(m.find(7), m.end());
-  EXPECT_EQ(m.find(7)->second, 3);
-  EXPECT_EQ(m.count(7), 1u);
-  EXPECT_EQ(m.count(8), 0u);
-  EXPECT_EQ(m.size(), 2u);
-}
-
-TEST(FlatMap, ClearKeepsStorage) {
-  du::FlatMap<std::uint64_t, int> m;
-  for (std::uint64_t k = 0; k < 100; ++k) m[k] = static_cast<int>(k);
-  const std::size_t cap = m.capacity();
-  m.clear();
-  EXPECT_TRUE(m.empty());
-  EXPECT_EQ(m.capacity(), cap);
-  EXPECT_EQ(m.find(50), m.end());
-  m[50] = 1;
-  EXPECT_EQ(m.size(), 1u);
-}
-
-TEST(FlatMap, GrowthPreservesAllEntries) {
-  du::FlatMap<std::uint64_t, std::uint64_t> m;
-  constexpr std::uint64_t kN = 5000;
-  for (std::uint64_t k = 0; k < kN; ++k) m[k * 977 + 13] = k;
-  ASSERT_EQ(m.size(), kN);
-  for (std::uint64_t k = 0; k < kN; ++k) {
-    auto it = m.find(k * 977 + 13);
-    ASSERT_NE(it, m.end()) << "key " << k * 977 + 13;
-    EXPECT_EQ(it->second, k);
-  }
-  // Load factor stays below 7/8.
-  EXPECT_GE(m.capacity() * 7, m.size() * 8);
-}
-
-TEST(FlatMap, CollisionHeavyKeysStillResolve) {
-  // Craft keys that land in the same initial slot of a small table: same top
-  // bits of mix(key). With capacity 16 the probe uses the top 4 bits, so
-  // collect keys whose mixed top-16 bits match — they collide at every
-  // capacity up to 65536 slots.
-  using M = du::FlatMap<std::uint64_t, std::uint64_t>;
-  const std::uint64_t want = M::mix(1) >> 48;
-  std::vector<std::uint64_t> colliders;
-  for (std::uint64_t k = 1; colliders.size() < 24 && k < 40'000'000; ++k) {
-    if ((M::mix(k) >> 48) == want) colliders.push_back(k);
-  }
-  ASSERT_GE(colliders.size(), 12u) << "collision search too narrow";
-  M m;
-  for (std::size_t i = 0; i < colliders.size(); ++i) m[colliders[i]] = i;
-  ASSERT_EQ(m.size(), colliders.size());
-  for (std::size_t i = 0; i < colliders.size(); ++i) {
-    auto it = m.find(colliders[i]);
-    ASSERT_NE(it, m.end());
-    EXPECT_EQ(it->second, i);
-  }
-  // Absent keys from the same bucket must probe to not-found, not loop.
-  for (std::uint64_t k = 40'000'001; k < 40'000'032; ++k)
-    EXPECT_EQ(m.count(k), 0u);
-}
-
-TEST(FlatMap, IterationVisitsEveryEntryOnce) {
-  du::FlatMap<std::uint32_t, int> m;
-  for (std::uint32_t k = 0; k < 300; ++k) m[k * 3 + 1] = 1;
-  std::size_t visited = 0;
-  std::uint64_t key_sum = 0;
-  for (auto it = m.begin(); it != m.end(); ++it) {
-    ++visited;
-    key_sum += it->first;
-  }
-  EXPECT_EQ(visited, 300u);
-  std::uint64_t want = 0;
-  for (std::uint32_t k = 0; k < 300; ++k) want += k * 3 + 1;
-  EXPECT_EQ(key_sum, want);
-}
-
-TEST(FlatMap, AgreesWithUnorderedMapUnderRandomWorkload) {
-  du::FlatMap<std::uint64_t, double> m;
-  std::unordered_map<std::uint64_t, double> ref;
-  du::Xoshiro256 rng(77);
-  for (int op = 0; op < 20000; ++op) {
-    const std::uint64_t k = rng.bounded(4096);
-    if (rng.uniform() < 0.7) {
-      m[k] += 1.0;
-      ref[k] += 1.0;
-    } else {
-      auto it = m.find(k);
-      auto rit = ref.find(k);
-      ASSERT_EQ(it == m.end(), rit == ref.end()) << "key " << k;
-      if (rit != ref.end()) {
-        EXPECT_DOUBLE_EQ(it->second, rit->second);
-      }
-    }
-  }
-  ASSERT_EQ(m.size(), ref.size());
-  for (const auto& [k, v] : ref) EXPECT_DOUBLE_EQ(m.find(k)->second, v);
-}
-
-TEST(FlatMap, ConfigurableLoadFactorIsHonored) {
-  // A denser table (95%) grows later than the default 7/8; a sparser one
-  // (50%) grows earlier. Contents are unaffected either way.
-  du::FlatMap<std::uint64_t, int> dense;
-  dense.set_max_load(95, 100);
-  du::FlatMap<std::uint64_t, int> sparse;
-  sparse.set_max_load(1, 2);
-  for (std::uint64_t k = 0; k < 5000; ++k) {
-    dense[k * 31 + 7] = static_cast<int>(k);
-    sparse[k * 31 + 7] = static_cast<int>(k);
-  }
-  EXPECT_GE(dense.capacity() * 95, dense.size() * 100);
-  EXPECT_GE(sparse.capacity(), sparse.size() * 2);
-  EXPECT_LT(dense.capacity(), sparse.capacity());
-  for (std::uint64_t k = 0; k < 5000; ++k) {
-    ASSERT_NE(dense.find(k * 31 + 7), dense.end());
-    EXPECT_EQ(dense.find(k * 31 + 7)->second, static_cast<int>(k));
-    ASSERT_NE(sparse.find(k * 31 + 7), sparse.end());
-    EXPECT_EQ(sparse.find(k * 31 + 7)->second, static_cast<int>(k));
-  }
-  // Degenerate ratios are ignored, not applied.
-  du::FlatMap<std::uint64_t, int> bad;
-  bad.set_max_load(0, 10);
-  bad.set_max_load(10, 10);
-  bad.set_max_load(12, 10);
-  for (std::uint64_t k = 0; k < 100; ++k) bad[k] = 1;
-  EXPECT_GE(bad.capacity() * 7, bad.size() * 8);  // still the 7/8 default
 }
 
 // --- PlogpMemo --------------------------------------------------------------

@@ -23,7 +23,6 @@
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "obs/watchdog.hpp"
-#include "util/flat_map.hpp"
 #include "util/logging.hpp"
 #include "util/timer.hpp"
 
