@@ -32,6 +32,6 @@ int main() {
   std::printf(
       "\nOFF hitting the per-level round cap (%d) indicates non-convergent "
       "bouncing.\n",
-      core::DistInfomapConfig{}.max_rounds);
+      core::kMaxRounds);
   return 0;
 }

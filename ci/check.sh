@@ -148,7 +148,7 @@ run_leg "socket transport cross-backend suite (ctest -L transport)" \
 # --- Leg 4c: out-of-core backend gate. -----------------------------------
 # The blockgraph label is the acceptance gate for the compressed-block
 # substrate (DESIGN.md §15): codec round-trips, corrupt-block detection,
-# cache bounds, and bit-identical dist/dist-louvain results between the
+# cache bounds, and bit-identical dist results between the
 # resident and blocks backends across engines, thread counts, and fault
 # plans — so its verdict gets its own line in the CI log too.
 leg_blockgraph() {

@@ -3,7 +3,7 @@
 //   dinfomap_cli generate <family> <out.txt> [seed]
 //       family: lfr | ba | rmat | sbm | ring | er
 //   dinfomap_cli cluster <edges.txt> <out.clu>
-//                 [--algo seq|dist|louvain|dist-louvain|lpa|relaxmap|hier]
+//                 [--algo seq|dist|louvain|lpa|relaxmap|hier]
 //                 [--ranks N] [--seed S] [--tree out.tree]
 //   dinfomap_cli eval <edges.txt> <a.clu> <b.clu>
 //   dinfomap_cli inspect <edges.txt> <a.clu>
@@ -26,7 +26,6 @@
 #include "comm/process_group.hpp"
 #include "comm/socket_transport.hpp"
 #include "core/dist_infomap.hpp"
-#include "core/dist_louvain.hpp"
 #include "core/hierarchy.hpp"
 #include "core/labelflow.hpp"
 #include "core/louvain.hpp"
@@ -110,10 +109,10 @@ int usage() {
   std::fprintf(stderr,
                "usage:\n"
                "  dinfomap_cli generate <lfr|ba|rmat|sbm|ring|er> <out.txt> [seed]\n"
-               "  dinfomap_cli cluster <edges.txt> <out.clu> [--algo seq|dist|louvain|lpa|relaxmap]\n"
+               "  dinfomap_cli cluster <edges.txt> <out.clu> [--algo seq|dist|louvain|lpa|relaxmap|hier]\n"
                "                [--ranks N] [--seed S] [--tree out.tree]\n"
                "                [--threads T]  (relaxmap only; the other engines run one thread,\n"
-               "                 dist and dist-louvain scale by --ranks)\n"
+               "                 dist scales by --ranks)\n"
                "                [--transport inproc|socket]  (dist only; socket = one worker\n"
                "                 process per rank over Unix-domain sockets)\n"
                "                [--trace out.trace.json] [--report out.report.json]  (dist only)\n"
@@ -122,7 +121,7 @@ int usage() {
                "                [--watchdog-ms N]  (dist only; e.g. --faults drop=0.01,dup=0.01)\n"
                "                [--async]  (dist only: priority-worklist engine)\n"
                "                [--graph-backend resident|blocks] [--block-cache-mb N]\n"
-               "                 (dist/dist-louvain; blocks streams an mmap-ed .blockgraph file\n"
+               "                 (dist only; blocks streams an mmap-ed .blockgraph file\n"
                "                  through a bounded decode cache — see tools/graphpack)\n"
                "  dinfomap_cli eval <edges.txt> <a.clu> <b.clu>\n"
                "  dinfomap_cli partition-stats <edges.txt> <ranks>\n");
@@ -431,10 +430,15 @@ int cmd_cluster(int argc, char** argv) {
     else return usage();
   }
 
+  if (algo != "seq" && algo != "dist" && algo != "louvain" && algo != "lpa" &&
+      algo != "relaxmap" && algo != "hier")
+    throw CliParseError("--algo: expected one of "
+                        "seq|dist|louvain|lpa|relaxmap|hier, got '" +
+                        algo + "'");
   if (threads > 1 && algo != "relaxmap")
     throw CliParseError("--threads " + std::to_string(threads) +
                         " requires --algo relaxmap (only RelaxMap runs on "
-                        "threads; the dist engines scale by --ranks)");
+                        "threads; dist scales by --ranks)");
   if (transport != "inproc" && transport != "socket")
     throw CliParseError("--transport: expected 'inproc' or 'socket', got '" +
                         transport + "'");
@@ -460,9 +464,8 @@ int cmd_cluster(int argc, char** argv) {
   const bool input_is_blockgraph =
       in.size() > 11 &&
       in.compare(in.size() - 11, 11, ".blockgraph") == 0;
-  if (blocks_mode && algo != "dist" && algo != "dist-louvain")
-    throw CliParseError(
-        "--graph-backend blocks requires --algo dist or dist-louvain");
+  if (blocks_mode && algo != "dist")
+    throw CliParseError("--graph-backend blocks requires --algo dist");
   if (blocks_mode && transport == "socket" && !input_is_blockgraph)
     throw CliParseError(
         "--graph-backend blocks with --transport socket needs a pre-packed "
@@ -496,7 +499,7 @@ int cmd_cluster(int argc, char** argv) {
     return run_socket_launcher(argc, argv, ranks, trace_out, hang_grace_ms);
 
   // Exactly one backend is populated; `gv` is the type-erased handle the
-  // dist engines run on. Non-dist algorithms stay resident-only and bind
+  // dist engine runs on. Non-dist algorithms stay resident-only and bind
   // `*resident` directly (blocks_mode was rejected for them above).
   std::optional<graph::Csr> resident;
   std::optional<graph::blockgraph::BlockGraph> blocks;
@@ -594,14 +597,7 @@ int cmd_cluster(int argc, char** argv) {
     assignment = r.assignment;
     std::printf("RelaxMap (%d threads): L = %.6f\n", cfg.num_threads,
                 r.codelength);
-  } else if (algo == "dist-louvain") {
-    core::DistLouvainConfig cfg;
-    cfg.num_ranks = ranks;
-    cfg.seed = seed;
-    const auto r = core::distributed_louvain(gv, cfg);
-    assignment = r.assignment;
-    std::printf("distributed Louvain (p=%d): Q = %.6f\n", ranks, r.modularity);
-  } else if (algo == "hier") {
+  } else {  // "hier", the last engine the parse-time check admits
     const graph::Csr& g = *resident;
     core::HierInfomapConfig cfg;
     cfg.two_level.seed = seed;
@@ -617,8 +613,6 @@ int cmd_cluster(int argc, char** argv) {
         tree_file << paths[v] << " \"" << v << "\"\n";
       std::printf("hierarchy written to %s\n", tree_out.c_str());
     }
-  } else {
-    return usage();
   }
   io::write_clustering(out, assignment);
   std::printf("clustering written to %s\n", out.c_str());

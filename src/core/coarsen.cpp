@@ -8,15 +8,9 @@
 
 namespace dinfomap::core {
 
-namespace {
-/// Shared contraction core. `node_flow_of(u)`, `self_flow_of(u)`, and
-/// `for_each_arc(u, fn)` abstract the fine-level source; both callers feed
-/// the identical value sequence, so the two entry points below cannot drift.
-template <typename NodeFlowFn, typename SelfFlowFn, typename ArcScanFn>
-CoarsenResult contract(VertexId n, double node_term,
-                       const std::vector<VertexId>& module_of,
-                       NodeFlowFn&& node_flow_of, SelfFlowFn&& self_flow_of,
-                       ArcScanFn&& for_each_arc) {
+CoarsenResult coarsen(const FlowGraph& fine,
+                      const std::vector<VertexId>& module_of) {
+  const VertexId n = fine.num_vertices();
   DINFOMAP_REQUIRE_MSG(module_of.size() == n, "coarsen: assignment size mismatch");
 
   // Dense relabeling: ascending module id → 0..k-1 (deterministic).
@@ -40,18 +34,18 @@ CoarsenResult contract(VertexId n, double node_term,
   std::vector<std::map<VertexId, double>> coarse_adj(k);
   for (VertexId u = 0; u < n; ++u) {
     const VertexId cu = result.fine_to_coarse[u];
-    node_flow[cu] += node_flow_of(u);
-    self[cu] += self_flow_of(u);
-    for_each_arc(u, [&](VertexId target, double flow) {
-      const VertexId cv = result.fine_to_coarse[target];
+    node_flow[cu] += fine.node_flow[u];
+    self[cu] += fine.self_flow(u);
+    for (const auto& nb : fine.csr.neighbors(u)) {
+      const VertexId cv = result.fine_to_coarse[nb.target];
       if (cu == cv) {
         // Each undirected intra edge is visited from both endpoints; count
         // its self-loop contribution once (halve the double visit).
-        self[cu] += flow / 2.0;
+        self[cu] += nb.weight / 2.0;
       } else {
-        coarse_adj[cu][cv] += flow;
+        coarse_adj[cu][cv] += nb.weight;
       }
-    });
+    }
   }
 
   std::vector<graph::EdgeIndex> offsets(static_cast<std::size_t>(k) + 1, 0);
@@ -65,37 +59,8 @@ CoarsenResult contract(VertexId n, double node_term,
 
   result.graph.csr = Csr(std::move(offsets), std::move(adjacency), std::move(self));
   result.graph.node_flow = std::move(node_flow);
-  result.graph.node_term = node_term;  // level-0 term is invariant
+  result.graph.node_term = fine.node_term;  // level-0 term is invariant
   return result;
-}
-}  // namespace
-
-CoarsenResult coarsen(const FlowGraph& fine,
-                      const std::vector<VertexId>& module_of) {
-  return contract(
-      fine.num_vertices(), fine.node_term, module_of,
-      [&](VertexId u) { return fine.node_flow[u]; },
-      [&](VertexId u) { return fine.self_flow(u); },
-      [&](VertexId u, auto&& emit) {
-        for (const auto& nb : fine.csr.neighbors(u)) emit(nb.target, nb.weight);
-      });
-}
-
-CoarsenResult coarsen_level0(const graph::GraphView& graph,
-                             const NodeFlows& flows,
-                             const std::vector<VertexId>& module_of) {
-  auto cursor = graph.cursor();
-  return contract(
-      graph.num_vertices(), flows.node_term, module_of,
-      [&](VertexId u) { return flows.node_flow[u]; },
-      [&](VertexId u) { return graph.self_weight(u) / flows.two_w; },
-      [&](VertexId u, auto&& emit) {
-        // w / 2W is the exact scaling make_flow_graph applies before the
-        // resident coarsen sees the arc, so flows entering the accumulators
-        // are bitwise the same.
-        for (const auto& nb : graph.neighbors(u, cursor))
-          emit(nb.target, nb.weight / flows.two_w);
-      });
 }
 
 }  // namespace dinfomap::core

@@ -19,14 +19,4 @@ struct CoarsenResult {
 /// flows are summed per module; node_term is carried unchanged.
 CoarsenResult coarsen(const FlowGraph& fine, const std::vector<VertexId>& module_of);
 
-/// Level-0 contraction straight off a graph backend: semantically
-/// coarsen(make_flow_graph(g), module_of) but scaling arc weights by
-/// 1/two_w on the fly, so the out-of-core backend never materializes a
-/// flow-weighted CSR. `flows` must come from compute_node_flows(graph);
-/// every floating-point operation mirrors the resident pipeline, keeping
-/// the coarse graph bit-identical across backends.
-CoarsenResult coarsen_level0(const graph::GraphView& graph,
-                             const NodeFlows& flows,
-                             const std::vector<VertexId>& module_of);
-
 }  // namespace dinfomap::core

@@ -129,7 +129,7 @@ bool DistRank::best_move_for(std::uint32_t li, BestMove& best) {
   DINFOMAP_REQUIRE_MSG(cur_stats != nullptr,
                        "vertex's own module missing from local table");
 
-  double best_delta = -cfg_.move_epsilon;
+  double best_delta = -kMoveEpsilon;
   ModuleId best_target = cur;
   MoveOutcome best_outcome;
   // Smallest rejection distance over the evaluated candidates; the activity
@@ -165,8 +165,8 @@ bool DistRank::best_move_for(std::uint32_t li, BestMove& best) {
     d.q_total = q_total_;
     const MoveOutcome out = eval_move(d);
     ++wk(Phase::kFindBestModule).delta_evals;
-    if (out.delta_codelength >= -cfg_.move_epsilon) {
-      const double m = out.delta_codelength + cfg_.move_epsilon;
+    if (out.delta_codelength >= -kMoveEpsilon) {
+      const double m = out.delta_codelength + kMoveEpsilon;
       if (m < reject_margin) reject_margin = m;
       continue;
     }
@@ -274,7 +274,7 @@ std::uint64_t DistRank::find_best_modules(bool with_delegates,
 std::uint64_t DistRank::apply_hub_winners(const std::vector<HubProposal>& winners) {
   std::uint64_t hub_moves = 0;
   for (const HubProposal& win : winners) {
-    if (win.delta_l >= -cfg_.move_epsilon) continue;
+    if (win.delta_l >= -kMoveEpsilon) continue;
     ++hub_moves;  // identical count on every rank
     const std::uint32_t li = local_index(win.hub);
     if (li == kNotHere) continue;  // hub has no arcs here
@@ -408,7 +408,7 @@ std::uint64_t DistRank::broadcast_delegates_exact() {
     const ModuleStats* own_cur = modules_.find(cur);
     if (own_cur == nullptr) continue;
 
-    double best_delta = -cfg_.move_epsilon;
+    double best_delta = -kMoveEpsilon;
     ModuleId best_target = cur;
     for (const Candidate& cand : flows) {
       const ModuleId mod = cand.mod;
@@ -813,7 +813,7 @@ void DistRank::async_level(bool with_delegates, OuterIterationInfo& info) {
   // epochs, but small enough that priority order (not seed order) dominates
   // which vertices move between exchanges.
   const std::uint64_t budget = std::max<std::uint64_t>(256, n_movable);
-  const int max_epochs = cfg_.max_rounds * kAsyncMaxLag;
+  const int max_epochs = kMaxRounds * kAsyncMaxLag;
 
   std::uint64_t level_moves = 0;
   std::uint64_t local_since_recon = 0;
@@ -996,11 +996,11 @@ void DistRank::async_level(bool with_delegates, OuterIterationInfo& info) {
       // level-local merging at the expense of the later levels' granularity.
       // Ending *in* the damaged state is impossible: the rollback below
       // restores the best reconciled state of the level.
-      if (codelength_ > recon_l_prev + cfg_.round_theta) break;
-      if (recons_out >= cfg_.min_rounds &&
-          recon_l_prev - codelength_ < cfg_.round_theta)
+      if (codelength_ > recon_l_prev + kRoundTheta) break;
+      if (recons_out >= kMinRounds &&
+          recon_l_prev - codelength_ < kRoundTheta)
         break;
-      if (recons_out >= cfg_.max_rounds) break;
+      if (recons_out >= kMaxRounds) break;
       recon_l_prev = codelength_;
     }
   }
@@ -1167,7 +1167,7 @@ VertexId DistRank::merge_level() {
 
 void DistRank::sync_level(bool with_delegates, OuterIterationInfo& info,
                           util::Xoshiro256& rng) {
-  for (int i = 0; i < cfg_.max_rounds; ++i) {
+  for (int i = 0; i < kMaxRounds; ++i) {
     const double before = codelength_;
     const RoundResult rr = round(with_delegates, rng);
     info.moves += rr.global_moves;
@@ -1176,8 +1176,8 @@ void DistRank::sync_level(bool with_delegates, OuterIterationInfo& info,
     if (rr.global_moves == 0) break;
     // Conflicting synchronous moves can overshoot; stop the level rather
     // than keep trading regressions.
-    if (codelength_ > before + cfg_.round_theta) break;
-    if (i + 1 >= cfg_.min_rounds && before - codelength_ < cfg_.round_theta)
+    if (codelength_ > before + kRoundTheta) break;
+    if (i + 1 >= kMinRounds && before - codelength_ < kRoundTheta)
       break;
   }
 }
@@ -1228,10 +1228,10 @@ void DistRank::execute() {
         stage1_work_snapshot_[ph] = work_[ph];
       stage_timer.restart();
       stage_span.emplace(trace_buf_, "Stage2");
-    } else if (improvement < cfg_.theta) {
+    } else if (improvement < kTheta) {
       break;
     }
-    if (level >= cfg_.max_levels) break;
+    if (level >= kMaxLevels) break;
   }
   stage_span.reset();
   stage2_seconds_ = stage_timer.seconds();
@@ -1275,12 +1275,12 @@ void fill_run_report(const graph::GraphView& graph,
   rep.add_config("num_ranks", config.num_ranks);
   rep.add_config("degree_threshold",
                  static_cast<std::uint64_t>(config.degree_threshold));
-  rep.add_config("theta", config.theta);
-  rep.add_config("max_levels", config.max_levels);
-  rep.add_config("max_rounds", config.max_rounds);
-  rep.add_config("round_theta", config.round_theta);
-  rep.add_config("min_rounds", config.min_rounds);
-  rep.add_config("move_epsilon", config.move_epsilon);
+  rep.add_config("theta", kTheta);
+  rep.add_config("max_levels", kMaxLevels);
+  rep.add_config("max_rounds", kMaxRounds);
+  rep.add_config("round_theta", kRoundTheta);
+  rep.add_config("min_rounds", kMinRounds);
+  rep.add_config("move_epsilon", kMoveEpsilon);
   rep.add_config("seed", static_cast<std::uint64_t>(config.seed));
   rep.add_config("min_label", config.min_label);
   rep.add_config("whole_module_swap", config.whole_module_swap);
@@ -1455,7 +1455,9 @@ DistInfomapResult run_rank(const graph::GraphView& graph,
   rank.execute();
 
   // Algorithm traffic ends here: snapshot its counters and detach the flight
-  // recorder, so the result gathers below are neither counted nor traced.
+  // recorder from the comm, so the result gathers below stay out of the
+  // comm.* counters. Rank 0 traces them as ResultGather and counts the bytes
+  // it receives as result.gather_bytes.
   RankSummary mine{};
   for (int ph = 0; ph < kNumPhases; ++ph) {
     mine.work[ph] = rank.work(static_cast<Phase>(ph));
@@ -1474,8 +1476,14 @@ DistInfomapResult run_rank(const graph::GraphView& graph,
     m->counter("mailbox.delivered").set(mine.stats.inbox_delivered);
   }
 
-  const auto map_batches = comm.gatherv(0, rank.level_maps());
-  const auto summaries = comm.gatherv(0, std::vector<RankSummary>{mine});
+  std::vector<std::vector<VertexId>> map_batches;
+  std::vector<std::vector<RankSummary>> summaries;
+  {
+    obs::SpanScope span(self == 0 ? recorder.track(0) : nullptr,
+                        "ResultGather");
+    map_batches = comm.gatherv(0, rank.level_maps());
+    summaries = comm.gatherv(0, std::vector<RankSummary>{mine});
+  }
 
   DistInfomapResult result;
   // Locally visible fields are valid on every rank (the codelengths and
@@ -1490,6 +1498,12 @@ DistInfomapResult run_rank(const graph::GraphView& graph,
   result.stage2_wall_seconds = rank.stage2_seconds();
   if (self != 0) return result;
 
+  if (obs::MetricsRegistry* m = recorder.metrics(0)) {
+    std::uint64_t bytes = 0;
+    for (const auto& batch : map_batches) bytes += batch.size() * sizeof(VertexId);
+    for (const auto& batch : summaries) bytes += batch.size() * sizeof(RankSummary);
+    m->counter("result.gather_bytes").set(bytes);
+  }
   {
     obs::SpanScope span(recorder.track(0), "FinalProjection");
     result.assignment = compose_assignment(rank.level_sizes(), map_batches);

@@ -46,6 +46,22 @@ inline constexpr std::array<const char*, kNumPhases> kPhaseNames = {
 /// bounding how far rank-local statistics may diverge.
 inline constexpr int kAsyncMaxLag = 4;
 
+/// Stop rules of the level and round loops. The run report echoes them under
+/// the config keys theta, max_levels, max_rounds, round_theta, min_rounds and
+/// move_epsilon.
+/// Outer improvement threshold θ: stage 2 stops once a level improves L by
+/// less than this.
+inline constexpr double kTheta = 1e-10;
+inline constexpr int kMaxLevels = 16;  ///< stage-2 merge levels
+inline constexpr int kMaxRounds = 64;  ///< synchronous rounds per level
+/// A level's rounds also stop once a full round improves L by less than
+/// this (after kMinRounds) — synchronous rounds can otherwise trade
+/// vanishing gains forever without reaching exactly zero moves.
+inline constexpr double kRoundTheta = 1e-7;
+inline constexpr int kMinRounds = 4;
+/// A move must lower L by more than this to count as improving.
+inline constexpr double kMoveEpsilon = 1e-14;
+
 struct DistInfomapConfig {
   int num_ranks = 4;
   /// Must be 1: ranks are the distributed core's only parallel axis
@@ -55,16 +71,6 @@ struct DistInfomapConfig {
   int threads_per_rank = 1;
   /// Hub threshold d_high; 0 → the paper's default d_high = num_ranks.
   graph::EdgeIndex degree_threshold = 0;
-  /// Outer improvement threshold θ.
-  double theta = 1e-10;
-  int max_levels = 16;           ///< stage-2 merge levels
-  int max_rounds = 64;           ///< synchronous rounds per level
-  /// A level's rounds also stop once a full round improves L by less than
-  /// this (after min_rounds) — synchronous rounds can otherwise trade
-  /// vanishing gains forever without reaching exactly zero moves.
-  double round_theta = 1e-7;
-  int min_rounds = 4;
-  double move_epsilon = 1e-14;
   std::uint64_t seed = 42;
   /// Minimum-label anti-bouncing strategy for boundary moves (§3.4);
   /// switchable for the A2 ablation.

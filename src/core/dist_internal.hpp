@@ -147,7 +147,7 @@ class DistRank {
   };
   RoundResult round(bool with_delegates, util::Xoshiro256& rng);
   /// One level of synchronous rounds until a stop rule fires: no moves, an
-  /// overshoot, or a gain below round_theta after min_rounds. Adds the
+  /// overshoot, or a gain below kRoundTheta after kMinRounds. Adds the
   /// level's moves and rounds to `info`.
   void sync_level(bool with_delegates, OuterIterationInfo& info,
                   util::Xoshiro256& rng);
@@ -385,7 +385,7 @@ class DistRank {
   /// Per local vertex: clock at its last completed evaluation (0 = never).
   std::vector<std::uint64_t> last_eval_;
   /// Rejection margin at the last no-move evaluation: min over evaluated
-  /// candidates of (ΔL + move_epsilon) — how far the best candidate was from
+  /// candidates of (ΔL + kMoveEpsilon) — how far the best candidate was from
   /// acceptance.
   std::vector<double> last_margin_;
   /// q_total_ at the last evaluation (the margin is only valid against

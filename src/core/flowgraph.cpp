@@ -31,25 +31,6 @@ FlowGraph make_flow_graph(const Csr& graph) {
   return fg;
 }
 
-NodeFlows compute_node_flows(const graph::GraphView& graph) {
-  DINFOMAP_REQUIRE_MSG(graph.num_vertices() > 0, "empty graph");
-  NodeFlows nf;
-  nf.two_w = 2.0 * graph.total_link_weight();
-  DINFOMAP_REQUIRE_MSG(nf.two_w > 0, "graph has no non-self edges");
-  const VertexId n = graph.num_vertices();
-  nf.node_flow.resize(n);
-  auto cursor = graph.cursor();
-  for (VertexId u = 0; u < n; ++u) {
-    // Mirror of make_flow_graph: the scaled Csr's weighted_degree(u) is the
-    // in-order sum of w_i / 2W, and node flow adds self/2W on top.
-    double wdeg = 0;
-    for (const auto& nb : graph.neighbors(u, cursor)) wdeg += nb.weight / nf.two_w;
-    nf.node_flow[u] = wdeg + graph.self_weight(u) / nf.two_w;
-    nf.node_term += plogp(nf.node_flow[u]);
-  }
-  return nf;
-}
-
 bool validate_flow_graph(const FlowGraph& fg, bool level0) {
   const VertexId n = fg.num_vertices();
   if (fg.node_flow.size() != n) return false;

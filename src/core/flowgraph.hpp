@@ -8,7 +8,6 @@
 
 #include "core/mapequation.hpp"
 #include "graph/csr.hpp"
-#include "graph/graph_view.hpp"
 
 namespace dinfomap::core {
 
@@ -42,17 +41,5 @@ FlowGraph make_flow_graph(const Csr& graph);
 /// flow ≥ its out flow (self flow non-negative), node_term matches when
 /// `level0` is true.
 bool validate_flow_graph(const FlowGraph& fg, bool level0);
-
-/// Level-0 flow quantities without materializing a flow-weighted CSR — the
-/// out-of-core path of make_flow_graph. `node_flow[u]` is computed as
-/// Σ(w_i / 2W) over u's adjacency in stored order plus self/2W, the exact
-/// floating-point sequence the resident Csr constructor performs on the
-/// flow-scaled adjacency, so both paths produce identical bits.
-struct NodeFlows {
-  std::vector<double> node_flow;  ///< p_α per vertex; sums to 1
-  double node_term = 0;           ///< Σ plogp(p_α)
-  double two_w = 0;               ///< 2 × total_link_weight
-};
-NodeFlows compute_node_flows(const graph::GraphView& graph);
 
 }  // namespace dinfomap::core

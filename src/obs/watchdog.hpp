@@ -53,7 +53,7 @@ struct Anomaly {
 struct WatchdogOptions {
   /// L may grow by at most this much between consecutive rounds before the
   /// regression is flagged (conflicting synchronous moves can overshoot by a
-  /// hair; the round loop itself tolerates round_theta).
+  /// hair; the round loop itself tolerates core::kRoundTheta).
   double mdl_tolerance = 1e-7;
   /// Flag a round when max rank work exceeds `skew_threshold` × mean rank
   /// work (only once the round does meaningful work — see min_skew_work).

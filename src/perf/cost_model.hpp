@@ -20,22 +20,8 @@ struct CostModel {
   double alpha = 2.0e-6;                  ///< per-message latency
   double beta = 2.5e-10;                  ///< per-byte (≈4 GB/s)
 
-  // Out-of-core extension (blocks backend): a scanned arc that misses the
-  // decode cache additionally pays the varint/zig-zag decode of its block,
-  // amortized per arc. 0 (the default) models the resident backend.
-  double sec_per_arc_decode = 0;  ///< amortized decode cost per arc on a miss
-  double decode_hit_ratio = 1.0;  ///< measured/expected cache hit ratio
-
-  /// Per-arc scan cost including the amortized decode bill: the coefficient
-  /// the delegate rebalance and the modeled-time plots should use when the
-  /// graph streams from the block file.
-  [[nodiscard]] double effective_sec_per_arc() const {
-    return sec_per_arc +
-           (1.0 - decode_hit_ratio) * sec_per_arc_decode;
-  }
-
   [[nodiscard]] double compute_seconds(const WorkCounters& w) const {
-    return static_cast<double>(w.arcs_scanned) * effective_sec_per_arc() +
+    return static_cast<double>(w.arcs_scanned) * sec_per_arc +
            static_cast<double>(w.delta_evals) * sec_per_delta +
            static_cast<double>(w.module_updates) * sec_per_module_update;
   }

@@ -73,7 +73,7 @@ TEST(Async, StarvedWorklistTerminates) {
   EXPECT_EQ(r.num_modules(), 8u);
   EXPECT_LT(r.codelength, r.singleton_codelength);
   // Termination came from quiescence, far below the epoch budget.
-  EXPECT_LT(r.stage1_rounds, cfg.max_rounds * dc::kAsyncMaxLag);
+  EXPECT_LT(r.stage1_rounds, dc::kMaxRounds * dc::kAsyncMaxLag);
 }
 
 TEST(Async, HubGraphStaysInBand) {

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/dist_infomap.hpp"
-#include "core/dist_louvain.hpp"
 #include "graph/blockgraph/blockgraph.hpp"
 #include "graph/blockgraph/codec.hpp"
 #include "graph/blockgraph/writer.hpp"
@@ -21,15 +20,12 @@
 #include "graph/graph_view.hpp"
 #include "obs/watchdog.hpp"
 #include "partition/arc_partition.hpp"
-#include "perf/cost_model.hpp"
-#include "perf/decode_cost.hpp"
 
 namespace bg = dinfomap::graph::blockgraph;
 namespace dc = dinfomap::core;
 namespace dg = dinfomap::graph;
 namespace gen = dinfomap::graph::gen;
 namespace obs = dinfomap::obs;
-namespace perf = dinfomap::perf;
 namespace part = dinfomap::partition;
 
 namespace {
@@ -50,7 +46,6 @@ class TempDir : public ::testing::Test {
 
 using BlockFile = TempDir;
 using BackendIdentity = TempDir;
-using DecodeCost = TempDir;
 
 /// Encode one block holding the given per-vertex adjacency and decode it
 /// back; returns the decoded arcs for comparison against the input.
@@ -398,57 +393,6 @@ TEST_F(BackendIdentity, DistInfomapBitIdenticalUnderFaultPlan) {
   const auto blk = dc::distributed_infomap(dg::GraphView(blocks), cfg);
   EXPECT_EQ(res.assignment, blk.assignment);
   EXPECT_EQ(res.codelength, blk.codelength);
-}
-
-TEST_F(BackendIdentity, DistLouvainBitIdenticalAcrossBackends) {
-  const auto gg = gen::ring_of_cliques(30, 8, 21);
-  const auto csr = dg::build_csr(gg.edges, gg.num_vertices);
-  bg::write_block_file(path("g.blockgraph"), csr, {});
-  bg::BlockGraph::Options bopts;
-  bopts.cache_bytes = 64 * 1024;
-  const auto blocks = bg::BlockGraph::open(path("g.blockgraph"), bopts);
-
-  for (const int p : {2, 4}) {
-    const auto res = dc::distributed_louvain(dg::GraphView(csr), p);
-    const auto blk = dc::distributed_louvain(dg::GraphView(blocks), p);
-    EXPECT_EQ(res.assignment, blk.assignment) << "p=" << p;
-    EXPECT_EQ(res.modularity, blk.modularity) << "p=" << p;
-  }
-}
-
-// ------------------------------------------------------------ cost model ----
-
-TEST_F(DecodeCost, MeasurementFeedsCostModel) {
-  const auto gg = gen::lfr_lite({}, 37);
-  const auto csr = dg::build_csr(gg.edges, gg.num_vertices);
-  bg::WriteOptions wopts;
-  wopts.block_payload_bytes = 4096;
-  bg::write_block_file(path("g.blockgraph"), csr, wopts);
-  const auto blocks = bg::BlockGraph::open(path("g.blockgraph"));
-
-  const auto m = perf::measure_decode_cost(blocks, 16);
-  ASSERT_TRUE(m.valid());
-  EXPECT_GT(m.sec_per_arc_decode, 0.0);
-  EXPECT_GT(m.arcs_per_block, 0.0);
-  EXPECT_GT(m.blocks_timed, 0u);
-
-  perf::CostModel model;
-  model.sec_per_arc = 1e-8;
-  // Defaults are inert: effective == base, the resident formula.
-  EXPECT_EQ(model.effective_sec_per_arc(), model.sec_per_arc);
-  perf::apply_decode_cost(model, m);
-  // A cold cache (hit ratio 1 → still inert) vs a measured miss stream.
-  model.decode_hit_ratio = 0.0;
-  EXPECT_EQ(model.effective_sec_per_arc(),
-            model.sec_per_arc + model.sec_per_arc_decode);
-
-  bg::BlockGraphStats st;
-  st.hits = 900;
-  st.misses = 100;
-  perf::apply_decode_feedback(model, st);
-  EXPECT_DOUBLE_EQ(model.decode_hit_ratio, 0.9);
-  EXPECT_DOUBLE_EQ(model.effective_sec_per_arc(),
-                   model.sec_per_arc + 0.1 * model.sec_per_arc_decode);
 }
 
 TEST(CacheThrashRule, FiresOnlyOnSustainedMissStorm) {

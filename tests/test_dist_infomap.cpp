@@ -427,16 +427,16 @@ TEST(DistInfomap, MinLabelBreaksTwoVertexBoundaryOscillation) {
   auto cfg = config_for(2);
   cfg.min_label = true;
   const auto with = dc::distributed_infomap(g, cfg);
-  EXPECT_LT(with.stage1_rounds, cfg.max_rounds)
+  EXPECT_LT(with.stage1_rounds, dc::kMaxRounds)
       << "min_label on: rounds must converge, not run to the cap";
   EXPECT_EQ(with.num_modules(), 2u);
   EXPECT_LT(with.codelength, with.singleton_codelength);
 
   // With the strategy off the protocol must still terminate (the round cap
-  // and round_theta bound any residual bouncing) and produce a valid result.
+  // and kRoundTheta bound any residual bouncing) and produce a valid result.
   cfg.min_label = false;
   const auto without = dc::distributed_infomap(g, cfg);
-  EXPECT_LE(without.stage1_rounds, cfg.max_rounds);
+  EXPECT_LE(without.stage1_rounds, dc::kMaxRounds);
   EXPECT_EQ(without.assignment.size(), g.num_vertices());
   EXPECT_LT(without.codelength, without.singleton_codelength);
 }

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "core/dist_infomap.hpp"
-#include "core/dist_louvain.hpp"
 #include "core/labelflow.hpp"
 #include "core/louvain.hpp"
 #include "core/relaxmap.hpp"
@@ -40,7 +39,6 @@ TEST_P(SmallDataset, EveryDetectorProducesAConsistentClustering) {
   const auto dist = dc::distributed_infomap(g, di_cfg);
 
   const auto lou = dc::louvain(g);
-  const auto dlou = dc::distributed_louvain(g, 4);
   const auto lf = dc::distributed_labelflow(g, 4);
   dc::RelaxMapConfig rm_cfg;
   rm_cfg.num_threads = 4;
@@ -49,9 +47,9 @@ TEST_P(SmallDataset, EveryDetectorProducesAConsistentClustering) {
   const struct {
     const char* name;
     const dg::Partition& assignment;
-  } all[] = {{"seq", seq.assignment},     {"dist", dist.assignment},
-             {"louvain", lou.assignment}, {"dist-louvain", dlou.assignment},
-             {"labelflow", lf.assignment}, {"relaxmap", rm.assignment}};
+  } all[] = {{"seq", seq.assignment},       {"dist", dist.assignment},
+             {"louvain", lou.assignment},   {"labelflow", lf.assignment},
+             {"relaxmap", rm.assignment}};
 
   for (const auto& algo : all) {
     SCOPED_TRACE(algo.name);

@@ -572,14 +572,26 @@ TEST_F(TransportCli, ThreadsAboveOneRequireRelaxMap) {
   // Only RelaxMap runs on threads; every other engine must refuse a thread
   // count it would silently ignore.
   const std::string base = "cluster " + *edges_ + " " + *dir_ + "/t.clu ";
-  for (const char* algo :
-       {"seq", "dist", "louvain", "dist-louvain", "lpa", "hier"}) {
+  for (const char* algo : {"seq", "dist", "louvain", "lpa", "hier"}) {
     const auto res = run_cli(base + "--threads 2 --algo " + algo);
     EXPECT_EQ(res.exit_code, 2) << algo << "\n" << res.output;
     EXPECT_NE(res.output.find("requires --algo relaxmap"), std::string::npos)
         << algo << "\n" << res.output;
   }
   EXPECT_EQ(run_cli(base + "--threads 1 --algo seq").exit_code, 0);
+}
+
+TEST_F(TransportCli, RejectsUnknownAlgoBeforeReadingInput) {
+  // The input path does not exist: a usage error (exit 2) naming the value,
+  // rather than a read failure (exit 1), shows the check runs before any I/O.
+  const std::string base =
+      "cluster " + *dir_ + "/missing.txt " + *dir_ + "/a.clu --algo ";
+  for (const char* algo : {"dist-louvain", "bogus"}) {
+    const auto res = run_cli(base + algo);
+    EXPECT_EQ(res.exit_code, 2) << algo << "\n" << res.output;
+    EXPECT_NE(res.output.find(std::string("'") + algo + "'"), std::string::npos)
+        << algo << "\n" << res.output;
+  }
 }
 
 TEST_F(TransportCli, RejectsInvalidFaultPlansAtConfigTime) {
