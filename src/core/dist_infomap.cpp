@@ -200,7 +200,7 @@ void DistRank::apply_local_move(std::uint32_t li, const BestMove& mv) {
     stamp_stats(old, t);
     stamp_stats(mv.target, t);
   }
-  module_of_[li] = static_cast<VertexId>(mv.target);
+  module_of_[li] = mv.target;
   wk(Phase::kOther).module_updates += 2;
 }
 
@@ -256,8 +256,10 @@ std::uint64_t DistRank::find_best_modules(bool with_delegates,
     BestMove mv;
     if (!best_move_for(li, mv)) continue;
     if (is_hub) {
-      proposals.push_back({verts_[li].global, comm_.rank(), mv.target,
-                           mv.delta_l});
+      proposals.push_back({.hub = verts_[li].global,
+                           .rank = comm_.rank(),
+                           .target = mv.target,
+                           .delta_l = mv.delta_l});
     } else {
       apply_local_move(li, mv);
       ++moves;
@@ -295,7 +297,7 @@ std::uint64_t DistRank::apply_hub_winners(const std::vector<HubProposal>& winner
       stamp_stats(cur, t);
       stamp_stats(win.target, t);
     }
-    module_of_[li] = static_cast<VertexId>(win.target);
+    module_of_[li] = win.target;
     wk(Phase::kBroadcastDelegates).module_updates += 2;
   }
   return hub_moves;
@@ -437,7 +439,8 @@ std::uint64_t DistRank::broadcast_delegates_exact() {
       }
     }
     if (best_target != cur)
-      decisions.push_back({hub, r, best_target, best_delta});
+      decisions.push_back(
+          {.hub = hub, .rank = r, .target = best_target, .delta_l = best_delta});
   }
 
   // Every rank learns every owner's decisions (unique per hub by
@@ -461,19 +464,11 @@ HomeTotals DistRank::swap_boundary_info(std::uint64_t local_moves) {
 
   // --- boundary-vertex records (Alg. 3 lines 2–20) -----------------------
   // For every owned vertex that changed module and is a ghost elsewhere,
-  // ship its whole-module record; per-destination isSent flags stop the
-  // same module's statistics from being shipped twice.
+  // ship (vertex, module) to each subscriber. Module statistics do not ride
+  // here: the homes' reply below carries each module's once.
   std::vector<std::vector<BoundaryRecord>> out(p);
   for (std::uint32_t li : dirty_owned_) {
-    if (sub_off_[li] == sub_off_[li + 1]) continue;
-    BoundaryRecord rec;
-    rec.vertex = verts_[li].global;
-    rec.info.mod_id = module_of_[li];
-    if (const ModuleStats* stats = modules_.find(rec.info.mod_id)) {
-      rec.info.sum_pr = stats->sum_pr;
-      rec.info.exit_pr = stats->exit_pr;
-      rec.info.num_members = static_cast<std::int32_t>(stats->num_members);
-    }
+    const BoundaryRecord rec{verts_[li].global, module_of_[li]};
     for (std::uint32_t s = sub_off_[li]; s < sub_off_[li + 1]; ++s)
       out[static_cast<std::size_t>(sub_ranks_[s])].push_back(rec);
   }
@@ -483,53 +478,15 @@ HomeTotals DistRank::swap_boundary_info(std::uint64_t local_moves) {
   if (!cfg_.async)
     for (std::uint32_t li : dirty_owned_) dirty_flag_[li] = 0;
   dirty_owned_.clear();
-  // A module's first record in a destination batch carries its statistics;
-  // one stamp epoch per batch replaces a per-destination sent set.
-  const auto first_in_batch = [&](ModuleId m) {
-    if (sent_stamp_[m] == sent_epoch_) return false;
-    sent_stamp_[m] = sent_epoch_;
-    return true;
-  };
-  for (auto& batch : out) {
-    ++sent_epoch_;
-    for (BoundaryRecord& rec : batch)
-      rec.info.is_sent = first_in_batch(rec.info.mod_id) ? 0 : 1;
-  }
   auto incoming = comm_.alltoallv(out);
 
-  // Receive side (Alg. 3 lines 22–32): update ghost→module mapping; build
-  // new modules from unseen records, skip duplicate statistics.
-  // Watchdog: the sender's isSent flags guarantee at most one stats-bearing
-  // record per (batch, module); a second one means the dedup protocol broke.
-  const bool watch = recorder_ != nullptr && recorder_->enabled() &&
-                     recorder_->options().watchdog;
+  // Receive side (Alg. 3 lines 22–32): update the ghost→module mapping.
   for (const auto& batch : incoming) {
-    if (watch) ++sent_epoch_;
     for (const BoundaryRecord& rec : batch) {
-      if (watch && rec.info.is_sent == 0 && !first_in_batch(rec.info.mod_id)) {
-        obs::Anomaly a;
-        a.rank = comm_.rank();
-        a.level = current_level_;
-        a.round = round_index_;
-        a.kind = "issent_dedup_violation";
-        a.detail = "module " + std::to_string(rec.info.mod_id) +
-                   " statistics shipped twice in one boundary batch";
-        recorder_->report_anomaly(comm_.rank(), std::move(a));
-      }
       const std::uint32_t li = local_index(rec.vertex);
       if (li == kNotHere) continue;
-      if (cfg_.async && module_of_[li] != rec.info.mod_id)
-        stamp_assign(li, tick());
-      module_of_[li] = static_cast<VertexId>(rec.info.mod_id);
-      if (modules_.contains(rec.info.mod_id)) continue;  // existing module
-      if (rec.info.is_sent) continue;  // stats already shipped
-      ModuleStats& stats = modules_[rec.info.mod_id];
-      stats.sum_pr = rec.info.sum_pr;
-      stats.exit_pr = rec.info.exit_pr;
-      stats.num_members = static_cast<std::uint64_t>(
-          std::max<std::int32_t>(rec.info.num_members, 0));
-      if (cfg_.async) stamp_stats(rec.info.mod_id, tick());
-      ++wk(Phase::kSwapBoundaryInfo).module_updates;
+      if (cfg_.async && module_of_[li] != rec.module) stamp_assign(li, tick());
+      module_of_[li] = rec.module;
     }
   }
 
@@ -636,37 +593,41 @@ HomeTotals DistRank::swap_boundary_info(std::uint64_t local_moves) {
     total.moves += t.moves;
   }
 
-  // A3 ablation switch: with whole-module swapping on (the paper's design),
-  // local tables are replaced by the authoritative statistics; with the
-  // naive boundary-only swap they keep whatever each rank pieced together,
-  // and drift — §3.4's predicted failure. (The home aggregation above still
-  // runs either way; merging and the reported L need it.)
+  // A3 ablation switch. With whole-module swapping on (the paper's design)
+  // the local table is replaced by the authoritative statistics. With the
+  // naive swap a rank keeps the statistics its own updates left in the
+  // table and only adds the modules it does not hold yet, so held entries
+  // drift — §3.4's predicted failure. (The home aggregation above runs
+  // either way; merging and the reported L need it.)
   if (cfg_.whole_module_swap) {
     if (cfg_.async) std::swap(modules_, prev_modules_);
     modules_.clear();
-    // One tick for the whole table refresh; a module only gets the stamp if
-    // the authoritative statistics differ bitwise from what the table held
-    // before (vanished modules need no stamp: a module vanishes only when
-    // its last local member moved away, and that assignment was stamped).
-    const std::uint64_t t = cfg_.async ? tick() : 0;
-    for (const auto& batch : replies_in) {
-      for (const ModuleInfo& info : batch) {
-        // One home answers for each module, and a sender's partials name a
-        // module once, so every id arrives once.
-        ModuleStats& stats = modules_[info.mod_id];
-        stats.sum_pr = info.sum_pr;
-        stats.exit_pr = info.exit_pr;
-        stats.num_members = static_cast<std::uint64_t>(info.num_members);
-        if (cfg_.async) {
-          const ModuleStats* prev = prev_modules_.find(info.mod_id);
-          const bool changed = prev == nullptr ||
-                               prev->sum_pr != stats.sum_pr ||
-                               prev->exit_pr != stats.exit_pr ||
-                               prev->num_members != stats.num_members;
-          if (changed) stamp_stats(info.mod_id, t);
-        }
-        ++wk(Phase::kSwapBoundaryInfo).module_updates;
+  }
+  // One tick for the whole table refresh; a module only gets the stamp if
+  // the authoritative statistics differ bitwise from what the table held
+  // before (vanished modules need no stamp: a module vanishes only when its
+  // last local member moved away, and that assignment was stamped).
+  const std::uint64_t t = cfg_.async ? tick() : 0;
+  for (const auto& batch : replies_in) {
+    for (const ModuleInfo& info : batch) {
+      // One home answers for each module, and a sender's partials name a
+      // module once, so every id arrives once. After the whole-module clear
+      // the table holds none of them.
+      if (modules_.contains(info.mod_id)) continue;
+      ModuleStats& stats = modules_[info.mod_id];
+      stats.sum_pr = info.sum_pr;
+      stats.exit_pr = info.exit_pr;
+      stats.num_members = static_cast<std::uint64_t>(info.num_members);
+      if (cfg_.async) {
+        // Under the naive swap prev_modules_ stays empty: every module
+        // added here is new to the table.
+        const ModuleStats* prev = prev_modules_.find(info.mod_id);
+        const bool changed = prev == nullptr || prev->sum_pr != stats.sum_pr ||
+                             prev->exit_pr != stats.exit_pr ||
+                             prev->num_members != stats.num_members;
+        if (changed) stamp_stats(info.mod_id, t);
       }
+      ++wk(Phase::kSwapBoundaryInfo).module_updates;
     }
   }
   return total;
@@ -755,8 +716,10 @@ std::uint64_t DistRank::async_reconcile(bool with_delegates,
         for (std::uint32_t li : hubs_) {
           BestMove mv;
           if (best_move_for(li, mv))
-            proposals.push_back(
-                {verts_[li].global, comm_.rank(), mv.target, mv.delta_l});
+            proposals.push_back({.hub = verts_[li].global,
+                                 .rank = comm_.rank(),
+                                 .target = mv.target,
+                                 .delta_l = mv.delta_l});
         }
       }
       hub_moves = broadcast_delegates(proposals);
@@ -894,7 +857,7 @@ void DistRank::async_level(bool with_delegates, OuterIterationInfo& info) {
           const std::uint32_t g = local_index(rec.vertex);
           if (g == kNotHere) continue;
           if (module_of_[g] == rec.new_module) continue;
-          module_of_[g] = static_cast<VertexId>(rec.new_module);
+          module_of_[g] = rec.new_module;
           const std::uint64_t t = tick();
           stamp_assign(g, t);
           if (modules_.contains(rec.old_module)) {

@@ -131,8 +131,8 @@ class DistRank {
   /// Every vertex its own module: module_of_ is the identity, and modules_
   /// holds each non-ghost, non-settled vertex's stats. The one sizing point
   /// of every per-level table: the module-id-indexed ones (modules_, nbflow_,
-  /// partial_acc_, sent_stamp_, homed_'s slots, and with async stat_stamp_
-  /// and prev_modules_) and the per-local-vertex ones (dirty_flag_, and with
+  /// partial_acc_, homed_'s slots, and with async stat_stamp_ and
+  /// prev_modules_) and the per-local-vertex ones (dirty_flag_, and with
   /// async the stamp, evaluation and margin arrays).
   void init_singleton_modules();
   /// Append per_local[li] of every vertex this rank owns at the current
@@ -275,12 +275,11 @@ class DistRank {
            lv.node_flow == 0 && lv.self_flow == 0;
   }
 
-  [[nodiscard]] int home_of(ModuleId m) const {
-    return static_cast<int>(m % static_cast<ModuleId>(comm_.size()));
-  }
   [[nodiscard]] int owner_of(VertexId v) const {
     return static_cast<int>(v % static_cast<VertexId>(comm_.size()));
   }
+  /// A module's home is the owner of the vertex id it is named by.
+  [[nodiscard]] int home_of(ModuleId m) const { return owner_of(m); }
   /// local_index's answer for a vertex this rank does not hold.
   static constexpr std::uint32_t kNotHere = ~std::uint32_t{0};
   /// Local index of global vertex `v`, or kNotHere. Ids at or above the
@@ -345,8 +344,7 @@ class DistRank {
   std::vector<std::uint32_t> hubs_;      // local indices of delegates
 
   /// Module of every local vertex, by local index: the only store of it.
-  /// Module ids are current-level vertex ids, so 4 bytes hold one.
-  std::vector<VertexId> module_of_;
+  std::vector<ModuleId> module_of_;
 
   /// Per-rank module table, indexed by module id (< level_n_): a candidate
   /// lookup is one index, not a hash probe. A module is present once touched
@@ -426,10 +424,6 @@ class DistRank {
   /// sub_ranks_[sub_off_[li] .. sub_off_[li + 1]).
   std::vector<std::uint32_t> sub_off_;
   std::vector<int> sub_ranks_;
-  /// Per module id: swap's per-destination isSent epoch (a module's stats
-  /// ride one record per destination batch).
-  std::vector<std::uint64_t> sent_stamp_;
-  std::uint64_t sent_epoch_ = 0;
 
   /// Exact stats of modules homed here (refreshed each swap) — the merge and
   /// codelength inputs. Home r owns exactly the ids m ≡ r (mod p), so the

@@ -274,7 +274,6 @@ void DistRank::init_singleton_modules() {
   nbflow_.reset(level_n_);
   partial_acc_.reset(level_n_);
   homed_.reset((level_n_ + p - 1) / p);
-  sent_stamp_.assign(level_n_, 0);
   dirty_owned_.clear();
   dirty_flag_.assign(n, 0);
   round_index_ = 0;

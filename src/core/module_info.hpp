@@ -8,33 +8,31 @@
 
 namespace dinfomap::core {
 
-/// Global module identifier: the (current-level) vertex id anchoring the
-/// module, widened per the paper's interface (List 1: uint64_t modID).
-using ModuleId = std::uint64_t;
+/// Global module identifier: the current-level vertex id anchoring the
+/// module. The paper's List 1 widens it to uint64_t modID; here module ids
+/// and vertex ids share one type, so a module id fits wherever a vertex
+/// id does (module_of_, the level maps, the merge's live-id list).
+using ModuleId = graph::VertexId;
 
-/// List 1 of the paper, verbatim fields: the message interface for swapping
-/// whole-module information of boundary vertices.
+/// Whole-module statistics as a module's home replies them: the paper's
+/// List 1 without its isSent flag. One home answers for each module, so a
+/// rank receives every module once and nothing needs deduplicating.
 struct ModuleInfo {
   ModuleId mod_id = 0;           ///< module ID
+  std::int32_t num_members = 0;  ///< vertex number in this module
   double sum_pr = 0;             ///< sum of visit probability of the module
   double exit_pr = 0;            ///< sum of exit probability of the module
-  std::int32_t num_members = 0;  ///< vertex number in this module
-  /// Whether this module's statistics were already shipped to the same
-  /// destination in this round (Alg. 3: receiver skips stat merging when
-  /// set, avoiding double counting when several boundary vertices share a
-  /// module).
-  std::uint8_t is_sent = 0;
-  std::uint8_t pad_[3] = {0, 0, 0};
 };
-static_assert(sizeof(ModuleInfo) == 32);
+static_assert(sizeof(ModuleInfo) == 24);
 
-/// Boundary-vertex swap record: "vertex v is now in the module described by
-/// info" (Alg. 3 lines 2–19 prepare these; lines 22–32 consume them).
+/// Boundary-vertex swap record: "vertex v is now in module m" (Alg. 3 lines
+/// 2–19 prepare these; lines 22–32 consume them). The receiver only updates
+/// its ghost copy; module statistics reach it in the homes' reply.
 struct BoundaryRecord {
   graph::VertexId vertex = 0;
-  std::uint32_t pad_ = 0;
-  ModuleInfo info;
+  ModuleId module = 0;
 };
+static_assert(sizeof(BoundaryRecord) == 8);
 
 /// A rank's local best move for a delegate (hub), broadcast so all ranks
 /// apply the move with the globally minimal ΔL (Alg. 2 line 4).
@@ -42,6 +40,7 @@ struct HubProposal {
   graph::VertexId hub = 0;
   std::int32_t rank = 0;
   ModuleId target = 0;
+  std::uint32_t pad_ = 0;
   double delta_l = 0;
 };
 
@@ -51,7 +50,6 @@ struct HubProposal {
 /// owner can evaluate ΔL for modules it does not track itself.
 struct HubFlowRecord {
   graph::VertexId hub = 0;
-  std::uint32_t pad_ = 0;
   ModuleId module = 0;
   double flow = 0;
   double sum_pr = 0;
@@ -64,11 +62,11 @@ struct HubFlowRecord {
 /// subscription.
 struct ModulePartial {
   ModuleId mod_id = 0;
+  std::int32_t num_members = 0;
   double sum_pr = 0;
   double exit_pr = 0;
-  std::int32_t num_members = 0;
-  std::uint32_t pad_ = 0;
 };
+static_assert(sizeof(ModulePartial) == 24);
 
 /// One home's codelength partials over its live modules, plus the sending
 /// rank's move count, carried on SwapBoundaryInfo's reply to every rank.
@@ -108,9 +106,9 @@ struct CoarseVertexInfo {
 /// readers with priority `gain` (the mover's achieved |ΔL|).
 struct ModuleDeltaRecord {
   graph::VertexId vertex = 0;
-  std::uint32_t pad_ = 0;
   ModuleId old_module = 0;
   ModuleId new_module = 0;
+  std::uint32_t pad_ = 0;
   double node_flow = 0;
   double gain = 0;
 };

@@ -67,11 +67,4 @@ GeneratedGraph ring_of_cliques(VertexId num_cliques, VertexId clique_size,
 GeneratedGraph watts_strogatz(VertexId n, VertexId k, double beta,
                               std::uint64_t seed);
 
-/// Configuration model: random wiring with a prescribed degree sequence
-/// (self-pairs dropped, parallel stubs tolerated — the builder combines
-/// them). The null model behind modularity; useful to test that detectors
-/// find nothing where only a degree sequence exists.
-GeneratedGraph configuration_model(const std::vector<VertexId>& degrees,
-                                   std::uint64_t seed);
-
 }  // namespace dinfomap::graph::gen

@@ -76,9 +76,9 @@ class Recorder {
     return rounds_;
   }
 
-  /// Report an invariant violation detected inline by rank `rank` (e.g. an
-  /// isSent dedup violation). Also mirrored into the rank's trace track as an
-  /// instant event and onto the log as a warning.
+  /// Report an invariant violation found outside the round stream, charged to
+  /// rank `rank` (e.g. the blocks backend's cache_thrash). Also mirrored into
+  /// the rank's trace track as an instant event and onto the log as a warning.
   void report_anomaly(int rank, Anomaly anomaly);
 
   /// Build the causal profile digest from the trace and fold the profile

@@ -1,7 +1,8 @@
 // Invariant watchdog: consumes the per-rank round stream the flight recorder
 // captured and flags violations of the properties the algorithm is supposed
 // to maintain — non-monotone global MDL, per-rank work skew beyond a
-// threshold, and isSent dedup violations (reported inline by the ranks).
+// threshold, unsynced-candidate skip rates, and async worklist thrashing or
+// starvation.
 // Findings are structured anomaly events: they land in the run report, in
 // the trace (as instant events), and on the log as warnings so tests can
 // capture them through util::set_log_sink.

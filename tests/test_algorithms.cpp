@@ -3,11 +3,9 @@
 #include "graph/algorithms.hpp"
 #include "graph/builder.hpp"
 #include "graph/gen/generators.hpp"
-#include "quality/community_stats.hpp"
 #include "util/check.hpp"
 
 namespace dg = dinfomap::graph;
-namespace dq = dinfomap::quality;
 
 namespace {
 /// Triangle 0-1-2 with a pendant path 2-3-4.
@@ -92,32 +90,4 @@ TEST(Bfs, SmallWorldShrinksDiameter) {
   const auto d_sw = dg::pseudo_diameter(
       dg::build_csr(rewired.edges, rewired.num_vertices));
   EXPECT_LT(d_sw, d_lat / 2);  // the Watts–Strogatz effect
-}
-
-TEST(CommunityStats, TwoTriangles) {
-  const auto g = dg::build_csr(
-      {{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5}, {2, 3}});
-  const auto s = dq::summarize_partition(g, {0, 0, 0, 1, 1, 1});
-  EXPECT_EQ(s.num_communities, 2u);
-  EXPECT_EQ(s.largest, 3u);
-  EXPECT_EQ(s.smallest, 3u);
-  EXPECT_DOUBLE_EQ(s.communities[0].internal_weight, 3.0);
-  EXPECT_DOUBLE_EQ(s.communities[0].cut_weight, 1.0);
-  EXPECT_NEAR(s.coverage, 6.0 / 7.0, 1e-12);
-  // Conductance: cut 1 over min(vol 7, 2W−vol 7) = 1/7.
-  EXPECT_NEAR(s.communities[0].conductance, 1.0 / 7.0, 1e-12);
-}
-
-TEST(CommunityStats, SingleCommunityFullCoverage) {
-  const auto g = dg::build_csr({{0, 1}, {1, 2}, {0, 2}});
-  const auto s = dq::summarize_partition(g, {0, 0, 0});
-  EXPECT_DOUBLE_EQ(s.coverage, 1.0);
-  EXPECT_DOUBLE_EQ(s.max_conductance, 0.0);
-}
-
-TEST(CommunityStats, SelfLoopsCountInternal) {
-  const auto g = dg::build_csr({{0, 0, 2.0}, {0, 1, 1.0}});
-  const auto s = dq::summarize_partition(g, {0, 1});
-  EXPECT_DOUBLE_EQ(s.communities[0].internal_weight, 2.0);
-  EXPECT_DOUBLE_EQ(s.communities[0].cut_weight, 1.0);
 }

@@ -161,8 +161,7 @@ struct DistRankTestPeer {
     for (const std::uint32_t li : rank.movable_) {
       if (rank.verts_[li].kind != Kind::kOwned) continue;
       if (rank.arc_off_[li] == rank.arc_off_[li + 1]) continue;
-      rank.module_of_[rank.arcs_[rank.arc_off_[li]].target] =
-          static_cast<VertexId>(missing);
+      rank.module_of_[rank.arcs_[rank.arc_off_[li]].target] = missing;
       const std::uint64_t before = rank.skipped_unsynced_round_;
       DistRank::BestMove mv;
       const bool found = rank.best_move_for(li, mv);
@@ -221,6 +220,132 @@ struct DistRankTestPeer {
     if (changed != rr.local_moves) ++probe.bad_moves;
     check_modules(rank, probe);
   }
+  /// Every home's live homed_ entries, gathered on every rank and indexed by
+  /// module id (num_members == 0: not a live homed module).
+  struct HomedEntry {
+    ModuleId id = 0;
+    std::uint32_t pad_ = 0;
+    ModuleStats stats;
+  };
+  static std::vector<ModuleStats> gather_homed(DistRank& rank) {
+    std::vector<HomedEntry> mine;
+    for (const ModuleId slot : rank.homed_.keys()) {
+      const ModuleStats& stats = *rank.homed_.find(slot);
+      if (stats.num_members > 0) mine.push_back({rank.homed_id(slot), 0, stats});
+    }
+    std::vector<ModuleStats> truth(rank.level_n_);
+    for (const auto& batch : rank.comm_.allgatherv(mine))
+      for (const HomedEntry& e : batch) truth[e.id] = e.stats;
+    return truth;
+  }
+
+  /// What one rank shows of the one-carrier protocol after each swap: held
+  /// non-settled vertices whose module is missing from modules_ or whose
+  /// stats differ bitwise from the home's, and the largest |Σ sum_pr − 1|
+  /// over the live homed modules.
+  struct CarrierProbe {
+    std::uint64_t swaps = 0;
+    std::uint64_t missing = 0;
+    std::uint64_t stale = 0;
+    double max_mass_error = 0;
+    std::uint64_t skipped_unsynced = 0;
+  };
+  static void check_carrier(DistRank& rank, CarrierProbe& probe) {
+    ++probe.swaps;
+    const std::vector<ModuleStats> truth = gather_homed(rank);
+    double mass = 0;
+    for (const ModuleStats& s : truth) mass += s.sum_pr;
+    probe.max_mass_error = std::max(probe.max_mass_error, std::abs(mass - 1.0));
+    for (std::uint32_t li = 0; li < rank.verts_.size(); ++li) {
+      if (rank.settled(li)) continue;
+      const ModuleId m = rank.module_of_[li];
+      const ModuleStats* held = rank.modules_.find(m);
+      if (held == nullptr) {
+        ++probe.missing;
+      } else if (held->sum_pr != truth[m].sum_pr ||
+                 held->exit_pr != truth[m].exit_pr ||
+                 held->num_members != truth[m].num_members) {
+        ++probe.stale;
+      }
+    }
+  }
+  /// execute()'s level loop, checked after every swap: each sync round's,
+  /// each async level's last reconciliation, and each merge's resync.
+  static CarrierProbe carrier_probe(DistRank& rank) {
+    CarrierProbe probe;
+    util::Xoshiro256 rng(util::derive_seed(rank.cfg_.seed, rank.comm_.rank()));
+    rank.setup_subscriptions();
+    rank.init_singleton_modules();
+    (void)rank.other_update(rank.swap_boundary_info(0), 0);
+    check_carrier(rank, probe);
+    for (int level = 0; level < 3; ++level) {
+      const bool stage1 = level == 0;
+      OuterIterationInfo info;
+      if (rank.cfg_.async) {
+        rank.async_level(stage1, info);
+        check_carrier(rank, probe);
+      } else {
+        for (int i = 0; i < 4; ++i) {
+          (void)rank.round(stage1, rng);
+          check_carrier(rank, probe);
+        }
+      }
+      (void)rank.merge_level();
+      (void)rank.other_update(rank.swap_boundary_info(0), 0);
+      check_carrier(rank, probe);
+    }
+    probe.skipped_unsynced = rank.skipped_unsynced();
+    return probe;
+  }
+
+  /// The A3 naive swap on execute()'s first swap: an owned vertex's module
+  /// is held from init_singleton_modules, a ghost's is not. Marks the held
+  /// entry, swaps, and reports whether the mark survived and whether the
+  /// absent module arrived with its home's statistics.
+  struct NaiveProbe {
+    bool ran = false;
+    bool held_kept = false;
+    bool absent_got_home_stats = false;
+  };
+  static NaiveProbe naive_probe(DistRank& rank) {
+    NaiveProbe probe;
+    rank.setup_subscriptions();
+    rank.init_singleton_modules();
+    ModuleId held = rank.level_n_;
+    ModuleId absent = rank.level_n_;
+    for (std::uint32_t li = 0; li < rank.verts_.size(); ++li) {
+      if (rank.settled(li)) continue;
+      const ModuleId m = rank.module_of_[li];
+      if (rank.verts_[li].kind == Kind::kOwned && held == rank.level_n_)
+        held = m;
+      if (rank.verts_[li].kind == Kind::kGhost && absent == rank.level_n_ &&
+          !rank.modules_.contains(m))
+        absent = m;
+    }
+    const bool have_both = held != rank.level_n_ && absent != rank.level_n_;
+    ModuleStats marked;
+    if (have_both) {
+      ModuleStats& entry = rank.modules_[held];
+      entry.exit_pr += 0.25;  // a local estimate no home would ever report
+      marked = entry;
+    }
+    (void)rank.other_update(rank.swap_boundary_info(0), 0);
+    const std::vector<ModuleStats> truth = gather_homed(rank);  // collective
+    if (!have_both) return probe;
+    probe.ran = true;
+    const ModuleStats* h = rank.modules_.find(held);
+    probe.held_kept = h != nullptr && h->sum_pr == marked.sum_pr &&
+                      h->exit_pr == marked.exit_pr &&
+                      h->num_members == marked.num_members;
+    const ModuleStats* a = rank.modules_.find(absent);
+    probe.absent_got_home_stats =
+        a != nullptr && truth[absent].num_members > 0 &&
+        a->sum_pr == truth[absent].sum_pr &&
+        a->exit_pr == truth[absent].exit_pr &&
+        a->num_members == truth[absent].num_members;
+    return probe;
+  }
+
   static LayoutProbe layout_probe(DistRank& rank) {
     LayoutProbe probe;
     util::Xoshiro256 rng(util::derive_seed(rank.cfg_.seed, rank.comm_.rank()));
@@ -804,6 +929,62 @@ TEST(DistInfomap, BoundaryBitsAndModuleArrayStayExact) {
       EXPECT_EQ(probes[r].bad_boundary, 0u) << "p=" << p << " rank " << r;
       EXPECT_EQ(probes[r].bad_module, 0u) << "p=" << p << " rank " << r;
       EXPECT_EQ(probes[r].bad_moves, 0u) << "p=" << p << " rank " << r;
+    }
+  }
+}
+
+TEST(DistInfomap, HomeReplyIsTheOneCarrierOfModuleStats) {
+  // Module statistics reach a rank only in its homes' reply. With whole-module
+  // swapping, after every swap each module a held vertex references is in the
+  // local table with exactly its home's statistics, the live homed modules
+  // carry the whole visit probability, and the move search never meets an
+  // unsynced candidate. Hubs, ghosts and isolated (settled) ids all occur.
+  const auto gg = gen::barabasi_albert(600, 3, 21);
+  const auto g = dg::build_csr(gg.edges, gg.num_vertices + 4);
+  for (const bool async : {false, true}) {
+    for (int p : {1, 2, 3, 4}) {
+      auto cfg = config_for(p);
+      cfg.async = async;
+      const auto part = dinfomap::partition::make_delegate(
+          g, p, dc::resolve_degree_threshold(g, cfg));
+      std::vector<Peer::CarrierProbe> probes(p);
+      dinfomap::comm::Runtime::run(p, [&](dinfomap::comm::Comm& comm) {
+        dc::detail::DistRank rank(comm, g, part, cfg);
+        probes[comm.rank()] = Peer::carrier_probe(rank);
+      });
+      for (int r = 0; r < p; ++r) {
+        const auto& pr = probes[r];
+        const auto where = ::testing::Message()
+                           << "async=" << async << " p=" << p << " rank " << r;
+        EXPECT_GE(pr.swaps, 7u) << where;
+        EXPECT_EQ(pr.missing, 0u) << where;
+        EXPECT_EQ(pr.stale, 0u) << where;
+        EXPECT_LE(pr.max_mass_error, 1e-12) << where;
+        EXPECT_EQ(pr.skipped_unsynced, 0u) << where;
+      }
+    }
+  }
+}
+
+TEST(DistInfomap, NaiveSwapKeepsHeldStatsAndAddsAbsentModules) {
+  // The A3 naive swap: a rank keeps the statistics it holds, however stale,
+  // and takes a module's home statistics only when it holds none for it.
+  const auto gg = gen::sbm(240, 6, 0.2, 0.02, 29);
+  const auto g = dg::build_csr(gg.edges, gg.num_vertices);
+  for (int p : {2, 3}) {
+    auto cfg = config_for(p);
+    cfg.whole_module_swap = false;
+    const auto part = dinfomap::partition::make_delegate(
+        g, p, dc::resolve_degree_threshold(g, cfg));
+    std::vector<Peer::NaiveProbe> probes(p);
+    dinfomap::comm::Runtime::run(p, [&](dinfomap::comm::Comm& comm) {
+      dc::detail::DistRank rank(comm, g, part, cfg);
+      probes[comm.rank()] = Peer::naive_probe(rank);
+    });
+    for (int r = 0; r < p; ++r) {
+      EXPECT_TRUE(probes[r].ran) << "p=" << p << " rank " << r;
+      EXPECT_TRUE(probes[r].held_kept) << "p=" << p << " rank " << r;
+      EXPECT_TRUE(probes[r].absent_got_home_stats) << "p=" << p << " rank " << r;
     }
   }
 }

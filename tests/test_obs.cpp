@@ -288,7 +288,7 @@ TEST(Recorder, InlineAnomaliesPrecedeWatchdogFindings) {
   obs::Recorder rec(2, opt);
   obs::Anomaly inline_a;
   inline_a.rank = 1;
-  inline_a.kind = "issent_dedup_violation";
+  inline_a.kind = "cache_thrash";
   rec.report_anomaly(1, inline_a);
   rec.record_round(0, sample(0, 0, 5.0, 0));
   rec.record_round(0, sample(0, 1, 6.0, 0));  // regression
@@ -297,7 +297,7 @@ TEST(Recorder, InlineAnomaliesPrecedeWatchdogFindings) {
   rec.finish_watchdog();
   const auto all = rec.anomalies();
   ASSERT_EQ(all.size(), 2u);
-  EXPECT_EQ(all[0].kind, "issent_dedup_violation");
+  EXPECT_EQ(all[0].kind, "cache_thrash");
   EXPECT_EQ(all[1].kind, "mdl_regression");
 }
 

@@ -3,6 +3,7 @@
 #include <numeric>
 
 #include "graph/builder.hpp"
+#include "quality/community_stats.hpp"
 #include "quality/metrics.hpp"
 #include "util/check.hpp"
 #include "util/random.hpp"
@@ -134,4 +135,32 @@ TEST(Modularity, SelfLoopsCountAsInternal) {
   const auto g = dg::build_csr({{0, 0, 1.0}, {0, 1, 1.0}});
   const dg::Partition one = {0, 0};
   EXPECT_NEAR(dq::modularity(g, one), 0.0, 1e-12);  // single community
+}
+
+TEST(CommunityStats, TwoTriangles) {
+  const auto g = dg::build_csr(
+      {{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5}, {2, 3}});
+  const auto s = dq::summarize_partition(g, {0, 0, 0, 1, 1, 1});
+  EXPECT_EQ(s.num_communities, 2u);
+  EXPECT_EQ(s.largest, 3u);
+  EXPECT_EQ(s.smallest, 3u);
+  EXPECT_DOUBLE_EQ(s.communities[0].internal_weight, 3.0);
+  EXPECT_DOUBLE_EQ(s.communities[0].cut_weight, 1.0);
+  EXPECT_NEAR(s.coverage, 6.0 / 7.0, 1e-12);
+  // Conductance: cut 1 over min(vol 7, 2W−vol 7) = 1/7.
+  EXPECT_NEAR(s.communities[0].conductance, 1.0 / 7.0, 1e-12);
+}
+
+TEST(CommunityStats, SingleCommunityFullCoverage) {
+  const auto g = dg::build_csr({{0, 1}, {1, 2}, {0, 2}});
+  const auto s = dq::summarize_partition(g, {0, 0, 0});
+  EXPECT_DOUBLE_EQ(s.coverage, 1.0);
+  EXPECT_DOUBLE_EQ(s.max_conductance, 0.0);
+}
+
+TEST(CommunityStats, SelfLoopsCountInternal) {
+  const auto g = dg::build_csr({{0, 0, 2.0}, {0, 1, 1.0}});
+  const auto s = dq::summarize_partition(g, {0, 1});
+  EXPECT_DOUBLE_EQ(s.communities[0].internal_weight, 2.0);
+  EXPECT_DOUBLE_EQ(s.communities[0].cut_weight, 1.0);
 }
