@@ -246,6 +246,10 @@ std::uint64_t DistRank::find_best_modules(bool with_delegates,
   std::vector<std::uint32_t> order = movable_;
   util::deterministic_shuffle(order, rng);
 
+  // Sub-rounds: of the vertices whose moves can conflict across ranks, only
+  // this round's class is evaluated, so two neighbours on different ranks
+  // move in the same round only when both hash into it.
+  const int sub_round = round_index_ % kSubRounds;
   std::uint64_t moves = 0;
   for (std::size_t i = 0; i < order.size(); ++i) {
     prefetch_visit(order, i);
@@ -253,6 +257,10 @@ std::uint64_t DistRank::find_best_modules(bool with_delegates,
     const bool is_hub = verts_[li].kind == Kind::kDelegate;
     if (is_hub && !with_delegates) continue;
     if (is_hub && cfg_.exact_hub_moves) continue;  // handled by the exact phase
+    if (verts_[li].split &&
+        sub_round_class(cfg_.seed, current_level_, round_index_,
+                        verts_[li].global) != sub_round)
+      continue;
     BestMove mv;
     if (!best_move_for(li, mv)) continue;
     if (is_hub) {
@@ -740,7 +748,7 @@ std::uint64_t DistRank::async_reconcile(bool with_delegates,
   return global_moves;
 }
 
-void DistRank::async_level(bool with_delegates, OuterIterationInfo& info) {
+LevelStop DistRank::async_level(bool with_delegates, OuterIterationInfo& info) {
   const int p = comm_.size();
   int& recons_out = info.inner_passes;
 
@@ -790,6 +798,7 @@ void DistRank::async_level(bool with_delegates, OuterIterationInfo& info) {
   double best_l = codelength_;
   std::vector<VertexId> best_assign = module_of_;
 
+  LevelStop stop = LevelStop::kRoundCap;
   for (int epoch = 0; epoch < max_epochs; ++epoch) {
     obs::SpanScope epoch_span(trace_buf_, "AsyncEpoch");
     last_was_recon = false;
@@ -952,17 +961,24 @@ void DistRank::async_level(bool with_delegates, OuterIterationInfo& info) {
       // must get one drain on that exact state before the level may close.
       if (quiet && recon_moves == 0 &&
           comm_.allreduce<std::uint64_t>(worklist_.live(),
-                                         comm::ReduceOp::kSum) == 0)
+                                         comm::ReduceOp::kSum) == 0) {
+        stop = LevelStop::kNoMoves;
         break;
+      }
       // Break on the first regressing reconciliation, like the synchronous
       // loop breaks on a regressing round — running further mostly deepens
       // level-local merging at the expense of the later levels' granularity.
       // Ending *in* the damaged state is impossible: the rollback below
       // restores the best reconciled state of the level.
-      if (codelength_ > recon_l_prev + kRoundTheta) break;
-      if (recons_out >= kMinRounds &&
-          recon_l_prev - codelength_ < kRoundTheta)
+      if (codelength_ > recon_l_prev + kRoundTheta) {
+        stop = LevelStop::kOvershoot;
         break;
+      }
+      if (recons_out >= kMinRounds &&
+          recon_l_prev - codelength_ < kRoundTheta) {
+        stop = LevelStop::kSmallGain;
+        break;
+      }
       if (recons_out >= kMaxRounds) break;
       recon_l_prev = codelength_;
     }
@@ -997,6 +1013,7 @@ void DistRank::async_level(bool with_delegates, OuterIterationInfo& info) {
     ++round_index_;
   }
   info.moves += level_moves;
+  return stop;
 }
 
 // ---------------------------------------------------------------------------
@@ -1128,21 +1145,22 @@ VertexId DistRank::merge_level() {
 // Driver
 // ---------------------------------------------------------------------------
 
-void DistRank::sync_level(bool with_delegates, OuterIterationInfo& info,
-                          util::Xoshiro256& rng) {
+LevelStop DistRank::sync_level(bool with_delegates, OuterIterationInfo& info,
+                               util::Xoshiro256& rng) {
   for (int i = 0; i < kMaxRounds; ++i) {
     const double before = codelength_;
     const RoundResult rr = round(with_delegates, rng);
     info.moves += rr.global_moves;
     ++info.inner_passes;
     note_exact_round();
-    if (rr.global_moves == 0) break;
+    if (rr.global_moves == 0) return LevelStop::kNoMoves;
     // Conflicting synchronous moves can overshoot; stop the level rather
     // than keep trading regressions.
-    if (codelength_ > before + kRoundTheta) break;
+    if (codelength_ > before + kRoundTheta) return LevelStop::kOvershoot;
     if (i + 1 >= kMinRounds && before - codelength_ < kRoundTheta)
-      break;
+      return LevelStop::kSmallGain;
   }
+  return LevelStop::kRoundCap;
 }
 
 void DistRank::execute() {
@@ -1168,10 +1186,8 @@ void DistRank::execute() {
     info.level = level;
     info.level_vertices = level_n_;
     info.codelength_before = codelength_;
-    if (cfg_.async)
-      async_level(stage1, info);
-    else
-      sync_level(stage1, info, rng);
+    level_stops_.push_back(cfg_.async ? async_level(stage1, info)
+                                      : sync_level(stage1, info, rng));
     info.codelength_after = codelength_;
     info.num_modules = static_cast<VertexId>(alive_modules_);
     trace_.push_back(info);
@@ -1180,7 +1196,10 @@ void DistRank::execute() {
     prev_codelength = codelength_;
     if (!stage1) {
       ++stage2_levels_;
-      if (alive_modules_ >= info.level_vertices) break;  // merged nothing
+      if (alive_modules_ >= info.level_vertices) {
+        stage2_ended_by_ = Stage2End::kMergedNothing;
+        break;
+      }
     }
     merge_level();
     (void)other_update(swap_boundary_info(0), 0);
@@ -1192,9 +1211,13 @@ void DistRank::execute() {
       stage_timer.restart();
       stage_span.emplace(trace_buf_, "Stage2");
     } else if (improvement < kTheta) {
+      stage2_ended_by_ = Stage2End::kSmallGain;
       break;
     }
-    if (level >= kMaxLevels) break;
+    if (level >= kMaxLevels) {
+      stage2_ended_by_ = Stage2End::kLevelCap;
+      break;
+    }
   }
   stage_span.reset();
   stage2_seconds_ = stage_timer.seconds();
@@ -1244,6 +1267,7 @@ void fill_run_report(const graph::GraphView& graph,
   rep.add_config("round_theta", kRoundTheta);
   rep.add_config("min_rounds", kMinRounds);
   rep.add_config("move_epsilon", kMoveEpsilon);
+  rep.add_config("sub_rounds", kSubRounds);
   rep.add_config("seed", static_cast<std::uint64_t>(config.seed));
   rep.add_config("min_label", config.min_label);
   rep.add_config("whole_module_swap", config.whole_module_swap);
@@ -1266,7 +1290,8 @@ void fill_run_report(const graph::GraphView& graph,
   rep.codelength = result.codelength;
   rep.singleton_codelength = result.singleton_codelength;
   rep.num_modules = result.num_modules();
-  for (const auto& row : result.trace) {
+  for (std::size_t i = 0; i < result.trace.size(); ++i) {
+    const OuterIterationInfo& row = result.trace[i];
     obs::RunReport::LevelRow lr;
     lr.level = static_cast<int>(row.level);
     lr.vertices = row.level_vertices;
@@ -1275,11 +1300,14 @@ void fill_run_report(const graph::GraphView& graph,
     lr.codelength_before = row.codelength_before;
     lr.codelength_after = row.codelength_after;
     lr.num_modules = row.num_modules;
+    lr.stop = kLevelStopNames[static_cast<std::size_t>(result.level_stops.at(i))];
     rep.levels.push_back(lr);
   }
   rep.round_codelengths = result.stage1_round_codelengths;
   rep.stage1_rounds = result.stage1_rounds;
   rep.stage2_levels = result.stage2_levels;
+  rep.stage2_ended_by =
+      kStage2EndNames[static_cast<std::size_t>(result.stage2_ended_by)];
   rep.stage1_wall_seconds = result.stage1_wall_seconds;
   rep.stage2_wall_seconds = result.stage2_wall_seconds;
   for (int ph = 0; ph < kNumPhases; ++ph) {
@@ -1456,7 +1484,9 @@ DistInfomapResult run_rank(const graph::GraphView& graph,
   result.trace = rank.trace();
   result.stage1_round_codelengths = rank.stage1_round_codelengths();
   result.stage1_rounds = rank.stage1_rounds();
+  result.level_stops = rank.level_stops();
   result.stage2_levels = rank.stage2_levels();
+  result.stage2_ended_by = rank.stage2_ended_by();
   result.stage1_wall_seconds = rank.stage1_seconds();
   result.stage2_wall_seconds = rank.stage2_seconds();
   if (self != 0) return result;

@@ -46,9 +46,10 @@ inline constexpr std::array<const char*, kNumPhases> kPhaseNames = {
 /// bounding how far rank-local statistics may diverge.
 inline constexpr int kAsyncMaxLag = 4;
 
-/// Stop rules of the level and round loops. The run report echoes them under
-/// the config keys theta, max_levels, max_rounds, round_theta, min_rounds and
-/// move_epsilon.
+/// Stop rules of the level and round loops, and the sync round's sub-round
+/// count. The run report echoes them under the config keys theta,
+/// max_levels, max_rounds, round_theta, min_rounds, move_epsilon and
+/// sub_rounds.
 /// Outer improvement threshold θ: stage 2 stops once a level improves L by
 /// less than this.
 inline constexpr double kTheta = 1e-10;
@@ -61,6 +62,32 @@ inline constexpr double kRoundTheta = 1e-7;
 inline constexpr int kMinRounds = 4;
 /// A move must lower L by more than this to count as improving.
 inline constexpr double kMoveEpsilon = 1e-14;
+/// Sync sub-rounds: a vertex with a neighbour on another rank (a "split"
+/// vertex, hubs included) is evaluated in a sync round only when a seeded
+/// hash of (seed, level, round, vertex) falls in that round's class, one of
+/// kSubRounds; every other vertex is evaluated in every round. At p = 1 no
+/// vertex is split, and the async engine does not use the classes.
+inline constexpr int kSubRounds = 2;
+
+/// Why a level's round (or async epoch) loop ended; the run report's level
+/// rows carry it as `stop`.
+enum class LevelStop : std::uint8_t {
+  kNoMoves,    ///< a round (or reconciliation) moved nothing
+  kOvershoot,  ///< a round raised L by more than kRoundTheta
+  kSmallGain,  ///< a round improved L by less than kRoundTheta
+  kRoundCap,   ///< the kMaxRounds cap
+};
+inline constexpr std::array<const char*, 4> kLevelStopNames = {
+    "no_moves", "overshoot", "small_gain", "max_rounds"};
+/// Why stage 2 ended; the run report's stage-2 summary carries it as
+/// `ended_by`.
+enum class Stage2End : std::uint8_t {
+  kMergedNothing,  ///< a level left every vertex in its own module
+  kSmallGain,      ///< a level improved L by less than kTheta
+  kLevelCap,       ///< the kMaxLevels cap
+};
+inline constexpr std::array<const char*, 3> kStage2EndNames = {
+    "merged_nothing", "small_gain", "max_levels"};
 
 struct DistInfomapConfig {
   int num_ranks = 4;
@@ -94,8 +121,8 @@ struct DistInfomapConfig {
   /// synchronous round's four collectives. Bounded staleness: local module
   /// statistics drift between reconciliations (at most kAsyncMaxLag epochs).
   /// Deterministic for a fixed (graph, seed, num_ranks); converges to an MDL
-  /// within the quality band asserted by tests (±1% of the synchronous
-  /// reference).
+  /// within the quality band asserted by tests (below 1.01 × a pinned
+  /// synchronous MDL, DESIGN.md §12). Never uses the sync sub-rounds.
   bool async = false;
   /// Seeded transport fault plan (drop / duplicate / reorder / corrupt /
   /// stall — see comm/fault.hpp). Recovery must be transparent: the final
@@ -125,8 +152,11 @@ struct DistInfomapResult {
   /// per-level trace; the distributed series of Fig. 4).
   std::vector<double> stage1_round_codelengths;
 
+  /// Why each level of `trace` stopped, one entry per row.
+  std::vector<LevelStop> level_stops;
   int stage1_rounds = 0;
   int stage2_levels = 0;
+  Stage2End stage2_ended_by = Stage2End::kMergedNothing;
   double stage1_wall_seconds = 0;
   double stage2_wall_seconds = 0;
 

@@ -31,6 +31,21 @@ enum class Kind : std::uint8_t {
   kGhost,     ///< remote low-degree vertex seen as an arc target
 };
 
+/// Sync sub-round class of vertex `v` in round `round` of level `level`
+/// (DESIGN.md §5 "Sub-rounds"): a seeded SplitMix64 hash, so every rank that
+/// holds `v` computes the same class without communication. A split vertex is
+/// evaluated in that round only when its class is round mod kSubRounds.
+[[nodiscard]] inline int sub_round_class(std::uint64_t seed, int level,
+                                         int round, VertexId v) {
+  const std::uint64_t level_round =
+      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(level)) << 32) |
+      static_cast<std::uint32_t>(round);
+  std::uint64_t h = util::mix64(seed);
+  h = util::mix64(h ^ level_round);
+  h = util::mix64(h ^ v);
+  return static_cast<int>(h % kSubRounds);
+}
+
 /// One rank of the distributed algorithm. The per-rank job body runs
 /// `execute()` on every rank, over either transport; shared read-only inputs
 /// are the graph and its partition (stage 1's "file on the parallel
@@ -55,6 +70,10 @@ class DistRank {
     return round_mdl_;
   }
   int stage2_levels() const { return stage2_levels_; }
+  /// Why each level's loop stopped (one entry per trace() row), and why
+  /// stage 2 ended.
+  const std::vector<LevelStop>& level_stops() const { return level_stops_; }
+  Stage2End stage2_ended_by() const { return stage2_ended_by_; }
   double stage1_seconds() const { return stage1_seconds_; }
   double stage2_seconds() const { return stage2_seconds_; }
   const perf::WorkCounters& work(Phase ph) const {
@@ -84,6 +103,11 @@ class DistRank {
   struct LocalVertex {
     VertexId global = 0;
     Kind kind = Kind::kGhost;
+    /// 1 iff a move of this vertex can conflict with a same-round move on
+    /// another rank: an owned vertex with an arc to a ghost, or a hub when
+    /// p > 1. Such a vertex moves only in its sync sub-round (see
+    /// sub_round_class). Set by mark_boundary_arcs.
+    std::uint8_t split = 0;
     double node_flow = 0;  ///< exact for owned/delegate; unused for ghosts
     double out_flow = 0;   ///< total flow on non-self arcs (exact when known)
     double self_flow = 0;  ///< coarse-level intra flow
@@ -125,8 +149,9 @@ class DistRank {
   void install_local_graph(const std::vector<SourceRow>& rows,
                            int num_ranks_mod, VertexId level_n);
   void setup_subscriptions();
-  /// Set every arc's boundary bit from its target's kind; called at setup
-  /// and after every merge, once the level's kinds are final.
+  /// Set every arc's boundary bit from its target's kind and every vertex's
+  /// split bit; called at setup and after every merge, once the level's
+  /// kinds are final.
   void mark_boundary_arcs();
   /// Every vertex its own module: module_of_ is the identity, and modules_
   /// holds each non-ghost, non-settled vertex's stats. The one sizing point
@@ -147,10 +172,10 @@ class DistRank {
   };
   RoundResult round(bool with_delegates, util::Xoshiro256& rng);
   /// One level of synchronous rounds until a stop rule fires: no moves, an
-  /// overshoot, or a gain below kRoundTheta after kMinRounds. Adds the
-  /// level's moves and rounds to `info`.
-  void sync_level(bool with_delegates, OuterIterationInfo& info,
-                  util::Xoshiro256& rng);
+  /// overshoot, a gain below kRoundTheta after kMinRounds, or kMaxRounds.
+  /// Adds the level's moves and rounds to `info`; returns the rule.
+  LevelStop sync_level(bool with_delegates, OuterIterationInfo& info,
+                       util::Xoshiro256& rng);
   /// After every round (or async reconciliation) that ends on an exact L:
   /// stage 1 counts it and keeps its MDL (the per-round series of Fig. 4).
   void note_exact_round() {
@@ -169,6 +194,8 @@ class DistRank {
   void prefetch_visit(const std::vector<std::uint32_t>& order,
                       std::size_t i) const;
   /// Phase 1: greedy pass; immediate moves for owned, proposals for hubs.
+  /// A split vertex is evaluated only in its sub-round (sub_round_class);
+  /// under exact_hub_moves the hubs are left to the exact phase.
   std::uint64_t find_best_modules(bool with_delegates, util::Xoshiro256& rng,
                                   std::vector<HubProposal>& proposals);
   /// Phase 2: allgather hub proposals, apply global argmin moves everywhere.
@@ -248,8 +275,8 @@ class DistRank {
   /// full reconciliation every kAsyncMaxLag epochs. Adds the level's global
   /// moves to `info` and sets its passes to the number of reconciliations;
   /// on return the usual post-level state (exact homed_ stats, exact L) is
-  /// in place, as after a synchronous round loop.
-  void async_level(bool with_delegates, OuterIterationInfo& info);
+  /// in place, as after a synchronous round loop. Returns the stop rule.
+  LevelStop async_level(bool with_delegates, OuterIterationInfo& info);
   /// Push/raise `li` on the worklist with priority `prio` (lazy deletion:
   /// stale entries are discarded at pop time).
   /// Reconciliation: hub consensus (stage 1), whole-module swap, exact L;
@@ -409,8 +436,10 @@ class DistRank {
   double singleton_codelength_ = 0;
   std::uint64_t alive_modules_ = 0;  ///< global module count (post-sync)
   std::uint64_t num_settled_ = 0;    ///< settled vertices held here
-  /// Rounds and async epochs run so far; stamps the flight recorder's round
-  /// samples and anomalies.
+  /// Rounds (or async epochs) run so far at this level, reset by
+  /// init_singleton_modules; stamps the flight recorder's round samples and
+  /// anomalies and keys the sync sub-round classes. One sync round is one
+  /// global swap, so every rank holds the same value.
   int round_index_ = 0;
   int current_level_ = 0;  ///< outer level (0 = stage 1) for round samples
 
@@ -444,6 +473,8 @@ class DistRank {
   std::vector<VertexId> level_maps_;   ///< see level_maps()
 
   std::vector<OuterIterationInfo> trace_;
+  std::vector<LevelStop> level_stops_;
+  Stage2End stage2_ended_by_ = Stage2End::kMergedNothing;
   std::vector<double> round_mdl_;
   int stage1_rounds_ = 0;
   int stage2_levels_ = 0;

@@ -265,6 +265,20 @@ void DistRank::setup_subscriptions() {
 void DistRank::mark_boundary_arcs() {
   for (LocalArc& a : arcs_)
     a.boundary = verts_[a.target].kind != Kind::kOwned ? 1 : 0;
+  // Split is keyed on ghosts, not on the boundary bit: arcs to hubs are
+  // boundary arcs at p = 1 too, where no move can conflict across ranks.
+  const bool peers = comm_.size() > 1;
+  for (std::uint32_t li = 0; li < verts_.size(); ++li) {
+    LocalVertex& lv = verts_[li];
+    bool split = false;
+    if (lv.kind == Kind::kDelegate) {
+      split = peers;
+    } else if (lv.kind == Kind::kOwned) {
+      for (std::uint32_t a = arc_off_[li]; a < arc_off_[li + 1] && !split; ++a)
+        split = verts_[arcs_[a].target].kind == Kind::kGhost;
+    }
+    lv.split = split ? 1 : 0;
+  }
 }
 
 void DistRank::init_singleton_modules() {

@@ -95,7 +95,8 @@ std::string RunReport::to_json() const {
        << ", \"rounds\": " << lr.rounds << ", \"moves\": " << lr.moves
        << ", \"codelength_before\": " << num(lr.codelength_before)
        << ", \"codelength_after\": " << num(lr.codelength_after)
-       << ", \"num_modules\": " << lr.num_modules << "}";
+       << ", \"num_modules\": " << lr.num_modules
+       << ", \"stop\": " << quoted(lr.stop) << "}";
   }
   os << "],\n";
 
@@ -109,6 +110,7 @@ std::string RunReport::to_json() const {
   os << "\"stage1\": {\"rounds\": " << stage1_rounds
      << ", \"wall_seconds\": " << num(stage1_wall_seconds) << "},\n";
   os << "\"stage2\": {\"levels\": " << stage2_levels
+     << ", \"ended_by\": " << quoted(stage2_ended_by)
      << ", \"wall_seconds\": " << num(stage2_wall_seconds) << "},\n";
 
   os << "\"phases\": [";

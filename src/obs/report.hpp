@@ -46,6 +46,9 @@ struct RunReport {
     double codelength_before = 0;
     double codelength_after = 0;
     std::uint64_t num_modules = 0;
+    /// Why the level's loop stopped: no_moves | overshoot | small_gain |
+    /// max_rounds.
+    std::string stop;
   };
   std::vector<LevelRow> levels;
 
@@ -54,6 +57,8 @@ struct RunReport {
 
   int stage1_rounds = 0;
   int stage2_levels = 0;
+  /// Why stage 2 ended: merged_nothing | small_gain | max_levels.
+  std::string stage2_ended_by;
   double stage1_wall_seconds = 0;
   double stage2_wall_seconds = 0;
 

@@ -9,10 +9,7 @@ inline std::uint64_t rotl(std::uint64_t x, int k) {
 }  // namespace
 
 std::uint64_t SplitMix64::next() {
-  std::uint64_t z = (state_ += 0x9E3779B97F4A7C15ULL);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
+  return mix64(state_ += 0x9E3779B97F4A7C15ULL);
 }
 
 Xoshiro256::Xoshiro256(std::uint64_t seed) {

@@ -10,6 +10,15 @@
 
 namespace dinfomap::util {
 
+/// SplitMix64's output step: a fixed bijective 64-bit finalizer. Also the
+/// integer mix wherever a seeded hash must not depend on a standard library's
+/// hash layout.
+inline std::uint64_t mix64(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
+
 /// SplitMix64: used to expand one user seed into independent stream seeds.
 class SplitMix64 {
  public:

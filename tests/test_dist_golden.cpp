@@ -137,13 +137,12 @@ const std::vector<Golden>& goldens() {
        },
       4, 0xd9fd79c668a0814dULL, 0x34f50ba792c82684ULL}},
     {3, false,
-     {0x40160ea0617f5118ULL, 0x401e583b64f89d44ULL,
-      {{0, 60, 15, 0x401e583b64f89d44ULL, 0x40173b74f9bc057eULL, 4, 127},
-       {1, 15, 14, 0x40173b74f9bc057eULL, 0x40171399d05840d8ULL, 4, 20},
-       {2, 14, 13, 0x40171399d05840d8ULL, 0x40160ea0617f5118ULL, 4, 9},
-       {3, 13, 13, 0x40160ea0617f5118ULL, 0x40160ea0617f5118ULL, 4, 8},
+     {0x4014e07d4ae97871ULL, 0x401e583b64f89d44ULL,
+      {{0, 60, 20, 0x401e583b64f89d44ULL, 0x401951395012dd52ULL, 6, 84},
+       {1, 20, 12, 0x401951395012dd52ULL, 0x4014e07d4ae97871ULL, 5, 16},
+       {2, 12, 12, 0x4014e07d4ae97871ULL, 0x4014e07d4ae97871ULL, 1, 0},
        },
-      4, 0x751c48d1f76bdd83ULL, 0xbf3342320e8bcdcbULL}},
+      6, 0x177b6349865fa4acULL, 0x49fbee37d6565a45ULL}},
     {3, true,
      {0x4016069d5e15d524ULL, 0x401e583b64f89d44ULL,
       {{0, 60, 13, 0x401e583b64f89d44ULL, 0x4016490356cfeffeULL, 4, 133},
@@ -152,12 +151,12 @@ const std::vector<Golden>& goldens() {
        },
       4, 0xc40f22f44c8c32afULL, 0x7e57e29e42a5a78eULL}},
     {4, false,
-     {0x4017ea35b4088fceULL, 0x401e583b64f89d44ULL,
-      {{0, 60, 17, 0x401e583b64f89d44ULL, 0x401868cefd90a9e5ULL, 6, 165},
-       {1, 17, 14, 0x401868cefd90a9e5ULL, 0x4017ea35b4088fd0ULL, 4, 28},
-       {2, 14, 14, 0x4017ea35b4088fceULL, 0x4017ea35b4088fceULL, 4, 16},
+     {0x40142005749887ecULL, 0x401e583b64f89d44ULL,
+      {{0, 60, 17, 0x401e583b64f89d44ULL, 0x4018892a8b02afe4ULL, 8, 97},
+       {1, 17, 12, 0x4018892a8b02afe2ULL, 0x40142005749887ecULL, 5, 7},
+       {2, 12, 12, 0x40142005749887ecULL, 0x40142005749887ecULL, 1, 0},
        },
-      6, 0x59b8c66acd79ecb5ULL, 0x1f2b433ee66abe85ULL}},
+      8, 0x70df6895a920a275ULL, 0x34f50ba792c82684ULL}},
     {4, true,
      {0x401584adddf75efcULL, 0x401e583b64f89d44ULL,
       {{0, 60, 14, 0x401e583b64f89d44ULL, 0x401611b27ec668dcULL, 5, 147},

@@ -174,20 +174,39 @@ struct DistRankTestPeer {
   }
 
   /// What one rank shows of the level layout: arcs whose boundary bit
-  /// disagrees with their target's kind, held vertices whose module_of_
-  /// entry disagrees with the owner's, and rounds whose changed owned
-  /// entries do not match the moves the round reported.
+  /// disagrees with their target's kind, vertices whose split bit disagrees
+  /// with the split rule, held vertices whose module_of_ entry disagrees
+  /// with the owner's, and rounds whose changed owned entries do not match
+  /// the moves the round reported.
   struct LayoutProbe {
     std::uint64_t checks = 0;
     std::uint64_t bad_boundary = 0;
+    std::uint64_t bad_split = 0;
+    std::uint64_t split = 0;  ///< split vertices seen, over all checks
+    std::uint64_t hubs = 0;   ///< hubs seen, over all checks
     std::uint64_t bad_module = 0;
     std::uint64_t bad_moves = 0;
   };
+  /// The split rule from scratch: an owned vertex with an arc to a ghost, or
+  /// a hub when the job has more than one rank.
+  static bool split_rule(const DistRank& rank, std::uint32_t li) {
+    const Kind kind = rank.verts_[li].kind;
+    if (kind == Kind::kDelegate) return rank.comm_.size() > 1;
+    if (kind != Kind::kOwned) return false;
+    for (std::uint32_t a = rank.arc_off_[li]; a < rank.arc_off_[li + 1]; ++a)
+      if (rank.verts_[rank.arcs_[a].target].kind == Kind::kGhost) return true;
+    return false;
+  }
   static void check_boundary_bits(const DistRank& rank, LayoutProbe& probe) {
     ++probe.checks;
     for (const auto& a : rank.arcs_)
       if ((a.boundary != 0) != (rank.verts_[a.target].kind != Kind::kOwned))
         ++probe.bad_boundary;
+    for (std::uint32_t li = 0; li < rank.verts_.size(); ++li) {
+      if ((rank.verts_[li].split != 0) != split_rule(rank, li)) ++probe.bad_split;
+      if (rank.verts_[li].split != 0) ++probe.split;
+      if (rank.verts_[li].kind == Kind::kDelegate) ++probe.hubs;
+    }
   }
   /// Every rank publishes (vertex, module) for the vertices it controls, and
   /// checks each vertex it holds against that from-scratch assignment.
@@ -343,6 +362,43 @@ struct DistRankTestPeer {
         a->sum_pr == truth[absent].sum_pr &&
         a->exit_pr == truth[absent].exit_pr &&
         a->num_members == truth[absent].num_members;
+    return probe;
+  }
+
+  /// What one rank shows of the sub-round filter over several levels of
+  /// sync rounds: split vertices (owned or hub) that changed module in a
+  /// round, and those of them outside that round's class.
+  struct SubRoundProbe {
+    std::uint64_t rounds = 0;
+    std::uint64_t moved_split = 0;
+    std::uint64_t out_of_class = 0;
+  };
+  static SubRoundProbe sub_round_probe(DistRank& rank) {
+    SubRoundProbe probe;
+    util::Xoshiro256 rng(util::derive_seed(rank.cfg_.seed, rank.comm_.rank()));
+    rank.setup_subscriptions();
+    rank.init_singleton_modules();
+    (void)rank.other_update(rank.swap_boundary_info(0), 0);
+    for (int level = 0; level < 3; ++level) {
+      rank.current_level_ = level;
+      for (int i = 0; i < 4; ++i) {
+        const int round = rank.round_index_;
+        const std::vector<VertexId> before = rank.module_of_;
+        (void)rank.round(level == 0, rng);
+        ++probe.rounds;
+        for (std::uint32_t li = 0; li < rank.verts_.size(); ++li) {
+          const auto& lv = rank.verts_[li];
+          if (lv.kind == Kind::kGhost || !lv.split) continue;
+          if (rank.module_of_[li] == before[li]) continue;
+          ++probe.moved_split;
+          if (sub_round_class(rank.cfg_.seed, level, round, lv.global) !=
+              round % kSubRounds)
+            ++probe.out_of_class;
+        }
+      }
+      (void)rank.merge_level();
+      (void)rank.other_update(rank.swap_boundary_info(0), 0);
+    }
     return probe;
   }
 
@@ -910,13 +966,15 @@ TEST(DistInfomap, UnsyncedCandidateIsSkippedAndCounted) {
 
 TEST(DistInfomap, BoundaryBitsAndModuleArrayStayExact) {
   // After setup and after every merge each arc's boundary bit equals "the
-  // target is not owned here"; after every round and merge each held
-  // vertex's module_of_ entry equals its owner's, and the owned entries a
-  // round changed are exactly its reported moves.
+  // target is not owned here" and each vertex's split bit equals the split
+  // rule; after every round and merge each held vertex's module_of_ entry
+  // equals its owner's, and the owned entries a round changed are exactly
+  // its reported moves. The degree threshold makes hubs at every p.
   const auto gg = gen::sbm(240, 6, 0.2, 0.02, 29);
   const auto g = dg::build_csr(gg.edges, gg.num_vertices + 5);
   for (int p : {1, 2, 3, 4}) {
-    const auto cfg = config_for(p);
+    auto cfg = config_for(p);
+    cfg.degree_threshold = 16;
     const auto part = dinfomap::partition::make_delegate(
         g, p, dc::resolve_degree_threshold(g, cfg));
     std::vector<Peer::LayoutProbe> probes(p);
@@ -924,12 +982,52 @@ TEST(DistInfomap, BoundaryBitsAndModuleArrayStayExact) {
       dc::detail::DistRank rank(comm, g, part, cfg);
       probes[comm.rank()] = Peer::layout_probe(rank);
     });
+    std::uint64_t split = 0;
+    std::uint64_t hubs = 0;
     for (int r = 0; r < p; ++r) {
       EXPECT_EQ(probes[r].checks, 4u) << "p=" << p << " rank " << r;
       EXPECT_EQ(probes[r].bad_boundary, 0u) << "p=" << p << " rank " << r;
+      EXPECT_EQ(probes[r].bad_split, 0u) << "p=" << p << " rank " << r;
+      split += probes[r].split;
+      hubs += probes[r].hubs;
       EXPECT_EQ(probes[r].bad_module, 0u) << "p=" << p << " rank " << r;
       EXPECT_EQ(probes[r].bad_moves, 0u) << "p=" << p << " rank " << r;
     }
+    // No peers, no conflicts: at p = 1 nothing is split, so the sync round
+    // is the one it was before sub-rounds. Hub arcs are boundary arcs at
+    // p = 1 too, which is why split is not keyed on the boundary bit.
+    EXPECT_GT(hubs, 0u) << "p=" << p;
+    if (p == 1) {
+      EXPECT_EQ(split, 0u);
+    } else {
+      EXPECT_GT(split, 0u) << "p=" << p;
+    }
+  }
+}
+
+TEST(DistInfomap, SplitVerticesMoveOnlyInTheirSubRound) {
+  // A vertex with a neighbour on another rank, or a hub, moves in a sync
+  // round only if sub_round_class puts it in that round's class: on a graph
+  // with hubs, over three levels of rounds, every split vertex that changed
+  // module (own move or hub winner) was in class.
+  const auto gg = gen::barabasi_albert(600, 3, 21);
+  const auto g = dg::build_csr(gg.edges, gg.num_vertices);
+  for (int p : {2, 3, 4}) {
+    const auto cfg = config_for(p);
+    const auto part = dinfomap::partition::make_delegate(
+        g, p, dc::resolve_degree_threshold(g, cfg));
+    std::vector<Peer::SubRoundProbe> probes(p);
+    dinfomap::comm::Runtime::run(p, [&](dinfomap::comm::Comm& comm) {
+      dc::detail::DistRank rank(comm, g, part, cfg);
+      probes[comm.rank()] = Peer::sub_round_probe(rank);
+    });
+    std::uint64_t moved = 0;
+    for (int r = 0; r < p; ++r) {
+      EXPECT_EQ(probes[r].rounds, 12u) << "p=" << p << " rank " << r;
+      EXPECT_EQ(probes[r].out_of_class, 0u) << "p=" << p << " rank " << r;
+      moved += probes[r].moved_split;
+    }
+    EXPECT_GT(moved, 0u) << "p=" << p;
   }
 }
 

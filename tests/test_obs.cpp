@@ -497,6 +497,32 @@ TEST(RunReport, FilledByDistributedRun) {
   EXPECT_EQ(config_value("round_theta"), dc::kRoundTheta);
   EXPECT_EQ(config_value("min_rounds"), dc::kMinRounds);
   EXPECT_EQ(config_value("move_epsilon"), dc::kMoveEpsilon);
+  EXPECT_EQ(config_value("sub_rounds"), dc::kSubRounds);
+  // Every level row names the rule that stopped its rounds, and the stage-2
+  // summary the rule that ended stage 2; both reach the JSON document.
+  const auto is_one_of = [](const std::string& v, const auto& names) {
+    return std::find(names.begin(), names.end(), v) != names.end();
+  };
+  ASSERT_EQ(result.level_stops.size(), rep.levels.size());
+  for (const auto& row : rep.levels)
+    EXPECT_TRUE(is_one_of(row.stop, dc::kLevelStopNames)) << row.stop;
+  EXPECT_TRUE(is_one_of(rep.stage2_ended_by, dc::kStage2EndNames))
+      << rep.stage2_ended_by;
+  if (rep.stage2_ended_by == "merged_nothing") {
+    EXPECT_EQ(rep.levels.back().num_modules, rep.levels.back().vertices);
+  }
+  if (rep.stage2_ended_by == "max_levels") {
+    EXPECT_EQ(rep.stage2_levels, dc::kMaxLevels);
+  }
+  {
+    const auto doc = parse_json(rep.to_json());
+    ASSERT_TRUE(doc.has_value());
+    EXPECT_EQ(doc->get("stage2")->get("ended_by")->str, rep.stage2_ended_by);
+    const auto& rows = doc->get("levels")->array;
+    ASSERT_EQ(rows.size(), rep.levels.size());
+    for (std::size_t i = 0; i < rows.size(); ++i)
+      EXPECT_EQ(rows[i].get("stop")->str, rep.levels[i].stop) << "level " << i;
+  }
   // Rank 0 counts the result gather: at least one 4-byte map entry per
   // vertex of every level.
   {
