@@ -23,44 +23,31 @@ namespace {
 /// the accumulated rounding; margins below this never prune (conservative).
 constexpr double kFpSlack = 1e-13;
 
+/// §3.4 anti-bouncing (the min-label strategy of Lu et al.), per module
+/// pair: a boundary move from `cur` (stats `c`) to `target` (stats `t`)
+/// yields iff it goes into the smaller module by flow mass, or on a mass tie
+/// into the larger label. The order is total, so of two conflicting moves
+/// exactly one direction is admissible and no oscillation can sustain; and
+/// it is a pure function of module state, not of a shared round counter, so
+/// every rank decides alike under sync rounds and async drains. Sizing by
+/// mass keeps consolidation alive: the blocked move's reverse, the small
+/// module absorbing into the large one, is the direction greedy search
+/// favours anyway.
+bool min_label_yields(ModuleId cur, const ModuleStats& c, ModuleId target,
+                      const ModuleStats& t) {
+  // Singleton endpoints never yield: those are the consolidation merges
+  // every greedy pass needs, and a conflicting same-round pair of singleton
+  // moves is a relabeling, not a codelength oscillation.
+  if (c.num_members <= 1 || t.num_members <= 1) return false;
+  if (t.sum_pr != c.sum_pr) return t.sum_pr < c.sum_pr;
+  return target > cur;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // Move search
 // ---------------------------------------------------------------------------
-
-bool DistRank::min_label_yields(ModuleId cur, ModuleId target) {
-  // §3.4 anti-bouncing, per-pair deterministic variant. The original
-  // minimum-label strategy gated larger-label boundary moves on the parity
-  // of a shared round counter — a hidden global input that stops being
-  // meaningful when vertices are evaluated at different effective times
-  // (async drains). Replace the counter with a *consistent orientation*
-  // over the module pair: a boundary move yields iff it goes into the
-  // smaller module (by flow mass, ties broken by the label order). Of any
-  // conflicting pair of swaps exactly one
-  // direction is admissible at a time — the order is total, so oscillation
-  // cannot sustain and there are no preference cycles — and the decision is
-  // a pure function of state every rank holds identically (module stats are
-  // exact after each sync, and inside a round/epoch every rank applies the
-  // same deterministic updates). Unlike a fixed random orientation, sizing
-  // the order by mass keeps consolidation alive: when a move into a smaller
-  // module is blocked, the reverse merge — the small module's members
-  // absorbing into the large one — is the admissible direction, and that is
-  // the direction greedy map-equation search favors anyway.
-  const ModuleStats* c = modules_.find(cur);
-  const ModuleStats* t = modules_.find(target);
-  DINFOMAP_REQUIRE_MSG(c != nullptr && t != nullptr,
-                       "min-label guard consulted for an unsynced module");
-  // Singleton endpoints never yield: during the consolidation phase every
-  // greedy merge should be admissible (this is where the old free rounds did
-  // their work), and a conflicting same-round pair of singleton moves is a
-  // relabeling, not a codelength oscillation.
-  if (c->num_members <= 1 || t->num_members <= 1) return false;
-  const double sc = c->sum_pr;
-  const double st = t->sum_pr;
-  if (st != sc) return st < sc;  // yield on moves into the smaller module
-  return target > cur;           // mass tie: yield away from the smaller label
-}
 
 bool DistRank::can_prune(std::uint32_t li) const {
   const std::uint64_t le = last_eval_[li];
@@ -140,21 +127,21 @@ bool DistRank::best_move_for(std::uint32_t li, BestMove& best) {
   for (const ModuleId mod : nbflow_.keys()) {
     if (mod == cur) continue;
     const NeighborFlow& e = *nbflow_.find(mod);
+    // The last swap's reply brought every module a held vertex references,
+    // and local moves and async deltas only add entries, so a candidate is
+    // always in the table.
     const ModuleStats* stats = modules_.find(mod);
-    if (stats == nullptr) {
-      // Candidate module not yet synced into the local table; the vertex
-      // cannot consider it this round. Counted (not silent) so the invariant
-      // watchdog can flag pathological skip rates.
-      ++skipped_unsynced_round_;
-      continue;
-    }
+    DINFOMAP_REQUIRE_MSG(stats != nullptr,
+                         "candidate module " << mod << " missing from local table");
     // Anti-bouncing (§3.4, minimum-label strategy of Lu et al.): in a
     // synchronous round two vertices on different ranks can swap into each
     // other's modules and oscillate forever. For any (cur, target) pair of
     // *boundary* modules one fixed direction yields (min_label_yields) — of
     // any conflicting pair exactly one side moves; blocked merges remain
     // reachable from the yielding side or at the next level.
-    if (cfg_.min_label && e.boundary && min_label_yields(cur, mod)) continue;
+    if (cfg_.min_label && e.boundary &&
+        min_label_yields(cur, *cur_stats, mod, *stats))
+      continue;
     MoveDelta d;
     d.p_u = lv.node_flow;
     d.f_u = lv.out_flow;
@@ -290,15 +277,9 @@ std::uint64_t DistRank::apply_hub_winners(const std::vector<HubProposal>& winner
     if (li == kNotHere) continue;  // hub has no arcs here
     const ModuleId cur = module_of_[li];
     if (cur == win.target) continue;
-    // Move the hub's mass between the local copies of the two modules; exit
-    // probabilities are restored exactly by the swap phase of this round.
-    const double flow = verts_[li].node_flow;
-    auto& old_m = modules_[cur];
-    old_m.sum_pr -= flow;
-    old_m.num_members = old_m.num_members > 0 ? old_m.num_members - 1 : 0;
-    auto& new_m = modules_[win.target];
-    new_m.sum_pr += flow;
-    new_m.num_members += 1;
+    // The table is left alone: no move is evaluated before this round's
+    // swap replaces it with the homes' reply, and under async the stamps
+    // below already mark both modules changed for can_prune.
     if (cfg_.async) {
       const std::uint64_t t = tick();
       stamp_assign(li, t);
@@ -357,13 +338,11 @@ std::uint64_t DistRank::broadcast_delegates_exact() {
       rec.hub = hv.global;
       rec.module = mod;
       rec.flow = nbflow_.find(mod)->flow;
-      if (const ModuleStats* stats = modules_.find(mod)) {
-        rec.sum_pr = stats->sum_pr;
-        rec.exit_pr = stats->exit_pr;
-        rec.num_members = static_cast<std::int64_t>(stats->num_members);
-      } else {
-        rec.num_members = -1;  // stats unknown to the sender
-      }
+      // Every module a held vertex references came with the last reply.
+      const ModuleStats* stats = modules_.find(mod);
+      DINFOMAP_REQUIRE_MSG(stats != nullptr,
+                           "hub candidate " << mod << " missing from local table");
+      rec.stats = *stats;
       sink.push_back(rec);
     }
   }
@@ -373,12 +352,6 @@ std::uint64_t DistRank::broadcast_delegates_exact() {
   // hub. A stable sort groups the records but keeps their arrival order
   // inside each group, so every flow sum is the arrival-order fold; hubs and
   // candidates are then visited in id order.
-  struct Candidate {
-    ModuleId mod = 0;
-    double flow = 0;
-    ModuleStats stats;
-    bool have_stats = false;
-  };
   std::vector<HubFlowRecord> recs;
   for (const auto& batch : incoming) recs.insert(recs.end(), batch.begin(), batch.end());
   std::stable_sort(recs.begin(), recs.end(),
@@ -387,24 +360,16 @@ std::uint64_t DistRank::broadcast_delegates_exact() {
                    });
 
   std::vector<HubProposal> decisions;
-  std::vector<Candidate> flows;
+  // One entry per candidate module: the summed flow, the first record's stats.
+  std::vector<HubFlowRecord> flows;
   for (std::size_t i = 0; i < recs.size();) {
     const VertexId hub = recs[i].hub;
     flows.clear();
     for (; i < recs.size() && recs[i].hub == hub; ++i) {
-      const HubFlowRecord& rec = recs[i];
-      if (flows.empty() || flows.back().mod != rec.module) {
-        flows.emplace_back();
-        flows.back().mod = rec.module;
-      }
-      Candidate& cand = flows.back();
-      cand.flow += rec.flow;
-      if (!cand.have_stats && rec.num_members >= 0) {
-        cand.stats.sum_pr = rec.sum_pr;
-        cand.stats.exit_pr = rec.exit_pr;
-        cand.stats.num_members = static_cast<std::uint64_t>(rec.num_members);
-        cand.have_stats = true;
-      }
+      if (flows.empty() || flows.back().module != recs[i].module)
+        flows.push_back(recs[i]);
+      else
+        flows.back().flow += recs[i].flow;
     }
     DINFOMAP_REQUIRE_MSG(owner_of(hub) == r, "hub flows sent to wrong owner");
     const std::uint32_t hub_li = local_index(hub);
@@ -413,23 +378,19 @@ std::uint64_t DistRank::broadcast_delegates_exact() {
     const ModuleId cur = module_of_[hub_li];
     const auto cur_it =
         std::find_if(flows.begin(), flows.end(),
-                     [cur](const Candidate& c) { return c.mod == cur; });
+                     [cur](const HubFlowRecord& c) { return c.module == cur; });
     const double f_to_old = cur_it != flows.end() ? cur_it->flow : 0.0;
     const ModuleStats* own_cur = modules_.find(cur);
-    if (own_cur == nullptr) continue;
+    DINFOMAP_REQUIRE_MSG(own_cur != nullptr,
+                         "hub's own module missing from its owner's table");
 
     double best_delta = -kMoveEpsilon;
     ModuleId best_target = cur;
-    for (const Candidate& cand : flows) {
-      const ModuleId mod = cand.mod;
+    for (const HubFlowRecord& cand : flows) {
+      const ModuleId mod = cand.module;
       if (mod == cur) continue;
-      ModuleStats stats;
-      if (const ModuleStats* own = modules_.find(mod))
-        stats = *own;
-      else if (cand.have_stats)
-        stats = cand.stats;
-      else
-        continue;
+      const ModuleStats* own = modules_.find(mod);
+      const ModuleStats& stats = own != nullptr ? *own : cand.stats;
       MoveDelta d;
       d.p_u = hv.node_flow;
       d.f_u = hv.out_flow;  // exact global hub flow
@@ -601,16 +562,10 @@ HomeTotals DistRank::swap_boundary_info(std::uint64_t local_moves) {
     total.moves += t.moves;
   }
 
-  // A3 ablation switch. With whole-module swapping on (the paper's design)
-  // the local table is replaced by the authoritative statistics. With the
-  // naive swap a rank keeps the statistics its own updates left in the
-  // table and only adds the modules it does not hold yet, so held entries
-  // drift — §3.4's predicted failure. (The home aggregation above runs
-  // either way; merging and the reported L need it.)
-  if (cfg_.whole_module_swap) {
-    if (cfg_.async) std::swap(modules_, prev_modules_);
-    modules_.clear();
-  }
+  // Whole-module swapping (Alg. 3): the reply replaces the local table, so
+  // it is the one writer of every synced entry.
+  if (cfg_.async) std::swap(modules_, prev_modules_);
+  modules_.clear();
   // One tick for the whole table refresh; a module only gets the stamp if
   // the authoritative statistics differ bitwise from what the table held
   // before (vanished modules need no stamp: a module vanishes only when its
@@ -619,16 +574,12 @@ HomeTotals DistRank::swap_boundary_info(std::uint64_t local_moves) {
   for (const auto& batch : replies_in) {
     for (const ModuleInfo& info : batch) {
       // One home answers for each module, and a sender's partials name a
-      // module once, so every id arrives once. After the whole-module clear
-      // the table holds none of them.
-      if (modules_.contains(info.mod_id)) continue;
+      // module once, so every id arrives once.
       ModuleStats& stats = modules_[info.mod_id];
       stats.sum_pr = info.sum_pr;
       stats.exit_pr = info.exit_pr;
       stats.num_members = static_cast<std::uint64_t>(info.num_members);
       if (cfg_.async) {
-        // Under the naive swap prev_modules_ stays empty: every module
-        // added here is new to the table.
         const ModuleStats* prev = prev_modules_.find(info.mod_id);
         const bool changed = prev == nullptr || prev->sum_pr != stats.sum_pr ||
                              prev->exit_pr != stats.exit_pr ||
@@ -685,7 +636,6 @@ DistRank::RoundResult DistRank::round(bool with_delegates,
     sample.codelength = codelength_;
     sample.moves = rr.global_moves;
     sample.rank_work = wk(Phase::kFindBestModule).arcs_scanned - arcs0;
-    sample.skipped_unsynced = skipped_unsynced_round_;
     recorder_->record_round(comm_.rank(), sample);
     if (trace_buf_ != nullptr) {
       trace_buf_->counter("codelength", codelength_);
@@ -694,12 +644,9 @@ DistRank::RoundResult DistRank::round(bool with_delegates,
     }
     if (metrics_ != nullptr) {
       metrics_->histogram("round.moves").observe(rr.global_moves);
-      metrics_->counter("moves.skipped_unsynced").inc(skipped_unsynced_round_);
       sample_table_metrics();
     }
   }
-  skipped_unsynced_total_ += skipped_unsynced_round_;
-  skipped_unsynced_round_ = 0;
   ++round_index_;
   return rr;
 }
@@ -923,7 +870,6 @@ LevelStop DistRank::async_level(bool with_delegates, OuterIterationInfo& info) {
       sample.is_epoch = true;
       sample.moves = reconciled ? recon_moves : epoch_global_moves;
       sample.rank_work = wk(Phase::kFindBestModule).arcs_scanned - arcs0;
-      sample.skipped_unsynced = skipped_unsynced_round_;
       const auto& wl = worklist_.counters();
       sample.worklist_pushed = wl.pushed;
       sample.worklist_popped = wl.popped;
@@ -940,11 +886,8 @@ LevelStop DistRank::async_level(bool with_delegates, OuterIterationInfo& info) {
         metrics_->counter("worklist.popped").inc(wl.popped);
         metrics_->counter("worklist.requeued").inc(wl.requeued);
         metrics_->counter("worklist.stale").inc(wl.stale);
-        metrics_->counter("moves.skipped_unsynced").inc(skipped_unsynced_round_);
       }
     }
-    skipped_unsynced_total_ += skipped_unsynced_round_;
-    skipped_unsynced_round_ = 0;
     worklist_.reset_counters();
     ++round_index_;
 
@@ -1163,6 +1106,16 @@ LevelStop DistRank::sync_level(bool with_delegates, OuterIterationInfo& info,
   return LevelStop::kRoundCap;
 }
 
+void DistRank::undo_worse_level(double codelength_before) {
+  if (codelength_ <= codelength_before) return;
+  // The level began with every vertex in its own module (merge_level or the
+  // prologue left it so, then resynced). The same assignment on the same
+  // rank graph resyncs to the same partials in the same order, so L is
+  // codelength_before again, bit for bit.
+  init_singleton_modules();
+  (void)other_update(swap_boundary_info(0), 0);
+}
+
 void DistRank::execute() {
   util::Xoshiro256 rng(util::derive_seed(cfg_.seed, comm_.rank()));
 
@@ -1188,6 +1141,7 @@ void DistRank::execute() {
     info.codelength_before = codelength_;
     level_stops_.push_back(cfg_.async ? async_level(stage1, info)
                                       : sync_level(stage1, info, rng));
+    undo_worse_level(info.codelength_before);
     info.codelength_after = codelength_;
     info.num_modules = static_cast<VertexId>(alive_modules_);
     trace_.push_back(info);
@@ -1270,7 +1224,6 @@ void fill_run_report(const graph::GraphView& graph,
   rep.add_config("sub_rounds", kSubRounds);
   rep.add_config("seed", static_cast<std::uint64_t>(config.seed));
   rep.add_config("min_label", config.min_label);
-  rep.add_config("whole_module_swap", config.whole_module_swap);
   rep.add_config("exact_hub_moves", config.exact_hub_moves);
   rep.add_config("async", config.async);
   if (config.faults.any()) {

@@ -102,13 +102,6 @@ struct DistInfomapConfig {
   /// Minimum-label anti-bouncing strategy for boundary moves (§3.4);
   /// switchable for the A2 ablation.
   bool min_label = true;
-  /// Whole-module information swapping per Alg. 3: every swap replaces a
-  /// rank's module table with its homes' reply. False is the naive swap the
-  /// paper argues against (A3 ablation): a rank keeps the statistics it
-  /// holds and takes a home's only for modules it does not hold yet, so its
-  /// table drifts from the true statistics and move decisions degrade, as
-  /// §3.4 predicts.
-  bool whole_module_swap = true;
   /// Extension beyond the paper: decide each hub's move from its *exact*
   /// global flow-to-module map, reduced at the hub's owner, instead of the
   /// paper's per-rank local proposals + global argmin. Costs one extra

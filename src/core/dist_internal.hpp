@@ -91,9 +91,6 @@ class DistRank {
   /// non-final level maps v to its coarse vertex at the next level, the last
   /// one to its final module (a last-level vertex id).
   const std::vector<VertexId>& level_maps() const { return level_maps_; }
-  /// Move-search candidates skipped because their module was not yet in the
-  /// local table (whole run; see moves.skipped_unsynced metric).
-  std::uint64_t skipped_unsynced() const { return skipped_unsynced_total_; }
 
  private:
   friend struct DistRankTestPeer;
@@ -176,6 +173,12 @@ class DistRank {
   /// Adds the level's moves and rounds to `info`; returns the rule.
   LevelStop sync_level(bool with_delegates, OuterIterationInfo& info,
                        util::Xoshiro256& rng);
+  /// A level must not end above the L it began with: if it does, every
+  /// vertex returns to its singleton module and one resync restores
+  /// `codelength_before` bit for bit, so the level merges nothing. The async
+  /// engine's rollback already guarantees this; a sync level whose last
+  /// round overshot needs it.
+  void undo_worse_level(double codelength_before);
   /// After every round (or async reconciliation) that ends on an exact L:
   /// stage 1 counts it and keeps its MDL (the per-round series of Fig. 4).
   void note_exact_round() {
@@ -204,7 +207,8 @@ class DistRank {
   /// owners, who compute the move from exact global flows; decisions are
   /// then allgathered and applied like broadcast_delegates.
   std::uint64_t broadcast_delegates_exact();
-  /// Apply globally-agreed hub decisions to the local tables.
+  /// Apply globally-agreed hub decisions to module_of_ (the module table
+  /// waits for the round's swap).
   std::uint64_t apply_hub_winners(const std::vector<HubProposal>& winners);
   /// Phase 3: Alg. 3 boundary swap + exact home-based stat aggregation. The
   /// homes' codelength partials and every rank's `local_moves` ride the
@@ -235,13 +239,6 @@ class DistRank {
     dirty_flag_[li] = 1;
     dirty_owned_.push_back(li);
   }
-
-  /// §3.4 anti-bouncing, per-pair deterministic tiebreak: (mass, label)
-  /// defines a total order over modules and a non-singleton boundary move
-  /// yields iff it goes downhill in that order. A pure function of module
-  /// state — no shared round counter — so the decision is identical on every
-  /// rank at any time: sound under full sweeps and async epochs alike.
-  [[nodiscard]] bool min_label_yields(ModuleId cur, ModuleId target);
 
   // ---- event clock of the async engine (DESIGN.md §12) --------------------
   std::uint64_t tick() { return ++clock_; }
@@ -374,8 +371,10 @@ class DistRank {
   std::vector<ModuleId> module_of_;
 
   /// Per-rank module table, indexed by module id (< level_n_): a candidate
-  /// lookup is one index, not a hash probe. A module is present once touched
-  /// since the last clear; an absent candidate is skipped (skipped_unsynced).
+  /// lookup is one index, not a hash probe. Each swap clears it and refills
+  /// it from the homes' reply, which names every module a held vertex
+  /// references; between swaps local moves and async deltas only add to it.
+  /// So a missing candidate is a broken invariant, not a skip.
   util::SparseAccumulator<ModuleId, ModuleStats> modules_;
 
   /// Reusable move-search scratch, sized to level_n_ in
@@ -389,12 +388,6 @@ class DistRank {
   /// Reusable per-module partial-stat scratch for swap_boundary_info.
   util::SparseAccumulator<ModuleId, ModulePartial> partial_acc_;
   PlogpMemo memo_;
-
-  /// modules_ misses in the move search (candidate module not yet
-  /// synced locally → vertex skipped this round). Previously silent; now
-  /// counted so the invariant watchdog can flag pathological skip rates.
-  std::uint64_t skipped_unsynced_round_ = 0;
-  std::uint64_t skipped_unsynced_total_ = 0;
 
   // ---- event clock state (cfg_.async; empty otherwise) -------------------
   /// Per-rank monotone event clock, restarted at 1 per level. A stamp written
@@ -416,10 +409,9 @@ class DistRank {
   /// q_total_ at the last evaluation (the margin is only valid against
   /// bounded q drift; see can_prune).
   std::vector<double> last_q_;
-  /// Pre-swap module table kept for the refresh diff: whole_module_swap
-  /// replaces the table wholesale, and only entries that actually changed
-  /// bitwise may stamp (otherwise every reconciliation would reactivate
-  /// every vertex).
+  /// Pre-swap module table kept for the refresh diff: the swap replaces the
+  /// table wholesale, and only entries that actually changed bitwise may
+  /// stamp (otherwise every reconciliation would reactivate every vertex).
   util::SparseAccumulator<ModuleId, ModuleStats> prev_modules_;
 
   // ---- async worklist state (cfg_.async) ----------------------------------

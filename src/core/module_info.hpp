@@ -4,6 +4,7 @@
 
 #include <cstdint>
 
+#include "core/mapequation.hpp"
 #include "graph/types.hpp"
 
 namespace dinfomap::core {
@@ -52,10 +53,9 @@ struct HubFlowRecord {
   graph::VertexId hub = 0;
   ModuleId module = 0;
   double flow = 0;
-  double sum_pr = 0;
-  double exit_pr = 0;
-  std::int64_t num_members = 0;
+  ModuleStats stats;
 };
+static_assert(sizeof(HubFlowRecord) == 40);
 
 /// Partial module statistics flowing to the module's home rank for exact
 /// aggregation; a zero partial doubles as an "I need this module's info"

@@ -78,27 +78,6 @@ std::vector<Anomaly> analyze_rounds(
     }
   }
 
-  // Pathological unsynced-skip rates: a rank whose move search mostly hits
-  // modules absent from its local table is being starved by the swap
-  // protocol (previously this skip was silent — see dist move search).
-  for (std::size_t i = 0; i < common; ++i) {
-    for (std::size_t r = 0; r < streams.size(); ++r) {
-      const RoundSample& s = streams[r][i];
-      if (s.skipped_unsynced < options.min_skip_samples) continue;
-      const auto work = std::max<std::uint64_t>(s.rank_work, 1);
-      const double rate = static_cast<double>(s.skipped_unsynced) /
-                          static_cast<double>(work);
-      if (rate > options.skip_rate_threshold) {
-        std::ostringstream os;
-        os << "rank " << r << " skipped " << s.skipped_unsynced
-           << " unsynced candidates against " << s.rank_work
-           << " scanned arcs";
-        out.push_back({static_cast<int>(r), s.level, s.round,
-                       "unsynced_skip_rate", os.str()});
-      }
-    }
-  }
-
   // Async worklist thrashing: requeues dominating pops means vertices are
   // reactivated faster than the drain retires them — the staleness budget is
   // too loose for the graph (ranks keep invalidating each other's work).

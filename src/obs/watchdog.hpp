@@ -1,8 +1,7 @@
 // Invariant watchdog: consumes the per-rank round stream the flight recorder
 // captured and flags violations of the properties the algorithm is supposed
 // to maintain — non-monotone global MDL, per-rank work skew beyond a
-// threshold, unsynced-candidate skip rates, and async worklist thrashing or
-// starvation.
+// threshold, and async worklist thrashing or starvation.
 // Findings are structured anomaly events: they land in the run report, in
 // the trace (as instant events), and on the log as warnings so tests can
 // capture them through util::set_log_sink.
@@ -21,11 +20,6 @@ struct RoundSample {
   double codelength = 0;      ///< exact global L after the round
   std::uint64_t moves = 0;    ///< global move count of the round
   std::uint64_t rank_work = 0;  ///< this rank's arcs scanned during the round
-  /// Move candidates this rank skipped because the target module was not yet
-  /// synced into its local table. A few per round are normal right after
-  /// module churn; a persistently high rate means the swap protocol is
-  /// starving the move search.
-  std::uint64_t skipped_unsynced = 0;
   /// True when `codelength` is an exact post-allreduce global value (every
   /// synchronous round; async reconciliation epochs). Async drain epochs
   /// record the last reconciled value instead and mark it stale here, so the
@@ -62,13 +56,6 @@ struct WatchdogOptions {
   /// Rounds whose mean per-rank work is below this many arcs are too small
   /// for a skew verdict and are skipped.
   std::uint64_t min_skew_work = 1024;
-  /// Flag a rank's round when more than this fraction of its scanned arcs
-  /// were unsynced-module skips (the rank is mostly unable to evaluate its
-  /// candidates — the swap protocol is starving it).
-  double skip_rate_threshold = 0.5;
-  /// Rounds with fewer skips than this are below the noise floor for a
-  /// skip-rate verdict.
-  std::uint64_t min_skip_samples = 256;
   /// Async worklist thrashing: flag an epoch where a rank's
   /// `worklist_requeued / worklist_popped` exceeds this ratio — the same
   /// vertices keep re-entering the queue faster than they are drained, i.e.

@@ -139,14 +139,8 @@ struct DistRankTestPeer {
 
   /// After execute()'s prologue, point the first neighbour of one owned
   /// vertex at a module id the local table does not hold, then evaluate the
-  /// vertex: that candidate must be skipped and counted, never chosen.
-  struct UnsyncedProbe {
-    bool ran = false;
-    std::uint64_t skipped = 0;
-    bool chose_missing = false;
-  };
-  static UnsyncedProbe unsynced_probe(DistRank& rank) {
-    UnsyncedProbe probe;
+  /// vertex. True iff the move search refused to price that candidate.
+  static bool missing_candidate_throws(DistRank& rank) {
     rank.setup_subscriptions();
     rank.init_singleton_modules();
     (void)rank.other_update(rank.swap_boundary_info(0), 0);
@@ -157,20 +151,20 @@ struct DistRankTestPeer {
         break;
       }
     }
-    if (missing == rank.level_n_) return probe;
+    if (missing == rank.level_n_) return false;
     for (const std::uint32_t li : rank.movable_) {
       if (rank.verts_[li].kind != Kind::kOwned) continue;
       if (rank.arc_off_[li] == rank.arc_off_[li + 1]) continue;
       rank.module_of_[rank.arcs_[rank.arc_off_[li]].target] = missing;
-      const std::uint64_t before = rank.skipped_unsynced_round_;
-      DistRank::BestMove mv;
-      const bool found = rank.best_move_for(li, mv);
-      probe.ran = true;
-      probe.skipped = rank.skipped_unsynced_round_ - before;
-      probe.chose_missing = found && mv.target == missing;
-      break;
+      try {
+        DistRank::BestMove mv;
+        (void)rank.best_move_for(li, mv);
+      } catch (const ContractViolation&) {
+        return true;
+      }
+      return false;
     }
-    return probe;
+    return false;
   }
 
   /// What one rank shows of the level layout: arcs whose boundary bit
@@ -267,7 +261,6 @@ struct DistRankTestPeer {
     std::uint64_t missing = 0;
     std::uint64_t stale = 0;
     double max_mass_error = 0;
-    std::uint64_t skipped_unsynced = 0;
   };
   static void check_carrier(DistRank& rank, CarrierProbe& probe) {
     ++probe.swaps;
@@ -313,55 +306,43 @@ struct DistRankTestPeer {
       (void)rank.other_update(rank.swap_boundary_info(0), 0);
       check_carrier(rank, probe);
     }
-    probe.skipped_unsynced = rank.skipped_unsynced();
     return probe;
   }
 
-  /// The A3 naive swap on execute()'s first swap: an owned vertex's module
-  /// is held from init_singleton_modules, a ghost's is not. Marks the held
-  /// entry, swaps, and reports whether the mark survived and whether the
-  /// absent module arrived with its home's statistics.
-  struct NaiveProbe {
-    bool ran = false;
-    bool held_kept = false;
-    bool absent_got_home_stats = false;
+  /// execute()'s prologue, stage 1 and its merge, then a level forced to
+  /// end worse than it began: every held vertex joins module 0 on every
+  /// rank and one resync prices that. undo_worse_level must bring the level
+  /// back to its singletons and its starting L, bit for bit.
+  struct UndoProbe {
+    double before = 0;
+    double worse = 0;
+    double after = 0;
+    std::uint64_t alive = 0;
+    VertexId level_n = 0;
+    std::uint64_t not_singleton = 0;  ///< held vertices outside their own module
+    CarrierProbe carrier;             ///< the table after the undo
   };
-  static NaiveProbe naive_probe(DistRank& rank) {
-    NaiveProbe probe;
+  static UndoProbe undo_probe(DistRank& rank) {
+    UndoProbe probe;
+    util::Xoshiro256 rng(util::derive_seed(rank.cfg_.seed, rank.comm_.rank()));
     rank.setup_subscriptions();
     rank.init_singleton_modules();
-    ModuleId held = rank.level_n_;
-    ModuleId absent = rank.level_n_;
-    for (std::uint32_t li = 0; li < rank.verts_.size(); ++li) {
-      if (rank.settled(li)) continue;
-      const ModuleId m = rank.module_of_[li];
-      if (rank.verts_[li].kind == Kind::kOwned && held == rank.level_n_)
-        held = m;
-      if (rank.verts_[li].kind == Kind::kGhost && absent == rank.level_n_ &&
-          !rank.modules_.contains(m))
-        absent = m;
-    }
-    const bool have_both = held != rank.level_n_ && absent != rank.level_n_;
-    ModuleStats marked;
-    if (have_both) {
-      ModuleStats& entry = rank.modules_[held];
-      entry.exit_pr += 0.25;  // a local estimate no home would ever report
-      marked = entry;
-    }
     (void)rank.other_update(rank.swap_boundary_info(0), 0);
-    const std::vector<ModuleStats> truth = gather_homed(rank);  // collective
-    if (!have_both) return probe;
-    probe.ran = true;
-    const ModuleStats* h = rank.modules_.find(held);
-    probe.held_kept = h != nullptr && h->sum_pr == marked.sum_pr &&
-                      h->exit_pr == marked.exit_pr &&
-                      h->num_members == marked.num_members;
-    const ModuleStats* a = rank.modules_.find(absent);
-    probe.absent_got_home_stats =
-        a != nullptr && truth[absent].num_members > 0 &&
-        a->sum_pr == truth[absent].sum_pr &&
-        a->exit_pr == truth[absent].exit_pr &&
-        a->num_members == truth[absent].num_members;
+    OuterIterationInfo info;
+    (void)rank.sync_level(/*with_delegates=*/true, info, rng);
+    (void)rank.merge_level();
+    (void)rank.other_update(rank.swap_boundary_info(0), 0);
+    probe.before = rank.codelength_;
+    for (VertexId& m : rank.module_of_) m = 0;
+    (void)rank.other_update(rank.swap_boundary_info(0), 0);
+    probe.worse = rank.codelength_;
+    rank.undo_worse_level(probe.before);
+    probe.after = rank.codelength_;
+    probe.alive = rank.alive_modules_;
+    probe.level_n = rank.level_n_;
+    for (std::uint32_t li = 0; li < rank.verts_.size(); ++li)
+      if (rank.module_of_[li] != rank.verts_[li].global) ++probe.not_singleton;
+    check_carrier(rank, probe.carrier);
     return probe;
   }
 
@@ -509,10 +490,10 @@ TEST(DistInfomap, TraceMonotoneAndStagesRecorded) {
   const auto g = dg::build_csr(gg.edges, gg.num_vertices);
   const auto result = dc::distributed_infomap(g, config_for(4));
   ASSERT_GE(result.trace.size(), 1u);
-  // Near-monotone: one synchronous overshoot per level is tolerated (the
-  // level stops on regression); see test_dist_property for the sweep.
+  // Monotone: a level that ends worse than it began is undone; see
+  // test_dist_property for the sweep.
   for (const auto& row : result.trace)
-    EXPECT_LE(row.codelength_after, row.codelength_before * 1.05 + 1e-9);
+    EXPECT_LE(row.codelength_after, row.codelength_before);
   EXPECT_GT(result.stage1_rounds, 0);
   EXPECT_GE(result.stage2_levels, 0);
   // Strong first merge, as in Fig. 5 (merging rate ≈ 50%+ after stage 1).
@@ -631,25 +612,17 @@ TEST(DistInfomap, MinLabelAblationStillConverges) {
   EXPECT_LT(result.codelength, result.singleton_codelength);
 }
 
-TEST(DistInfomap, NaiveSwapAblationStillTerminatesConsistently) {
-  // The A3 ablation (naive boundary-only swap) lets per-rank module tables
-  // drift; the quantitative quality comparison is reported by
-  // bench_ablation_swap. Here assert the invariants that must hold in both
-  // modes: termination, a valid gathered assignment, and a reported L that
-  // matches the exact rescoring (reporting always uses the aggregation).
+TEST(DistInfomap, WholeModuleSwapTerminatesConsistently) {
+  // Termination, a valid gathered assignment, and a reported L that matches
+  // the exact rescoring and beats the singletons.
   const auto gg = gen::lfr_lite({}, 41);
   const auto g = dg::build_csr(gg.edges, gg.num_vertices);
-  auto full_cfg = config_for(4);
-  auto naive_cfg = full_cfg;
-  naive_cfg.whole_module_swap = false;
   const auto fg = dc::make_flow_graph(g);
-  for (const auto& cfg : {full_cfg, naive_cfg}) {
-    const auto result = dc::distributed_infomap(g, cfg);
-    EXPECT_EQ(result.assignment.size(), g.num_vertices());
-    EXPECT_NEAR(result.codelength,
-                dc::codelength_of_partition(fg, result.assignment), 1e-9);
-    EXPECT_LT(result.codelength, result.singleton_codelength);
-  }
+  const auto result = dc::distributed_infomap(g, config_for(4));
+  EXPECT_EQ(result.assignment.size(), g.num_vertices());
+  EXPECT_NEAR(result.codelength,
+              dc::codelength_of_partition(fg, result.assignment), 1e-9);
+  EXPECT_LT(result.codelength, result.singleton_codelength);
 }
 
 TEST(DistInfomap, ExactHubMovesKeepsInvariants) {
@@ -941,26 +914,24 @@ TEST(DistInfomap, BuildLocalGraphMatchesGlobalSortReference) {
   });
 }
 
-TEST(DistInfomap, UnsyncedCandidateIsSkippedAndCounted) {
-  // A candidate module missing from the local table cannot be priced: the
-  // move search skips it and counts it in skipped_unsynced. Isolated ids
-  // 200..207 are settled, so no table holds their modules, at any p.
+TEST(DistInfomap, MissingCandidateModuleIsAContractViolation) {
+  // The homes' reply brings every module a held vertex references, so a
+  // candidate missing from the local table is a broken invariant: the move
+  // search throws instead of skipping it. Isolated ids 200..207 are
+  // settled, so no table holds their modules, at any p.
   const auto gg = gen::sbm(200, 4, 0.2, 0.02, 7);
   const auto g = dg::build_csr(gg.edges, gg.num_vertices + 8);
   for (int p : {1, 2, 4}) {
     const auto cfg = config_for(p);
     const auto part = dinfomap::partition::make_delegate(
         g, p, dc::resolve_degree_threshold(g, cfg));
-    std::vector<Peer::UnsyncedProbe> probes(p);
+    std::vector<int> threw(p, 0);
     dinfomap::comm::Runtime::run(p, [&](dinfomap::comm::Comm& comm) {
       dc::detail::DistRank rank(comm, g, part, cfg);
-      probes[comm.rank()] = Peer::unsynced_probe(rank);
+      threw[comm.rank()] = Peer::missing_candidate_throws(rank) ? 1 : 0;
     });
-    for (int r = 0; r < p; ++r) {
-      EXPECT_TRUE(probes[r].ran) << "p=" << p << " rank " << r;
-      EXPECT_EQ(probes[r].skipped, 1u) << "p=" << p << " rank " << r;
-      EXPECT_FALSE(probes[r].chose_missing) << "p=" << p << " rank " << r;
-    }
+    for (int r = 0; r < p; ++r)
+      EXPECT_EQ(threw[r], 1) << "p=" << p << " rank " << r;
   }
 }
 
@@ -1032,57 +1003,70 @@ TEST(DistInfomap, SplitVerticesMoveOnlyInTheirSubRound) {
 }
 
 TEST(DistInfomap, HomeReplyIsTheOneCarrierOfModuleStats) {
-  // Module statistics reach a rank only in its homes' reply. With whole-module
-  // swapping, after every swap each module a held vertex references is in the
-  // local table with exactly its home's statistics, the live homed modules
-  // carry the whole visit probability, and the move search never meets an
-  // unsynced candidate. Hubs, ghosts and isolated (settled) ids all occur.
+  // Module statistics reach a rank only in its homes' reply: after every
+  // swap each module a held vertex references is in the local table with
+  // exactly its home's statistics, and the live homed modules carry the
+  // whole visit probability. Both engines, both hub paths; the move search
+  // and the exact hub phase throw on a missing module, so every lookup
+  // between the swaps is covered too. Hubs, ghosts and isolated (settled)
+  // ids all occur.
   const auto gg = gen::barabasi_albert(600, 3, 21);
   const auto g = dg::build_csr(gg.edges, gg.num_vertices + 4);
   for (const bool async : {false, true}) {
-    for (int p : {1, 2, 3, 4}) {
-      auto cfg = config_for(p);
-      cfg.async = async;
-      const auto part = dinfomap::partition::make_delegate(
-          g, p, dc::resolve_degree_threshold(g, cfg));
-      std::vector<Peer::CarrierProbe> probes(p);
-      dinfomap::comm::Runtime::run(p, [&](dinfomap::comm::Comm& comm) {
-        dc::detail::DistRank rank(comm, g, part, cfg);
-        probes[comm.rank()] = Peer::carrier_probe(rank);
-      });
-      for (int r = 0; r < p; ++r) {
-        const auto& pr = probes[r];
-        const auto where = ::testing::Message()
-                           << "async=" << async << " p=" << p << " rank " << r;
-        EXPECT_GE(pr.swaps, 7u) << where;
-        EXPECT_EQ(pr.missing, 0u) << where;
-        EXPECT_EQ(pr.stale, 0u) << where;
-        EXPECT_LE(pr.max_mass_error, 1e-12) << where;
-        EXPECT_EQ(pr.skipped_unsynced, 0u) << where;
+    for (const bool exact : {false, true}) {
+      for (int p : {1, 2, 3, 4}) {
+        auto cfg = config_for(p);
+        cfg.async = async;
+        cfg.exact_hub_moves = exact;
+        const auto part = dinfomap::partition::make_delegate(
+            g, p, dc::resolve_degree_threshold(g, cfg));
+        std::vector<Peer::CarrierProbe> probes(p);
+        dinfomap::comm::Runtime::run(p, [&](dinfomap::comm::Comm& comm) {
+          dc::detail::DistRank rank(comm, g, part, cfg);
+          probes[comm.rank()] = Peer::carrier_probe(rank);
+        });
+        for (int r = 0; r < p; ++r) {
+          const auto& pr = probes[r];
+          const auto where = ::testing::Message()
+                             << "async=" << async << " exact=" << exact
+                             << " p=" << p << " rank " << r;
+          EXPECT_GE(pr.swaps, 7u) << where;
+          EXPECT_EQ(pr.missing, 0u) << where;
+          EXPECT_EQ(pr.stale, 0u) << where;
+          EXPECT_LE(pr.max_mass_error, 1e-12) << where;
+        }
       }
     }
   }
 }
 
-TEST(DistInfomap, NaiveSwapKeepsHeldStatsAndAddsAbsentModules) {
-  // The A3 naive swap: a rank keeps the statistics it holds, however stale,
-  // and takes a module's home statistics only when it holds none for it.
-  const auto gg = gen::sbm(240, 6, 0.2, 0.02, 29);
+TEST(DistInfomap, WorseLevelRestoresItsSingletons) {
+  // A level that ends above the L it began with is undone: its vertices go
+  // back to their singleton modules, L is the level's starting value bit for
+  // bit, the table is the homes' again, and nothing merges (a level that
+  // did not get worse is kept, or the GoldenPin results would move). Ring of
+  // cliques: stage 1 finds modules, so putting all of level 1 in one module
+  // is far worse than its singletons.
+  const auto gg = gen::ring_of_cliques(10, 5, 0);
   const auto g = dg::build_csr(gg.edges, gg.num_vertices);
-  for (int p : {2, 3}) {
-    auto cfg = config_for(p);
-    cfg.whole_module_swap = false;
+  for (int p : {1, 2, 3}) {
+    const auto cfg = config_for(p);
     const auto part = dinfomap::partition::make_delegate(
         g, p, dc::resolve_degree_threshold(g, cfg));
-    std::vector<Peer::NaiveProbe> probes(p);
+    std::vector<Peer::UndoProbe> probes(p);
     dinfomap::comm::Runtime::run(p, [&](dinfomap::comm::Comm& comm) {
       dc::detail::DistRank rank(comm, g, part, cfg);
-      probes[comm.rank()] = Peer::naive_probe(rank);
+      probes[comm.rank()] = Peer::undo_probe(rank);
     });
     for (int r = 0; r < p; ++r) {
-      EXPECT_TRUE(probes[r].ran) << "p=" << p << " rank " << r;
-      EXPECT_TRUE(probes[r].held_kept) << "p=" << p << " rank " << r;
-      EXPECT_TRUE(probes[r].absent_got_home_stats) << "p=" << p << " rank " << r;
+      const auto& pr = probes[r];
+      const auto where = ::testing::Message() << "p=" << p << " rank " << r;
+      ASSERT_GT(pr.worse, pr.before) << where;
+      EXPECT_EQ(pr.after, pr.before) << where;
+      EXPECT_EQ(pr.alive, pr.level_n) << where;
+      EXPECT_EQ(pr.not_singleton, 0u) << where;
+      EXPECT_EQ(pr.carrier.missing, 0u) << where;
+      EXPECT_EQ(pr.carrier.stale, 0u) << where;
     }
   }
 }

@@ -104,11 +104,12 @@ TEST_P(DistSweep, CoreInvariantsHold) {
   // 3. No worse than the trivial all-singletons partition.
   EXPECT_LE(result.codelength, result.singleton_codelength + 1e-9);
 
-  // 4. Trace is near-monotone: a single synchronous round may overshoot on
-  // stale remote statistics (the level then stops), so allow a bounded
-  // regression per level rather than strict monotonicity.
+  // 4. No level ends worse than it began: a synchronous round may overshoot
+  // on stale remote statistics, and a level whose L ends above its start is
+  // undone back to its singletons.
   for (const auto& row : result.trace)
-    EXPECT_LE(row.codelength_after, row.codelength_before * 1.05 + 1e-9);
+    EXPECT_LE(row.codelength_after, row.codelength_before)
+        << "level " << row.level;
 
   // 5. Communication happened iff p > 1.
   std::uint64_t bytes = 0;

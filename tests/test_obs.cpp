@@ -480,7 +480,6 @@ TEST(RunReport, FilledByDistributedRun) {
     ASSERT_TRUE(doc.has_value()) << mj;
     EXPECT_NE(doc->get("histograms")->get("comm.msg_bytes"), nullptr);
     EXPECT_NE(doc->get("counters")->get("comm.p2p_messages"), nullptr);
-    EXPECT_NE(doc->get("counters")->get("moves.skipped_unsynced"), nullptr);
     EXPECT_NE(doc->get("counters")->get("comm.packed_exchanges"), nullptr);
   }
   // The stop rules are constants now; the config echo keeps their keys and
