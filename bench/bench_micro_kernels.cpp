@@ -3,7 +3,8 @@
 // coarsening, and the comm collectives —
 // plus before/after kernels for the hot-path data structures
 // (SparseAccumulator vs unordered_map gather, memoized vs plain plogp in
-// evaluate_move).
+// evaluate_move), and the threaded ingest (read_edge_list, build_csr) of the
+// e2e R-MAT input on 1 thread against every core.
 //
 // main() first hand-times the before/after kernels and writes the
 // machine-readable perf-trajectory artifact bench_results/BENCH_hotpath.json
@@ -33,6 +34,7 @@
 #include "graph/gen/generators.hpp"
 #include "util/random.hpp"
 #include "util/sparse_accumulator.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace {
@@ -259,22 +261,38 @@ void BM_BuildCsr(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildCsr)->Unit(benchmark::kMicrosecond);
 
-/// A 2^15-vertex R-MAT text edge list (~262k lines), written once to a temp
-/// file that is removed at exit.
+/// An R-MAT text edge list (the e2e benchmark's corner probabilities),
+/// written once to a temp file that is removed at exit.
 struct RmatTextFile {
-  std::string path = (std::filesystem::temp_directory_path() /
-                      ("dinfomap_bench_rmat_" + std::to_string(::getpid()) + ".txt"))
-                         .string();
-  RmatTextFile() {
-    graph::write_edge_list(path, graph::gen::rmat(15, 8, 0.57, 0.19, 0.19, 5).edges);
+  std::string path;
+  RmatTextFile(int scale, int edge_factor, std::uint64_t seed)
+      : path((std::filesystem::temp_directory_path() /
+              ("dinfomap_bench_rmat" + std::to_string(scale) + "_" +
+               std::to_string(::getpid()) + ".txt"))
+                 .string()) {
+    graph::write_edge_list(
+        path, graph::gen::rmat(scale, edge_factor, 0.57, 0.19, 0.19, seed).edges);
   }
   ~RmatTextFile() { std::filesystem::remove(path); }
   RmatTextFile(const RmatTextFile&) = delete;
   RmatTextFile& operator=(const RmatTextFile&) = delete;
 };
 
+/// A 2^15-vertex R-MAT (~262k lines).
+const RmatTextFile& small_rmat_file() {
+  static const RmatTextFile file(15, 8, 5);
+  return file;
+}
+
+/// The e2e benchmark's R-MAT input: scale 17, edge factor 12, seed 1
+/// (~1.57M lines, 20 MB).
+const RmatTextFile& e2e_rmat_file() {
+  static const RmatTextFile file(17, 12, 1);
+  return file;
+}
+
 void BM_ReadEdgeList(benchmark::State& state) {
-  static const RmatTextFile file;
+  const RmatTextFile& file = small_rmat_file();
   std::size_t edges = 0;
   for (auto _ : state) {
     const graph::EdgeList list = graph::read_edge_list(file.path);
@@ -284,6 +302,40 @@ void BM_ReadEdgeList(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * edges));
 }
 BENCHMARK(BM_ReadEdgeList)->Unit(benchmark::kMillisecond);
+
+// Threaded ingest of the e2e R-MAT input on 1 thread and on every core; the
+// thread count is the chunk count of the detail:: seam.
+void BM_ReadEdgeListRmat(benchmark::State& state) {
+  const RmatTextFile& file = e2e_rmat_file();
+  const auto threads = static_cast<int>(state.range(0));
+  std::size_t edges = 0;
+  for (auto _ : state) {
+    const graph::EdgeList list = graph::detail::read_edge_list(file.path, threads);
+    edges = list.size();
+    benchmark::DoNotOptimize(list.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * edges));
+}
+BENCHMARK(BM_ReadEdgeListRmat)
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(util::available_cores())
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+void BM_BuildCsrRmat(benchmark::State& state) {
+  static const graph::EdgeList edges = graph::read_edge_list(e2e_rmat_file().path);
+  const auto threads = static_cast<int>(state.range(0));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(graph::detail::build_csr(edges, 0, {}, threads));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * edges.size()));
+}
+BENCHMARK(BM_BuildCsrRmat)
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(util::available_cores())
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 // --- BENCH_hotpath.json: hand-timed before/after comparison -----------------
 
@@ -305,6 +357,7 @@ void emit_hotpath_json() {
   constexpr int kReps = 15;
 
   bench::JsonSink json("hotpath");
+  const int cores = util::available_cores();
 
   {
     util::SparseAccumulator<graph::VertexId, std::pair<double, std::uint8_t>> acc;
@@ -315,6 +368,7 @@ void emit_hotpath_json() {
     const double flat =
         best_seconds(kReps, [&] { return gather_accumulator(fg, mods, acc); });
     json.begin_row()
+        .field("host_cores", cores)
         .field("kernel", "neighbor_flow_gather")
         .field("graph", "lfr_lite_default")
         .field("unordered_fresh_us", fresh * 1e6)
@@ -351,6 +405,7 @@ void emit_hotpath_json() {
       return s;
     });
     json.begin_row()
+        .field("host_cores", cores)
         .field("kernel", "evaluate_move_repeated")
         .field("graph", "single_delta")
         .field("plain_us", plain * 1e6)
@@ -358,6 +413,47 @@ void emit_hotpath_json() {
         .field("speedup", plain / memoized);
     std::printf("evaluate_move x%d: plain %.1fus memo %.1fus (%.2fx)\n",
                 kEvals, plain * 1e6, memoized * 1e6, plain / memoized);
+  }
+
+  {
+    // Ingest of the e2e R-MAT input on 1 thread and on every core.
+    constexpr int kIngestReps = 5;
+    const std::string& path = e2e_rmat_file().path;
+    const graph::EdgeList edges = graph::read_edge_list(path);
+    double one[2], all[2];
+    for (const int threads : {1, cores}) {
+      double* const out = threads == 1 ? one : all;
+      out[0] = best_seconds(kIngestReps, [&] {
+        return graph::detail::read_edge_list(path, threads).size();
+      });
+      out[1] = best_seconds(kIngestReps, [&] {
+        return graph::detail::build_csr(edges, 0, {}, threads).num_arcs();
+      });
+    }
+    const char* const kernels[] = {"read_edge_list", "build_csr"};
+    for (int k = 0; k < 2; ++k) {
+      json.begin_row()
+          .field("host_cores", cores)
+          .field("kernel", kernels[k])
+          .field("graph", "rmat_s17_ef12_seed1")
+          .field("threads", cores)
+          .field("one_thread_ms", one[k] * 1e3)
+          .field("all_threads_ms", all[k] * 1e3)
+          .field("speedup", one[k] / all[k]);
+      std::printf("%s: 1 thread %.1fms, %d threads %.1fms (%.2fx)\n", kernels[k],
+                  one[k] * 1e3, cores, all[k] * 1e3, one[k] / all[k]);
+    }
+    const double one_sum = one[0] + one[1], all_sum = all[0] + all[1];
+    json.begin_row()
+        .field("host_cores", cores)
+        .field("kernel", "read_plus_build")
+        .field("graph", "rmat_s17_ef12_seed1")
+        .field("threads", cores)
+        .field("one_thread_ms", one_sum * 1e3)
+        .field("all_threads_ms", all_sum * 1e3)
+        .field("speedup", one_sum / all_sum);
+    std::printf("read+build: 1 thread %.1fms, %d threads %.1fms (%.2fx)\n",
+                one_sum * 1e3, cores, all_sum * 1e3, one_sum / all_sum);
   }
 
   json.write();

@@ -221,12 +221,17 @@ leg_asan() {
 run_leg "ASan+UBSan full suite" leg_asan
 
 # --- Leg 7 (full): TSan on the concurrency suites. -----------------------
-# Scope: the comm substrate, thread-pool, async-engine, and blockgraph tests.
+# Scope: the comm substrate, thread-pool, threaded-ingest, async-engine, and
+# blockgraph tests.
 # What TSan covers there: the comm reader threads (socket backend) and the
 # rank threads sharing each in-process mailbox; the shared send channel,
 # which a sender and its receivers' retransmit requests (in-process) or the
-# peer's reader thread (sockets) touch concurrently; and the blockgraph
-# decode cache, which hands slots across threads through its lease mutex.
+# peer's reader thread (sockets) touch concurrently; the ingest's slots
+# (read_edge_list's byte ranges, build_csr's bucket scatter and row fill,
+# at 1-8 slots: test_ingest and test_graph's Builder.*), which write
+# disjoint slices of shared arrays between pool dispatches; and the
+# blockgraph decode cache, which hands slots across threads through its
+# lease mutex.
 # The async engine itself is single-threaded per rank. RelaxMap is excluded by
 # repo convention — its module reads are racy by design (published
 # consistency model; see the SharedLevel comment in src/core/relaxmap.cpp).

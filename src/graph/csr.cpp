@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "util/check.hpp"
+#include "util/thread_pool.hpp"
 
 namespace dinfomap::graph {
 
@@ -12,6 +13,19 @@ Csr::Csr(std::vector<EdgeIndex> offsets, std::vector<Neighbor> adjacency,
     : offsets_(std::move(offsets)),
       adjacency_(std::move(adjacency)),
       self_weight_(std::move(self_weight)) {
+  util::ThreadPool pool(util::slots_for(num_edges(), detail::kMinSlotEdges));
+  sum_weights(pool);
+}
+
+Csr::Csr(std::vector<EdgeIndex> offsets, std::vector<Neighbor> adjacency,
+         std::vector<Weight> self_weight, util::ThreadPool& pool)
+    : offsets_(std::move(offsets)),
+      adjacency_(std::move(adjacency)),
+      self_weight_(std::move(self_weight)) {
+  sum_weights(pool);
+}
+
+void Csr::sum_weights(util::ThreadPool& pool) {
   DINFOMAP_REQUIRE_MSG(!offsets_.empty(), "CSR offsets must have n+1 entries");
   DINFOMAP_REQUIRE(offsets_.front() == 0);
   DINFOMAP_REQUIRE(offsets_.back() == adjacency_.size());
@@ -19,9 +33,15 @@ Csr::Csr(std::vector<EdgeIndex> offsets, std::vector<Neighbor> adjacency,
 
   const VertexId n = num_vertices();
   wdeg_.assign(n, 0.0);
-  for (VertexId u = 0; u < n; ++u) {
-    for (const Neighbor& nb : neighbors(u)) wdeg_[u] += nb.weight;
-  }
+  const auto t = static_cast<std::size_t>(pool.num_threads());
+  const std::vector<std::size_t> cuts = util::balanced_cuts(offsets_, t);
+  pool.run_slots([&](int s) {
+    const auto k = static_cast<std::size_t>(s);
+    for (std::size_t u = cuts[k]; u < cuts[k + 1]; ++u) {
+      for (const Neighbor& nb : neighbors(static_cast<VertexId>(u)))
+        wdeg_[u] += nb.weight;
+    }
+  });
   total_link_weight_ = 0;
   for (VertexId u = 0; u < n; ++u) total_link_weight_ += wdeg_[u];
   total_link_weight_ /= 2;

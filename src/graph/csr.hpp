@@ -7,12 +7,23 @@
 // ("self-connected edges excluded" — paper §2.2).
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
 #include "graph/types.hpp"
 
+namespace dinfomap::util {
+class ThreadPool;
+}
+
 namespace dinfomap::graph {
+
+namespace detail {
+/// Each slot of a parallel ingest pass (build_csr, the Csr constructor) gets
+/// at least this many edges.
+inline constexpr std::size_t kMinSlotEdges = std::size_t{1} << 18;
+}  // namespace detail
 
 /// Adjacency entry: neighbor id plus edge weight.
 struct Neighbor {
@@ -23,8 +34,14 @@ struct Neighbor {
 class Csr {
  public:
   Csr() = default;
+  /// Weighted degrees are summed per row on
+  /// util::slots_for(num_edges(), detail::kMinSlotEdges) threads; totals
+  /// are summed in vertex order, so the result is the same for any count.
   Csr(std::vector<EdgeIndex> offsets, std::vector<Neighbor> adjacency,
       std::vector<Weight> self_weight);
+  /// The same, on `pool`'s slots.
+  Csr(std::vector<EdgeIndex> offsets, std::vector<Neighbor> adjacency,
+      std::vector<Weight> self_weight, util::ThreadPool& pool);
 
   [[nodiscard]] VertexId num_vertices() const {
     return offsets_.empty() ? 0 : static_cast<VertexId>(offsets_.size() - 1);
@@ -66,6 +83,8 @@ class Csr {
   [[nodiscard]] bool validate() const;
 
  private:
+  void sum_weights(util::ThreadPool& pool);
+
   std::vector<EdgeIndex> offsets_;     // size n+1
   std::vector<Neighbor> adjacency_;   // size 2*E_non_self
   std::vector<Weight> self_weight_;   // size n

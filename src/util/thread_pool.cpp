@@ -1,29 +1,62 @@
 #include "util/thread_pool.hpp"
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include <algorithm>
+#include <system_error>
+#include <thread>
 
 #include "util/sched_point.hpp"
 #include "util/timer.hpp"
 
 namespace dinfomap::util {
 
+int available_cores() {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (::sched_getaffinity(0, sizeof set, &set) == 0)
+    return std::max(1, CPU_COUNT(&set));
+#endif
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+}
+
+int slots_for(std::size_t work, std::size_t min_per_slot) {
+  const std::size_t cap = work / std::max<std::size_t>(min_per_slot, 1);
+  return static_cast<int>(
+      std::clamp<std::size_t>(cap, 1, static_cast<std::size_t>(available_cores())));
+}
+
 ThreadPool::ThreadPool(int num_threads)
     : num_threads_(std::max(1, num_threads)),
+      workers_(static_cast<std::size_t>(num_threads_ - 1)),
       errors_(static_cast<std::size_t>(num_threads_)),
       slot_seconds_(static_cast<std::size_t>(num_threads_), 0.0) {
 #if defined(DINFOMAP_DCHECK)
   dcheck_modeled_ = dcheck::modeled();
 #endif
-  workers_.reserve(static_cast<std::size_t>(num_threads_ - 1));
-  for (int slot = 1; slot < num_threads_; ++slot) {
+  for (std::size_t i = 0; i < workers_.size(); ++i) {
+    Worker& w = workers_[i];
+    w.pool = this;
+    w.slot = static_cast<int>(i) + 1;
 #if defined(DINFOMAP_DCHECK)
     if (dcheck_modeled_) dcheck::hooks()->thread_announced();
 #endif
-    workers_.emplace_back([this, slot] { worker_loop(slot); });
+    const int rc = ::pthread_create(&w.thread, nullptr, &ThreadPool::run_worker, &w);
+    if (rc != 0) {
+      workers_.resize(i);  // stop and join the ones already running
+      shut_down();
+      throw std::system_error(rc, std::generic_category(),
+                              "ThreadPool: cannot start a worker thread");
+    }
   }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { shut_down(); }
+
+void ThreadPool::shut_down() {
   {
     MutexLock lock(mutex_);
     stop_ = true;
@@ -34,7 +67,13 @@ ThreadPool::~ThreadPool() {
   // token until they all finish, then the real joins return immediately.
   if (dcheck_modeled_) dcheck::hooks()->join_all();
 #endif
-  for (auto& w : workers_) w.join();
+  for (const Worker& w : workers_) ::pthread_join(w.thread, nullptr);
+}
+
+void* ThreadPool::run_worker(void* arg) {
+  const Worker& w = *static_cast<const Worker*>(arg);
+  w.pool->worker_loop(w.slot);
+  return nullptr;
 }
 
 void ThreadPool::run_inline(const std::function<void(int)>& fn) {

@@ -1,7 +1,10 @@
-// Deterministic thread parallelism for RelaxMap, the parallel-Infomap
-// comparator, whose threads are part of the algorithm. The distributed core,
-// sequential Infomap and Louvain do not use it: they run one serial move
-// search (per rank, for the distributed core).
+// Deterministic thread parallelism. Two kinds of caller use it: RelaxMap,
+// the parallel-Infomap comparator, whose threads are part of the algorithm,
+// and the ingest (graph::read_edge_list, graph::build_csr, the Csr
+// constructor), whose slot count is derived from the input size and the
+// available cores and whose output is bit-identical for any slot count. The
+// distributed core, sequential Infomap and Louvain do not use it: they run
+// one serial move search (per rank, for the distributed core).
 //
 // A ThreadPool owns `num_threads - 1` persistent workers (the calling thread
 // always executes slot 0), dispatched with *static* slot assignment: every
@@ -21,11 +24,13 @@
 // slots on the calling thread — same results, no deadlock.
 #pragma once
 
+#include <pthread.h>
+
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <thread>
 #include <vector>
 
 #include "util/annotations.hpp"
@@ -33,6 +38,28 @@
 #include "util/mutex.hpp"
 
 namespace dinfomap::util {
+
+/// Cores this process may run on (its CPU affinity mask), at least 1.
+int available_cores();
+
+/// Slot count for a data-parallel pass over `work` units: available_cores(),
+/// capped so that every slot gets at least `min_per_slot` units, at least 1.
+int slots_for(std::size_t work, std::size_t min_per_slot);
+
+/// Cut rows [0, n) into `t` contiguous slices of about equal weight, where
+/// `first[x]` is the total weight of the rows before x (n + 1 nondecreasing
+/// entries). Slice s is rows [cuts[s], cuts[s + 1]).
+template <typename Index>
+std::vector<std::size_t> balanced_cuts(const std::vector<Index>& first,
+                                       std::size_t t) {
+  std::vector<std::size_t> cuts(t + 1, first.size() - 1);
+  for (std::size_t s = 0; s < t; ++s) {
+    const Index target = static_cast<Index>(first.back() * s / t);
+    cuts[s] = static_cast<std::size_t>(
+        std::lower_bound(first.begin(), first.end() - 1, target) - first.begin());
+  }
+  return cuts;
+}
 
 class ThreadPool {
  public:
@@ -75,12 +102,25 @@ class ThreadPool {
   }
 
  private:
+  /// A worker's thread and its start argument. Workers are POSIX threads
+  /// started on this record rather than std::threads: a std::thread frees
+  /// its start state on the new thread, and glibc hands a thread that calls
+  /// malloc or free an arena of its own, which keeps its freed pages and
+  /// reshuffles which arena later threads get. A worker that never
+  /// allocates leaves the process heap as it found it.
+  struct Worker {
+    ThreadPool* pool = nullptr;
+    int slot = 0;
+    pthread_t thread{};
+  };
+  static void* run_worker(void* arg);
+  void shut_down();
   void worker_loop(int slot);
   void worker_loop_body(int slot);
   void run_inline(const std::function<void(int)>& fn);
 
   int num_threads_;
-  std::vector<std::thread> workers_;
+  std::vector<Worker> workers_;  ///< sized once: workers hold pointers into it
 
   util::Mutex mutex_;
   util::CondVar start_cv_;

@@ -162,3 +162,27 @@ TEST_P(GeneratorValidation, AllFamiliesBuildValidCsr) {
     }
   }
 }
+
+TEST(WattsStrogatz, LatticeAtBetaZero) {
+  const auto g = dg::gen::watts_strogatz(20, 4, 0.0, 1);
+  EXPECT_EQ(g.edges.size(), 40u);  // n·k/2
+  const auto csr = dg::build_csr(g.edges, g.num_vertices);
+  for (dg::VertexId v = 0; v < 20; ++v) EXPECT_EQ(csr.degree(v), 4u);
+}
+
+TEST(WattsStrogatz, RewiringChangesStructure) {
+  const auto lattice = dg::gen::watts_strogatz(200, 6, 0.0, 2);
+  const auto rewired = dg::gen::watts_strogatz(200, 6, 0.5, 2);
+  EXPECT_NE(lattice.edges, rewired.edges);
+  // Edge count can only drop slightly (rejected rewires are skipped).
+  EXPECT_GT(rewired.edges.size(), lattice.edges.size() * 9 / 10);
+}
+
+TEST(WattsStrogatz, RejectsBadParams) {
+  EXPECT_THROW(dg::gen::watts_strogatz(10, 3, 0.1, 1),
+               dinfomap::ContractViolation);  // odd k
+  EXPECT_THROW(dg::gen::watts_strogatz(4, 4, 0.1, 1),
+               dinfomap::ContractViolation);  // n <= k
+  EXPECT_THROW(dg::gen::watts_strogatz(10, 4, 1.5, 1),
+               dinfomap::ContractViolation);  // beta
+}

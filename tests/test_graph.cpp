@@ -7,6 +7,7 @@
 #include <map>
 #include <utility>
 
+#include "chunk_invariance.hpp"
 #include "graph/builder.hpp"
 #include "graph/csr.hpp"
 #include "graph/stats.hpp"
@@ -14,11 +15,12 @@
 #include "util/random.hpp"
 
 namespace dg = dinfomap::graph;
+using dinfomap::testing::build_every_chunk_count;
 
 namespace {
 /// Triangle 0-1-2 plus pendant 3 attached to 0.
 dg::Csr triangle_plus_pendant() {
-  return dg::build_csr({{0, 1}, {1, 2}, {0, 2}, {0, 3}});
+  return build_every_chunk_count({{0, 1}, {1, 2}, {0, 2}, {0, 3}});
 }
 
 std::uint64_t bits(double w) { return std::bit_cast<std::uint64_t>(w); }
@@ -99,7 +101,7 @@ TEST(Builder, AdjacencySortedAndSymmetric) {
 }
 
 TEST(Builder, DuplicateEdgesCombineWeights) {
-  const auto g = dg::build_csr({{0, 1, 1.0}, {1, 0, 2.0}, {0, 1, 0.5}});
+  const auto g = build_every_chunk_count({{0, 1, 1.0}, {1, 0, 2.0}, {0, 1, 0.5}});
   EXPECT_EQ(g.num_edges(), 1u);
   EXPECT_DOUBLE_EQ(g.neighbors(0)[0].weight, 3.5);
   EXPECT_DOUBLE_EQ(g.weighted_degree(0), 3.5);
@@ -109,12 +111,12 @@ TEST(Builder, DuplicateEdgesCombineWeights) {
 TEST(Builder, DuplicateKeepFirstWhenCombineOff) {
   dg::BuildOptions opt;
   opt.combine_duplicates = false;
-  const auto g = dg::build_csr({{0, 1, 1.0}, {1, 0, 2.0}}, 0, opt);
+  const auto g = build_every_chunk_count({{0, 1, 1.0}, {1, 0, 2.0}}, 0, opt);
   EXPECT_DOUBLE_EQ(g.neighbors(0)[0].weight, 1.0);
 }
 
 TEST(Builder, SelfLoopsGoToSelfWeight) {
-  const auto g = dg::build_csr({{0, 0, 2.0}, {0, 1, 1.0}});
+  const auto g = build_every_chunk_count({{0, 0, 2.0}, {0, 1, 1.0}});
   EXPECT_DOUBLE_EQ(g.self_weight(0), 2.0);
   EXPECT_EQ(g.degree(0), 1u);  // self-loop not in adjacency
   EXPECT_DOUBLE_EQ(g.total_link_weight(), 1.0);
@@ -124,27 +126,27 @@ TEST(Builder, SelfLoopsGoToSelfWeight) {
 TEST(Builder, SelfLoopsDroppedOnRequest) {
   dg::BuildOptions opt;
   opt.drop_self_loops = true;
-  const auto g = dg::build_csr({{0, 0, 2.0}, {0, 1, 1.0}}, 0, opt);
+  const auto g = build_every_chunk_count({{0, 0, 2.0}, {0, 1, 1.0}}, 0, opt);
   EXPECT_DOUBLE_EQ(g.self_weight(0), 0.0);
   EXPECT_DOUBLE_EQ(g.total_weight(), 1.0);
 }
 
 TEST(Builder, ExplicitVertexCountKeepsIsolated) {
-  const auto g = dg::build_csr({{0, 1}}, 5);
+  const auto g = build_every_chunk_count({{0, 1}}, 5);
   EXPECT_EQ(g.num_vertices(), 5u);
   EXPECT_EQ(g.degree(4), 0u);
 }
 
 TEST(Builder, RejectsOutOfRangeEndpoint) {
-  EXPECT_THROW(dg::build_csr({{0, 7}}, 3), dinfomap::ContractViolation);
+  EXPECT_THROW(build_every_chunk_count({{0, 7}}, 3), dinfomap::ContractViolation);
 }
 
 TEST(Builder, RejectsNonPositiveWeight) {
-  EXPECT_THROW(dg::build_csr({{0, 1, 0.0}}), dinfomap::ContractViolation);
-  EXPECT_THROW(dg::build_csr({{0, 1, -1.0}}), dinfomap::ContractViolation);
-  EXPECT_THROW(dg::build_csr({{0, 1, std::numeric_limits<double>::infinity()}}),
+  EXPECT_THROW(build_every_chunk_count({{0, 1, 0.0}}), dinfomap::ContractViolation);
+  EXPECT_THROW(build_every_chunk_count({{0, 1, -1.0}}), dinfomap::ContractViolation);
+  EXPECT_THROW(build_every_chunk_count({{0, 1, std::numeric_limits<double>::infinity()}}),
                dinfomap::ContractViolation);
-  EXPECT_THROW(dg::build_csr({{0, 1, std::numeric_limits<double>::quiet_NaN()}}),
+  EXPECT_THROW(build_every_chunk_count({{0, 1, std::numeric_limits<double>::quiet_NaN()}}),
                dinfomap::ContractViolation);
 }
 
@@ -155,7 +157,7 @@ TEST(Builder, KeepFirstIsInputOrder) {
       30, 40, [](int r, dg::VertexId p) { return 1000.0 * p + r + 1; });
   dg::BuildOptions opt;
   opt.combine_duplicates = false;
-  const auto g = dg::build_csr(edges, 0, opt);
+  const auto g = build_every_chunk_count(edges, 0, opt);
   ASSERT_EQ(g.num_edges(), 30u);
   for (dg::VertexId p = 0; p < 30; ++p) {
     ASSERT_EQ(g.degree(2 * p), 1u);
@@ -170,7 +172,7 @@ TEST(Builder, DuplicateSumsInInputOrder) {
       spread_duplicates(30, 3, [&](int r, dg::VertexId) { return w[r]; });
   const double in_order = (0.1 + 0.2) + 0.3;
   ASSERT_NE(bits(in_order), bits(0.1 + (0.2 + 0.3)));  // order is visible
-  const auto g = dg::build_csr(edges);
+  const auto g = build_every_chunk_count(edges);
   ASSERT_EQ(g.num_edges(), 30u);
   for (dg::VertexId p = 0; p < 30; ++p) {
     EXPECT_EQ(bits(g.neighbors(2 * p)[0].weight), bits(in_order)) << "pair " << p;
@@ -194,7 +196,7 @@ TEST(Builder, MatchesBruteForceReference) {
         dg::BuildOptions opt;
         opt.combine_duplicates = combine;
         opt.drop_self_loops = drop_loops;
-        const dg::Csr g = dg::build_csr(edges, n, opt);
+        const dg::Csr g = build_every_chunk_count(edges, n, opt);
         const ReferenceCsr ref = reference_csr(edges, n, opt);
         SCOPED_TRACE(::testing::Message() << "trial " << trial << " combine "
                                           << combine << " drop " << drop_loops);
