@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # ci/identity_matrix.sh — bit-identity of the distributed engine, either
 # between two builds of the CLI (say, a parent commit's and a change's) or
-# across the transports, backends and fault plans of one build.
+# across the transports, backends and fault plans of one build; between two
+# builds, also of the sequential engines.
 #
 #   ci/identity_matrix.sh PARENT_CLI CHANGE_CLI [WORKDIR]
 #   ci/identity_matrix.sh --self CLI [WORKDIR]
@@ -14,9 +15,13 @@
 # (drop=0.01,dup=0.01,reorder=0.01,corrupt=0.01, --seed 7).
 #
 # Two-CLI mode runs every configuration with both CLIs and compares the two
-# results. --self mode runs every configuration with one CLI and compares it
-# with the same (input, p, engine, seed) run inproc on the resident backend:
-# socket, blocks and the fault plan must each reproduce it bit for bit.
+# results. It then runs the sequential engines on both inputs with both CLIs
+# (`cluster --algo seq|louvain|lpa|hier`, seq and hier with `--tree`, and
+# `--algo relaxmap --ranks 1`, one thread), `cmp`s the `.clu` (and `.tree`)
+# files and compares the printed L (Q for Louvain). --self mode runs every
+# distributed configuration with one CLI and compares it with the same
+# (input, p, engine, seed) run inproc on the resident backend: socket, blocks
+# and the fault plan must each reproduce it bit for bit.
 #
 # A comparison cmps the two `.clu` files and compares, from the two reports,
 # the codelength, the level rows, the stage-1 round codelengths and every
@@ -193,6 +198,48 @@ for family in rmat lfr; do
   done
   check "$family" 4 sync socket resident "$faults"
 done
+
+# check_seq <graph> <algo> <args...>: one sequential-engine run with each
+# CLI; the .clu (and .tree) files and the printed score line must agree.
+check_seq() {
+  local family="$1" algo="$2"
+  shift 2
+  local tag="${family}_seq_${algo}" result=same cli side
+  total=$((total + 1))
+  for side in parent change; do
+    cli="$parent_cli"
+    [ "$side" = change ] && cli="$change_cli"
+    local out="$work/${side}_$tag" args=("$@")
+    [ "$algo" = seq ] || [ "$algo" = hier ] && args+=(--tree "$out.tree")
+    if ! "$cli" cluster "$work/$family.txt" "$out.clu" --algo "$algo" \
+         "${args[@]}" >"$out.log" 2>&1; then
+      result="$side run failed (see $out.log)"
+      break
+    fi
+  done
+  if [ "$result" = same ]; then
+    local a="$work/parent_$tag" b="$work/change_$tag"
+    if ! cmp -s "$a.clu" "$b.clu"; then
+      result="DIFF: .clu"
+    elif [ -e "$a.tree" ] && ! cmp -s "$a.tree" "$b.tree"; then
+      result="DIFF: .tree"
+    elif [ "$(grep -E ' [LQ] = ' "$a.log")" != "$(grep -E ' [LQ] = ' "$b.log")" ]; then
+      result="DIFF: score"
+    fi
+  fi
+  [ "$result" = same ] || failures=$((failures + 1))
+  printf '%-6s %-2s %-6s %-7s %-8s %-6s %s\n' "$family" - "$algo" - resident \
+    none "$result"
+}
+
+if [ -n "$parent_cli" ]; then
+  for family in rmat lfr; do
+    for algo in seq louvain lpa hier; do
+      check_seq "$family" "$algo"
+    done
+    check_seq "$family" relaxmap --ranks 1
+  done
+fi
 
 echo "$((total - failures))/$total configurations identical"
 [ "$failures" -eq 0 ]

@@ -111,8 +111,8 @@ int usage() {
                "  dinfomap_cli generate <lfr|ba|rmat|sbm|ring|er> <out.txt> [seed]\n"
                "  dinfomap_cli cluster <edges.txt> <out.clu> [--algo seq|dist|louvain|lpa|relaxmap|hier]\n"
                "                [--ranks N] [--seed S] [--tree out.tree]\n"
-               "                [--threads T]  (relaxmap only; the other engines run one thread,\n"
-               "                 dist scales by --ranks)\n"
+               "                [--threads T]  (relaxmap only, default --ranks; the other engines\n"
+               "                 run one thread, dist scales by --ranks)\n"
                "                [--transport inproc|socket]  (dist only; socket = one worker\n"
                "                 process per rank over Unix-domain sockets)\n"
                "                [--trace out.trace.json] [--report out.report.json]  (dist only)\n"
@@ -380,7 +380,7 @@ int cmd_cluster(int argc, char** argv) {
   std::string profile_out;
   bool profile_summary = false;
   int ranks = 4;
-  int threads = 1;
+  int threads = 0;  ///< 0 = --threads absent (RelaxMap then runs --ranks)
   std::uint64_t seed = 42;
   std::string fault_spec;
   unsigned watchdog_ms = 0;
@@ -591,8 +591,7 @@ int cmd_cluster(int argc, char** argv) {
   } else if (algo == "relaxmap") {
     const graph::Csr& g = *resident;
     core::RelaxMapConfig cfg;
-    cfg.num_threads = threads > 1 ? threads : ranks;
-    cfg.seed = seed;
+    cfg.num_threads = threads > 0 ? threads : ranks;
     const auto r = core::relaxmap(g, cfg);
     assignment = r.assignment;
     std::printf("RelaxMap (%d threads): L = %.6f\n", cfg.num_threads,

@@ -17,6 +17,11 @@ using graph::DiCsr;
 using graph::EdgeIndex;
 using graph::VertexId;
 
+namespace {
+constexpr int kPageRankMaxIterations = 200;
+constexpr double kPageRankTolerance = 1e-12;  ///< L1 change of an iteration
+}  // namespace
+
 std::vector<double> pagerank(const DiCsr& graph, const PageRankConfig& config) {
   const VertexId n = graph.num_vertices();
   DINFOMAP_REQUIRE_MSG(n > 0, "pagerank: empty graph");
@@ -24,7 +29,7 @@ std::vector<double> pagerank(const DiCsr& graph, const PageRankConfig& config) {
   DINFOMAP_REQUIRE_MSG(d > 0 && d < 1, "pagerank: damping in (0,1)");
 
   std::vector<double> rank(n, 1.0 / n), next(n);
-  for (int iter = 0; iter < config.max_iterations; ++iter) {
+  for (int iter = 0; iter < kPageRankMaxIterations; ++iter) {
     double dangling = 0;
     for (VertexId u = 0; u < n; ++u)
       if (graph.out_weight(u) == 0) dangling += rank[u];
@@ -39,7 +44,7 @@ std::vector<double> pagerank(const DiCsr& graph, const PageRankConfig& config) {
     double delta = 0;
     for (VertexId u = 0; u < n; ++u) delta += std::abs(next[u] - rank[u]);
     rank.swap(next);
-    if (delta < config.tolerance) break;
+    if (delta < kPageRankTolerance) break;
   }
   return rank;
 }
@@ -108,61 +113,24 @@ DiFlow make_di_flow(const DiCsr& graph, const std::vector<double>& rank,
   return fg;
 }
 
-/// Clustering state mirroring seq_infomap's LevelState, for directed flows.
-struct DiState {
-  std::vector<VertexId> module_of;
-  std::vector<ModuleStats> modules;
-  CodelengthTerms terms;
-  VertexId live_modules = 0;
+/// Every vertex of `fg` alone in its module, exiting along its out-arcs.
+LevelState singletons(const DiFlow& fg) {
+  LevelState state;
+  state.init_singletons(fg.node_flow, fg.node_term,
+                        [&fg](VertexId u) { return fg.out_flow(u); });
+  return state;
+}
 
-  void init_singletons(const DiFlow& fg) {
-    const VertexId n = fg.size();
-    module_of.resize(n);
-    std::iota(module_of.begin(), module_of.end(), 0);
-    modules.assign(n, ModuleStats{});
-    terms = CodelengthTerms{};
-    terms.node_term = fg.node_term;
-    for (VertexId u = 0; u < n; ++u) {
-      ModuleStats& m = modules[u];
-      m.sum_pr = fg.node_flow[u];
-      m.exit_pr = fg.out_flow(u);
-      m.num_members = 1;
-      terms.q_total += m.exit_pr;
-      terms.sum_plogp_q += plogp(m.exit_pr);
-      terms.sum_plogp_q_plus_p += plogp(m.exit_pr + m.sum_pr);
-    }
-    live_modules = n;
-  }
-
-  void apply(VertexId u, VertexId target, const MoveOutcome& out) {
-    ModuleStats& old_m = modules[module_of[u]];
-    ModuleStats& new_m = modules[target];
-    terms.q_total += out.delta_q_total;
-    terms.sum_plogp_q += plogp(out.old_after.exit_pr) - plogp(old_m.exit_pr) +
-                         plogp(out.new_after.exit_pr) - plogp(new_m.exit_pr);
-    terms.sum_plogp_q_plus_p +=
-        plogp(out.old_after.exit_pr + out.old_after.sum_pr) -
-        plogp(old_m.exit_pr + old_m.sum_pr) +
-        plogp(out.new_after.exit_pr + out.new_after.sum_pr) -
-        plogp(new_m.exit_pr + new_m.sum_pr);
-    if (out.old_after.num_members == 0) --live_modules;
-    old_m = out.old_after;
-    new_m = out.new_after;
-    module_of[u] = target;
-  }
-};
-
-std::uint64_t di_move_pass(const DiFlow& fg, DiState& state,
-                           const std::vector<VertexId>& order, double eps,
-                           util::SparseAccumulator<VertexId, double>& flow_to,
-                           PlogpMemo& memo) {
+std::uint64_t di_move_pass(const DiFlow& fg, LevelState& state,
+                           const std::vector<VertexId>& order,
+                           MoveScratch& scratch) {
   std::uint64_t moves = 0;
   // Combined (out+in)/2 flow to each neighbor module — this halving makes
   // the shared undirected MoveDelta algebra exact for directed flows (it
   // multiplies by 2 internally).
+  auto& flow_to = scratch.flow_to;
   if (flow_to.capacity() < fg.size()) flow_to.reset(fg.size());
   for (VertexId u : order) {
-    const VertexId cur = state.module_of[u];
     flow_to.clear();
     double f_u = 0;
     for (EdgeIndex a = fg.out_off[u]; a < fg.out_off[u + 1]; ++a) {
@@ -171,32 +139,13 @@ std::uint64_t di_move_pass(const DiFlow& fg, DiState& state,
     }
     for (EdgeIndex a = fg.in_off[u]; a < fg.in_off[u + 1]; ++a)
       flow_to[state.module_of[fg.in[a].first]] += fg.in[a].second / 2.0;
-    if (flow_to.empty()) continue;
-    const double f_to_old = flow_to.value_or(cur, 0.0);
-
-    double best_delta = -eps;
-    VertexId best_target = cur;
-    MoveOutcome best_outcome;
-    for (const VertexId mod : flow_to.keys()) {
-      if (mod == cur) continue;
-      MoveDelta d;
-      d.p_u = fg.node_flow[u];
-      d.f_u = f_u;
-      d.f_to_old = f_to_old;
-      d.f_to_new = *flow_to.find(mod);
-      d.old_stats = state.modules[cur];
-      d.new_stats = state.modules[mod];
-      d.q_total = state.terms.q_total;
-      const MoveOutcome out = evaluate_move(d, memo);
-      if (out.delta_codelength < best_delta - 1e-15 ||
-          (out.delta_codelength < best_delta + 1e-15 && mod < best_target)) {
-        best_delta = out.delta_codelength;
-        best_target = mod;
-        best_outcome = out;
-      }
-    }
-    if (best_target != cur) {
-      state.apply(u, best_target, best_outcome);
+    const VertexId cur = state.module_of[u];
+    MoveOutcome outcome;
+    const VertexId target =
+        select_move(scratch, cur, fg.node_flow[u], f_u, state.modules,
+                    state.terms.q_total, outcome);
+    if (target != cur) {
+      state.apply(u, target, outcome);
       ++moves;
     }
   }
@@ -269,26 +218,18 @@ DirectedInfomapResult directed_infomap(const DiCsr& graph,
   DirectedInfomapResult result;
   result.assignment.resize(graph.num_vertices());
   std::iota(result.assignment.begin(), result.assignment.end(), 0);
-  {
-    DiState probe;
-    probe.init_singletons(fg);
-    result.singleton_codelength = probe.terms.codelength();
-  }
+  result.singleton_codelength = singletons(fg).terms.codelength();
   double prev = result.singleton_codelength;
 
   util::Xoshiro256 rng(config.seed);
-  util::SparseAccumulator<VertexId, double> flow_to;
-  PlogpMemo memo;
-  for (int level = 0; level < config.max_outer_iterations; ++level) {
-    DiState state;
-    state.init_singletons(fg);
+  MoveScratch scratch;
+  for (int level = 0; level < kSeqMaxLevels; ++level) {
+    LevelState state = singletons(fg);
     std::vector<VertexId> order(fg.size());
     std::iota(order.begin(), order.end(), 0);
-    for (int pass = 0; pass < config.max_inner_passes; ++pass) {
+    for (int pass = 0; pass < kSeqMaxPasses; ++pass) {
       util::deterministic_shuffle(order, rng);
-      if (di_move_pass(fg, state, order, config.move_epsilon, flow_to, memo) ==
-          0)
-        break;
+      if (di_move_pass(fg, state, order, scratch) == 0) break;
     }
     result.codelength = state.terms.codelength();
     ++result.levels;
@@ -300,7 +241,7 @@ DirectedInfomapResult directed_infomap(const DiCsr& graph,
     const double improvement = prev - result.codelength;
     prev = result.codelength;
     if (!merged) break;
-    if (level > 0 && improvement < config.theta) break;
+    if (level > 0 && improvement < kTheta) break;
   }
   return result;
 }

@@ -17,20 +17,16 @@ namespace dinfomap::core {
 
 struct PageRankConfig {
   double damping = 0.85;
-  int max_iterations = 200;
-  double tolerance = 1e-12;  ///< L1 change per iteration to stop at
 };
 
 /// Stationary visit probabilities of the teleporting random walk. Dangling
-/// vertices spread their mass uniformly. Sums to 1.
+/// vertices spread their mass uniformly. Sums to 1. Iterates until the L1
+/// change of an iteration drops below 1e-12, at most 200 times.
 std::vector<double> pagerank(const graph::DiCsr& graph,
                              const PageRankConfig& config = {});
 
+/// Stop rules: the constants of core/mapequation.hpp, as for sequential.
 struct DirectedInfomapConfig {
-  double theta = 1e-10;
-  int max_outer_iterations = 20;
-  int max_inner_passes = 64;
-  double move_epsilon = 1e-14;
   std::uint64_t seed = 42;
   PageRankConfig pagerank;
 };

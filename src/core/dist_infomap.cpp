@@ -158,8 +158,7 @@ bool DistRank::best_move_for(std::uint32_t li, BestMove& best) {
       continue;
     }
     reject_margin = 0.0;  // an accepting candidate exists; never prune on margin
-    if (out.delta_codelength < best_delta - 1e-15 ||
-        (out.delta_codelength < best_delta + 1e-15 && mod < best_target)) {
+    if (better_move(out.delta_codelength, mod, best_delta, best_target)) {
       best_delta = out.delta_codelength;
       best_target = mod;
       best_outcome = out;
@@ -305,8 +304,8 @@ std::uint64_t DistRank::broadcast_delegates(
       if (inserted) continue;
       HubProposal& w = it->second;
       const bool better =
-          hp.delta_l < w.delta_l - 1e-15 ||
-          (hp.delta_l < w.delta_l + 1e-15 &&
+          hp.delta_l < w.delta_l - kTieBand ||
+          (hp.delta_l < w.delta_l + kTieBand &&
            (hp.target < w.target || (hp.target == w.target && hp.rank < w.rank)));
       if (better) w = hp;
     }
@@ -401,8 +400,7 @@ std::uint64_t DistRank::broadcast_delegates_exact() {
       d.q_total = q_total_;
       const MoveOutcome outcome = eval_move(d);
       ++wk(Phase::kBroadcastDelegates).delta_evals;
-      if (outcome.delta_codelength < best_delta - 1e-15 ||
-          (outcome.delta_codelength < best_delta + 1e-15 && mod < best_target)) {
+      if (better_move(outcome.delta_codelength, mod, best_delta, best_target)) {
         best_delta = outcome.delta_codelength;
         best_target = mod;
       }
@@ -475,7 +473,7 @@ HomeTotals DistRank::swap_boundary_info(std::uint64_t local_moves) {
         (lv.kind == Kind::kDelegate && owner_of(lv.global) == r);
     if (controlled) {
       const ModuleId m = module_of_[li];
-      ModulePartial& mp = partial_acc_[m];
+      ModuleInfo& mp = partial_acc_[m];
       mp.mod_id = m;
       mp.sum_pr += lv.node_flow;
       mp.num_members += 1;
@@ -486,7 +484,7 @@ HomeTotals DistRank::swap_boundary_info(std::uint64_t local_moves) {
     for (std::uint32_t a = arc_off_[li]; a < arc_off_[li + 1]; ++a) {
       const ModuleId mv = module_of_[arcs_[a].target];
       if (mu == mv) continue;
-      ModulePartial& mp = partial_acc_[mu];
+      ModuleInfo& mp = partial_acc_[mu];
       mp.mod_id = mu;
       mp.exit_pr += arcs_[a].flow;
     }
@@ -500,7 +498,7 @@ HomeTotals DistRank::swap_boundary_info(std::uint64_t local_moves) {
     partial_acc_[m].mod_id = m;  // no-op unless this touch created the entry
   }
 
-  std::vector<std::vector<ModulePartial>> to_home(p);
+  std::vector<std::vector<ModuleInfo>> to_home(p);
   for (const ModuleId m : partial_acc_.keys())
     to_home[home_of(m)].push_back(*partial_acc_.find(m));
   auto partials_in = comm_.alltoallv(to_home);
@@ -509,7 +507,7 @@ HomeTotals DistRank::swap_boundary_info(std::uint64_t local_moves) {
   // order of homed_, and the order of every FP sum over it.
   homed_.clear();
   for (int src = 0; src < p; ++src) {
-    for (const ModulePartial& mp : partials_in[src]) {
+    for (const ModuleInfo& mp : partials_in[src]) {
       ModuleStats& stats = homed_[home_slot(mp.mod_id)];
       stats.sum_pr += mp.sum_pr;
       stats.exit_pr += mp.exit_pr;
@@ -536,7 +534,7 @@ HomeTotals DistRank::swap_boundary_info(std::uint64_t local_moves) {
   std::vector<std::vector<ModuleInfo>> reply(p);
   for (int src = 0; src < p; ++src) {
     reply[src].reserve(partials_in[src].size());
-    for (const ModulePartial& mp : partials_in[src]) {
+    for (const ModuleInfo& mp : partials_in[src]) {
       const ModuleStats& stats = *homed_.find(home_slot(mp.mod_id));
       if (stats.num_members == 0) continue;  // module died this round
       ModuleInfo info;

@@ -15,6 +15,7 @@
 
 #include "comm/counters.hpp"
 #include "comm/fault.hpp"
+#include "core/mapequation.hpp"
 #include "core/seq_infomap.hpp"
 #include "graph/csr.hpp"
 #include "graph/graph_view.hpp"
@@ -49,10 +50,8 @@ inline constexpr int kAsyncMaxLag = 4;
 /// Stop rules of the level and round loops, and the sync round's sub-round
 /// count. The run report echoes them under the config keys theta,
 /// max_levels, max_rounds, round_theta, min_rounds, move_epsilon and
-/// sub_rounds.
-/// Outer improvement threshold θ: stage 2 stops once a level improves L by
-/// less than this.
-inline constexpr double kTheta = 1e-10;
+/// sub_rounds. θ (kTheta: stage 2 stops once a level improves L by less) and
+/// kMoveEpsilon are shared with the sequential engines (core/mapequation.hpp).
 inline constexpr int kMaxLevels = 16;  ///< stage-2 merge levels
 inline constexpr int kMaxRounds = 64;  ///< synchronous rounds per level
 /// A level's rounds also stop once a full round improves L by less than
@@ -60,8 +59,6 @@ inline constexpr int kMaxRounds = 64;  ///< synchronous rounds per level
 /// vanishing gains forever without reaching exactly zero moves.
 inline constexpr double kRoundTheta = 1e-7;
 inline constexpr int kMinRounds = 4;
-/// A move must lower L by more than this to count as improving.
-inline constexpr double kMoveEpsilon = 1e-14;
 /// Sync sub-rounds: a vertex with a neighbour on another rank (a "split"
 /// vertex, hubs included) is evaluated in a sync round only when a seeded
 /// hash of (seed, level, round, vertex) falls in that round's class, one of

@@ -386,7 +386,7 @@ class DistRank {
   };
   util::SparseAccumulator<ModuleId, NeighborFlow> nbflow_;
   /// Reusable per-module partial-stat scratch for swap_boundary_info.
-  util::SparseAccumulator<ModuleId, ModulePartial> partial_acc_;
+  util::SparseAccumulator<ModuleId, ModuleInfo> partial_acc_;
   PlogpMemo memo_;
 
   // ---- event clock state (cfg_.async; empty otherwise) -------------------

@@ -255,6 +255,11 @@ bool Hierarchy::validate(const FlowGraph& fg) const {
 // Recursive search
 // ---------------------------------------------------------------------------
 
+namespace {
+constexpr int kMaxDepth = 4;  ///< recursion limit below the root
+constexpr VertexId kMinModuleSize = 8;  ///< smaller modules are not split
+}  // namespace
+
 HierInfomapResult hierarchical_infomap(const graph::Csr& graph,
                                        const HierInfomapConfig& config) {
   const FlowGraph fg = make_flow_graph(graph);
@@ -272,9 +277,9 @@ HierInfomapResult hierarchical_infomap(const graph::Csr& graph,
   while (!queue.empty()) {
     const auto [node, node_depth] = queue.front();
     queue.pop_front();
-    if (node_depth >= config.max_depth) continue;
+    if (node_depth >= kMaxDepth) continue;
     const auto& leaves = result.hierarchy.nodes()[node].leaves;
-    if (leaves.size() < config.min_module_size) continue;
+    if (leaves.size() < kMinModuleSize) continue;
 
     // Induced subnetwork over this module's vertices, weights = flows.
     std::unordered_map<VertexId, VertexId> local;
@@ -311,7 +316,7 @@ HierInfomapResult hierarchical_infomap(const graph::Csr& graph,
   // Upward pass: group the current top modules into super-modules while it
   // pays. The coarse module graph keeps its carried node/self flows, so the
   // grouping search runs on cluster_flow_graph, not on a re-normalized CSR.
-  for (int iter = 0; iter < config.max_depth; ++iter) {
+  for (int iter = 0; iter < kMaxDepth; ++iter) {
     const auto& top = result.hierarchy.nodes()[0].children;
     if (top.size() <= 2) break;
     // vertex → index of its depth-1 ancestor within root.children order.

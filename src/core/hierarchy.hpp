@@ -79,10 +79,11 @@ class Hierarchy {
   std::vector<Node> nodes_;  // nodes_[0] is the root
 };
 
+/// The search recurses at most 4 levels below the root and does not try to
+/// split modules of fewer than 8 vertices; the upward grouping pass runs at
+/// most 4 times.
 struct HierInfomapConfig {
-  InfomapConfig two_level;        ///< search config reused at every level
-  int max_depth = 4;              ///< recursion limit below the root
-  graph::VertexId min_module_size = 8;  ///< do not try to split smaller modules
+  InfomapConfig two_level;  ///< search config reused at every level
 };
 
 struct HierInfomapResult {

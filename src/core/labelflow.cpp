@@ -8,6 +8,7 @@
 #include "comm/runtime.hpp"
 #include "core/coarsen.hpp"
 #include "core/flowgraph.hpp"
+#include "core/mapequation.hpp"
 #include "core/seq_infomap.hpp"
 #include "util/check.hpp"
 #include "util/mutex.hpp"
@@ -21,6 +22,9 @@ using graph::VertexId;
 
 namespace {
 
+constexpr int kLabelFlowMaxRounds = 64;  ///< per level
+constexpr int kLabelFlowMaxLevels = 8;
+
 /// (vertex, label) wire record for boundary exchange.
 struct LabelUpdate {
   VertexId vertex;
@@ -32,11 +36,9 @@ struct LabelUpdate {
 /// all mutable state is rank-local and exchanged through comm.
 class LpaRank {
  public:
-  LpaRank(comm::Comm& comm, const Csr& graph, int max_rounds,
-          std::uint64_t seed)
+  LpaRank(comm::Comm& comm, const Csr& graph, std::uint64_t seed)
       : comm_(comm),
         graph_(graph),
-        max_rounds_(max_rounds),
         rng_(util::derive_seed(seed, static_cast<std::uint64_t>(comm.rank()))) {
     const int p = comm_.size();
     const int r = comm_.rank();
@@ -73,7 +75,7 @@ class LpaRank {
 
   void run() {
     const int p = comm_.size();
-    for (rounds_ = 0; rounds_ < max_rounds_; ++rounds_) {
+    for (rounds_ = 0; rounds_ < kLabelFlowMaxRounds; ++rounds_) {
       std::uint64_t changes = 0;
       std::unordered_map<VertexId, double> weight_to;
       std::vector<LabelUpdate> changed;
@@ -103,12 +105,12 @@ class LpaRank {
         VertexId best = current;
         const auto cur_it = weight_to.find(current);
         const double cur_w = cur_it != weight_to.end() ? cur_it->second : 0.0;
-        if (cur_w < best_w - 1e-15) {
+        if (cur_w < best_w - kTieBand) {
           std::vector<VertexId> winners;
           // dlint:allow(unordered-iter): winners are sorted below before the
           // seeded pick, so collection order cannot escape.
           for (const auto& [lbl, w] : weight_to)
-            if (w > best_w - 1e-15) winners.push_back(lbl);
+            if (w > best_w - kTieBand) winners.push_back(lbl);
           std::sort(winners.begin(), winners.end());
           best = winners[rng_.bounded(winners.size())];
         }
@@ -139,7 +141,6 @@ class LpaRank {
  private:
   comm::Comm& comm_;
   const Csr& graph_;
-  int max_rounds_;
   std::vector<VertexId> owned_;
   std::unordered_map<VertexId, VertexId> labels_;  // owned + ghosts
   std::vector<std::vector<VertexId>> subscribers_;
@@ -163,13 +164,13 @@ LabelFlowResult distributed_labelflow(const graph::Csr& graph, int num_ranks,
 
   const FlowGraph level0 = level;  // keep for final scoring
 
-  for (int lv = 0; lv < config.max_levels; ++lv) {
+  for (int lv = 0; lv < kLabelFlowMaxLevels; ++lv) {
     std::vector<VertexId> final_labels(level.num_vertices());
     util::Mutex sink_mutex;
     int level_rounds = 0;
 
     auto report = comm::Runtime::run(num_ranks, [&](comm::Comm& comm) {
-      LpaRank rank(comm, level.csr, config.max_rounds_per_level,
+      LpaRank rank(comm, level.csr,
                    config.seed + static_cast<std::uint64_t>(lv) * 1000003);
       rank.setup_subscriptions();
       rank.run();

@@ -19,9 +19,7 @@
 namespace dinfomap::core {
 
 struct LabelFlowConfig {
-  int max_rounds_per_level = 64;
-  int max_levels = 8;
-  std::uint64_t seed = 42;
+  std::uint64_t seed = 42;  ///< tie-break draws, per rank and level
 };
 
 struct LabelFlowResult {

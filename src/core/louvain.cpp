@@ -5,6 +5,7 @@
 
 #include "core/coarsen.hpp"
 #include "core/flowgraph.hpp"
+#include "core/mapequation.hpp"
 #include "util/check.hpp"
 #include "util/random.hpp"
 #include "util/sparse_accumulator.hpp"
@@ -14,6 +15,11 @@ namespace dinfomap::core {
 using graph::VertexId;
 
 namespace {
+
+constexpr double kMinModularityGain = 1e-9;  ///< a move must gain more
+constexpr int kLouvainMaxLevels = 20;
+constexpr int kLouvainMaxPasses = 64;  ///< move passes per level
+
 /// Modularity move pass on a FlowGraph (flows make 2W = 1, simplifying the
 /// gain formula to ΔQ = f(u,c) − p_u·Σtot(c) versus leaving the old module).
 struct LouvainState {
@@ -45,7 +51,7 @@ struct LouvainState {
 /// neighbor community, move it to the best gain in the accumulator's
 /// first-touch (= edge) order. Returns the number of moves.
 std::uint64_t louvain_pass(const FlowGraph& fg, LouvainState& st,
-                           const std::vector<VertexId>& order, double min_gain,
+                           const std::vector<VertexId>& order,
                            util::SparseAccumulator<VertexId, double>& flow_to) {
   if (flow_to.capacity() < fg.num_vertices()) flow_to.reset(fg.num_vertices());
   std::uint64_t moves = 0;
@@ -59,15 +65,15 @@ std::uint64_t louvain_pass(const FlowGraph& fg, LouvainState& st,
     // Gain of moving u from cur to c (2W = 1 in flow units):
     //   ΔQ = 2[f(u,c) − f(u,cur\u)] − 2 p_u [Σtot(c) − (Σtot(cur) − p_u)]
     const double base = f_old - p_u * (st.sigma_tot[cur] - p_u);
-    double best_gain = min_gain;
+    double best_gain = kMinModularityGain;
     VertexId best = cur;
     double best_f = 0;
     for (const VertexId c : flow_to.keys()) {
       if (c == cur) continue;
       const double f = *flow_to.find(c);
       const double gain = 2.0 * ((f - p_u * st.sigma_tot[c]) - base);
-      if (gain > best_gain + 1e-15 ||
-          (gain > best_gain - 1e-15 && best != cur && c < best)) {
+      if (gain > best_gain + kTieBand ||
+          (gain > best_gain - kTieBand && best != cur && c < best)) {
         best_gain = gain;
         best = c;
         best_f = f;
@@ -95,17 +101,16 @@ LouvainResult louvain(const graph::Csr& graph, const LouvainConfig& config) {
 
   util::Xoshiro256 rng(config.seed);
   util::SparseAccumulator<VertexId, double> flow_to;
-  for (int level = 0; level < config.max_levels; ++level) {
+  for (int level = 0; level < kLouvainMaxLevels; ++level) {
     LouvainState st;
     st.init(fg);
     std::vector<VertexId> order(fg.num_vertices());
     std::iota(order.begin(), order.end(), 0);
 
     std::uint64_t total_moves = 0;
-    for (int pass = 0; pass < config.max_inner_passes; ++pass) {
+    for (int pass = 0; pass < kLouvainMaxPasses; ++pass) {
       util::deterministic_shuffle(order, rng);
-      const auto moves = louvain_pass(fg, st, order,
-                                      config.min_modularity_gain, flow_to);
+      const auto moves = louvain_pass(fg, st, order, flow_to);
       total_moves += moves;
       if (moves == 0) break;
     }

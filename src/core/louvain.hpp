@@ -10,10 +10,7 @@
 namespace dinfomap::core {
 
 struct LouvainConfig {
-  double min_modularity_gain = 1e-9;
-  int max_levels = 20;
-  int max_inner_passes = 64;
-  std::uint64_t seed = 42;
+  std::uint64_t seed = 42;  ///< per-pass vertex-order shuffle
 };
 
 struct LouvainResult {

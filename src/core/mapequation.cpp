@@ -53,4 +53,50 @@ MoveOutcome evaluate_move(const MoveDelta& d, PlogpMemo& memo) {
   return evaluate_move_impl(d, memo);
 }
 
+graph::VertexId select_move(MoveScratch& scratch, graph::VertexId cur,
+                            double p_u, double f_u,
+                            const std::vector<ModuleStats>& modules,
+                            double q_total, MoveOutcome& best) {
+  const auto& flow_to = scratch.flow_to;
+  const double f_to_old = flow_to.value_or(cur, 0.0);
+  double best_delta = -kMoveEpsilon;
+  graph::VertexId best_target = cur;
+  for (const graph::VertexId mod : flow_to.keys()) {
+    if (mod == cur) continue;
+    MoveDelta d;
+    d.p_u = p_u;
+    d.f_u = f_u;
+    d.f_to_old = f_to_old;
+    d.f_to_new = *flow_to.find(mod);
+    d.old_stats = modules[cur];
+    d.new_stats = modules[mod];
+    d.q_total = q_total;
+    const MoveOutcome out = evaluate_move(d, scratch.memo);
+    if (better_move(out.delta_codelength, mod, best_delta, best_target)) {
+      best_delta = out.delta_codelength;
+      best_target = mod;
+      best = out;
+    }
+  }
+  return best_target;
+}
+
+void LevelState::apply(graph::VertexId u, graph::VertexId target,
+                       const MoveOutcome& out) {
+  ModuleStats& old_m = modules[module_of[u]];
+  ModuleStats& new_m = modules[target];
+  terms.q_total += out.delta_q_total;
+  terms.sum_plogp_q += plogp(out.old_after.exit_pr) - plogp(old_m.exit_pr) +
+                       plogp(out.new_after.exit_pr) - plogp(new_m.exit_pr);
+  terms.sum_plogp_q_plus_p +=
+      plogp(out.old_after.exit_pr + out.old_after.sum_pr) -
+      plogp(old_m.exit_pr + old_m.sum_pr) +
+      plogp(out.new_after.exit_pr + out.new_after.sum_pr) -
+      plogp(new_m.exit_pr + new_m.sum_pr);
+  if (out.old_after.num_members == 0) --live_modules;
+  old_m = out.old_after;
+  new_m = out.new_after;
+  module_of[u] = target;
+}
+
 }  // namespace dinfomap::core

@@ -13,8 +13,26 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
+#include <vector>
+
+#include "graph/types.hpp"
+#include "util/sparse_accumulator.hpp"
 
 namespace dinfomap::core {
+
+/// Stop rules shared by every Infomap engine, sequential and distributed.
+/// Outer improvement threshold θ (Alg. 1 line 31): the level loop stops once
+/// a level improves L by less than this.
+inline constexpr double kTheta = 1e-10;
+/// A move must lower L by more than this to count as improving.
+inline constexpr double kMoveEpsilon = 1e-14;
+/// Two ΔL (or gains) closer than this are a tie.
+inline constexpr double kTieBand = 1e-15;
+/// Level and move-pass caps of the sequential Infomap engines (sequential,
+/// directed, RelaxMap, and the hierarchical search through sequential).
+inline constexpr int kSeqMaxLevels = 20;
+inline constexpr int kSeqMaxPasses = 64;
 
 /// x·log2(x), continuously extended with plogp(0) = 0.
 inline double plogp(double x) { return x > 1e-300 ? x * std::log2(x) : 0.0; }
@@ -102,5 +120,69 @@ MoveOutcome evaluate_move(const MoveDelta& d);
 /// move search uses. Bit-identical to the plain overload (the memo caches
 /// exact values), which stays as the reference the tests compare against.
 MoveOutcome evaluate_move(const MoveDelta& d, PlogpMemo& memo);
+
+/// The ΔL tie rule of every Infomap move search: a move of ΔL `delta` into
+/// module `mod` beats the best so far when it is lower by more than
+/// kTieBand, or within the band and into a smaller module id.
+inline bool better_move(double delta, graph::VertexId mod, double best_delta,
+                        graph::VertexId best_mod) {
+  return delta < best_delta - kTieBand ||
+         (delta < best_delta + kTieBand && mod < best_mod);
+}
+
+/// Reusable scratch of a move search: u's flow per neighbour module (module
+/// ids are below the level's vertex count) and the plogp memo.
+struct MoveScratch {
+  util::SparseAccumulator<graph::VertexId, double> flow_to;
+  PlogpMemo memo;
+};
+
+/// Candidate selection of the sequential engines: evaluate moving a vertex
+/// from module `cur` into each module of `scratch.flow_to`, in first-touch
+/// order, and keep the best under better_move. The caller gathers flow_to
+/// (each engine its own way); `p_u` and `f_u` are as in MoveDelta, `modules`
+/// is the module table and `q_total` the Σq the ΔL is taken against.
+/// Returns `cur` when no candidate lowers L by more than kMoveEpsilon, else
+/// the target, with its outcome in `best`.
+graph::VertexId select_move(MoveScratch& scratch, graph::VertexId cur,
+                            double p_u, double f_u,
+                            const std::vector<ModuleStats>& modules,
+                            double q_total, MoveOutcome& best);
+
+/// The module table of one level of a sequential engine: each vertex's
+/// module, statistics per module id (ids are the level's vertex ids) and
+/// the incrementally maintained codelength terms.
+struct LevelState {
+  std::vector<graph::VertexId> module_of;
+  std::vector<ModuleStats> modules;
+  CodelengthTerms terms;
+  graph::VertexId live_modules = 0;
+
+  /// Every vertex alone: vertex u in module u with visit rate node_flow[u]
+  /// and exit flow exit_flow(u).
+  template <typename ExitFlow>
+  void init_singletons(const std::vector<double>& node_flow, double node_term,
+                       ExitFlow&& exit_flow) {
+    const auto n = static_cast<graph::VertexId>(node_flow.size());
+    module_of.resize(n);
+    std::iota(module_of.begin(), module_of.end(), 0);
+    modules.assign(n, ModuleStats{});
+    terms = CodelengthTerms{};
+    terms.node_term = node_term;
+    for (graph::VertexId u = 0; u < n; ++u) {
+      ModuleStats& m = modules[u];
+      m.sum_pr = node_flow[u];
+      m.exit_pr = exit_flow(u);
+      m.num_members = 1;
+      terms.q_total += m.exit_pr;
+      terms.sum_plogp_q += plogp(m.exit_pr);
+      terms.sum_plogp_q_plus_p += plogp(m.exit_pr + m.sum_pr);
+    }
+    live_modules = n;
+  }
+
+  /// Move u into `target`, with the statistics `out` evaluated for it.
+  void apply(graph::VertexId u, graph::VertexId target, const MoveOutcome& out);
+};
 
 }  // namespace dinfomap::core

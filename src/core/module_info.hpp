@@ -15,9 +15,12 @@ namespace dinfomap::core {
 /// id does (module_of_, the level maps, the merge's live-id list).
 using ModuleId = graph::VertexId;
 
-/// Whole-module statistics as a module's home replies them: the paper's
-/// List 1 without its isSent flag. One home answers for each module, so a
-/// rank receives every module once and nothing needs deduplicating.
+/// Module statistics on the wire, the paper's List 1 without its isSent
+/// flag, in both directions of SwapBoundaryInfo. Towards a module's home it
+/// is a rank's partial, for exact aggregation (a zero partial doubles as an
+/// "I need this module's info" subscription); back from the home it is the
+/// whole module. One home answers for each module, so a rank receives every
+/// module once and nothing needs deduplicating.
 struct ModuleInfo {
   ModuleId mod_id = 0;           ///< module ID
   std::int32_t num_members = 0;  ///< vertex number in this module
@@ -56,17 +59,6 @@ struct HubFlowRecord {
   ModuleStats stats;
 };
 static_assert(sizeof(HubFlowRecord) == 40);
-
-/// Partial module statistics flowing to the module's home rank for exact
-/// aggregation; a zero partial doubles as an "I need this module's info"
-/// subscription.
-struct ModulePartial {
-  ModuleId mod_id = 0;
-  std::int32_t num_members = 0;
-  double sum_pr = 0;
-  double exit_pr = 0;
-};
-static_assert(sizeof(ModulePartial) == 24);
 
 /// One home's codelength partials over its live modules, plus the sending
 /// rank's move count, carried on SwapBoundaryInfo's reply to every rank.

@@ -61,13 +61,14 @@ struct SharedLevel {
 
 /// One thread's pass over its vertex stripe; returns its move count.
 std::uint64_t stripe_pass(const FlowGraph& fg, SharedLevel& shared,
-                          int thread_id, int num_threads, double eps) {
+                          int thread_id, int num_threads) {
   std::uint64_t moves = 0;
   // Thread-private scratch: one allocation per pass instead of hash-bucket
   // churn per vertex.
-  util::SparseAccumulator<VertexId, double> flow_to(fg.num_vertices());
-  PlogpMemo memo;
+  MoveScratch scratch;
+  auto& flow_to = scratch.flow_to;
   const VertexId n = fg.num_vertices();
+  flow_to.reset(n);
   for (VertexId u = static_cast<VertexId>(thread_id); u < n;
        u += static_cast<VertexId>(num_threads)) {
     const VertexId cur = shared.module_of[u];
@@ -77,29 +78,14 @@ std::uint64_t stripe_pass(const FlowGraph& fg, SharedLevel& shared,
       flow_to[shared.module_of[nb.target]] += nb.weight;  // relaxed read
       f_u += nb.weight;
     }
-    if (flow_to.empty()) continue;
-    const double f_to_old = flow_to.value_or(cur, 0.0);
-
-    double best_delta = -eps;
-    VertexId best = cur;
-    for (const VertexId mod : flow_to.keys()) {
-      if (mod == cur) continue;
-      MoveDelta d;
-      d.p_u = fg.node_flow[u];
-      d.f_u = f_u;
-      d.f_to_old = f_to_old;
-      d.f_to_new = *flow_to.find(mod);
-      d.old_stats = shared.modules[cur];  // relaxed read
-      d.new_stats = shared.modules[mod];
-      d.q_total = shared.q_total_snapshot;
-      const auto out = evaluate_move(d, memo);
-      if (out.delta_codelength < best_delta - 1e-15 ||
-          (out.delta_codelength < best_delta + 1e-15 && mod < best)) {
-        best_delta = out.delta_codelength;
-        best = mod;
-      }
-    }
+    // Module statistics are relaxed reads too; the outcome is re-derived
+    // under the locks below.
+    MoveOutcome unused;
+    const VertexId best =
+        select_move(scratch, cur, fg.node_flow[u], f_u, shared.modules,
+                    shared.q_total_snapshot, unused);
     if (best == cur) continue;
+    const double f_to_old = flow_to.value_or(cur, 0.0);
 
     // Serialize the application on the two modules (id order).
     {
@@ -146,18 +132,18 @@ RelaxMapResult relaxmap(const graph::Csr& graph, const RelaxMapConfig& config) {
   util::ThreadPool pool(config.num_threads);
   std::vector<std::uint64_t> slot_moves(
       static_cast<std::size_t>(pool.num_threads()), 0);
-  for (int level = 0; level < config.max_outer_iterations; ++level) {
+  for (int level = 0; level < kSeqMaxLevels; ++level) {
     SharedLevel shared;
     shared.init(fg);
 
-    for (int pass = 0; pass < config.max_inner_passes; ++pass) {
+    for (int pass = 0; pass < kSeqMaxPasses; ++pass) {
       const int t_count =
           std::min<int>(config.num_threads, static_cast<int>(fg.num_vertices()));
       std::fill(slot_moves.begin(), slot_moves.end(), 0);
       pool.run_slots([&](int slot) {
         if (slot >= t_count) return;
         slot_moves[static_cast<std::size_t>(slot)] =
-            stripe_pass(fg, shared, slot, t_count, config.move_epsilon);
+            stripe_pass(fg, shared, slot, t_count);
       });
       std::uint64_t moves = 0;
       for (const auto m : slot_moves) moves += m;
@@ -175,7 +161,7 @@ RelaxMapResult relaxmap(const graph::Csr& graph, const RelaxMapConfig& config) {
     const double improvement = prev - result.codelength;
     prev = result.codelength;
     if (!merged) break;
-    if (level > 0 && improvement < config.theta) break;
+    if (level > 0 && improvement < kTheta) break;
   }
   result.wall_seconds = wall.seconds();
   return result;

@@ -13,13 +13,10 @@
 
 namespace dinfomap::core {
 
+/// Stop rules: the constants of core/mapequation.hpp, as for sequential.
+/// There is no seed: stripes visit vertices in id order.
 struct RelaxMapConfig {
   int num_threads = 4;
-  double theta = 1e-10;
-  int max_outer_iterations = 20;
-  int max_inner_passes = 64;
-  double move_epsilon = 1e-14;
-  std::uint64_t seed = 42;
 };
 
 struct RelaxMapResult {

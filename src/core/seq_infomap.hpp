@@ -11,25 +11,11 @@
 
 namespace dinfomap::core {
 
+/// The level and pass caps, θ and the move threshold are the constants of
+/// core/mapequation.hpp (kSeqMaxLevels, kSeqMaxPasses, kTheta, kMoveEpsilon).
 struct InfomapConfig {
-  /// Outer-loop improvement threshold θ (Alg. 1 line 31).
-  double theta = 1e-10;
-  int max_outer_iterations = 20;
-  /// Bound on inner move passes per level (Alg. 1 lines 15–23).
-  int max_inner_passes = 64;
-  /// Minimal |ΔL| for a move to count as an improvement.
-  double move_epsilon = 1e-14;
   /// Seed for the per-level vertex-order shuffle (Alg. 1 line 13).
   std::uint64_t seed = 42;
-  /// Single-node fine-tuning (Rosvall's refinement): after the agglomerative
-  /// levels converge, sweep level-0 vertices between the final modules until
-  /// no move improves L. Never worsens the result. Off by default to match
-  /// the paper's Algorithm 1 exactly (the Figs. 4–5 reference).
-  bool fine_tune = false;
-  /// Submodule coarse-tuning (Rosvall's second refinement): split each final
-  /// module into candidate submodules and let whole submodules move between
-  /// modules. Never worsens the result; off by default (see fine_tune).
-  bool coarse_tune = false;
 };
 
 /// One row of the convergence trace (drives Figs. 4 and 5).
@@ -52,13 +38,8 @@ struct InfomapResult {
   std::vector<OuterIterationInfo> trace;
   /// assignment after each outer level: level_assignments[k][v] = module of
   /// level-0 vertex v after level k (coarser as k grows; the last entry
-  /// equals `assignment`, including fine-tuning). Feeds the hierarchical
-  /// .tree writer.
+  /// equals `assignment`). Feeds the hierarchical .tree writer.
   std::vector<graph::Partition> level_assignments;
-  /// Vertices relocated by the fine-tuning sweep (0 when disabled).
-  std::uint64_t fine_tune_moves = 0;
-  /// Submodules relocated by the coarse-tuning sweep (0 when disabled).
-  std::uint64_t coarse_tune_moves = 0;
 
   [[nodiscard]] graph::VertexId num_modules() const {
     graph::VertexId k = 0;

@@ -8,30 +8,19 @@
 #include "core/mapequation.hpp"
 #include "graph/dicsr.hpp"
 #include "quality/metrics.hpp"
+#include "sample_graphs.hpp"
 #include "util/check.hpp"
 #include "util/random.hpp"
 
 namespace dc = dinfomap::core;
 namespace dg = dinfomap::graph;
+using dinfomap::testing::directed_clique_ring;
 
 namespace {
 /// Two directed 3-cycles {0,1,2} and {3,4,5}, weakly coupled 2→3, 5→0.
 dg::DiCsr two_cycles() {
   return dg::DiCsr::from_edges({{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5},
                                 {5, 3}, {2, 3, 0.1}, {5, 0, 0.1}});
-}
-
-/// k directed cliques (all ordered pairs) in a weak ring.
-dg::EdgeList directed_clique_ring(dg::VertexId k, dg::VertexId size) {
-  dg::EdgeList edges;
-  for (dg::VertexId c = 0; c < k; ++c) {
-    const dg::VertexId base = c * size;
-    for (dg::VertexId i = 0; i < size; ++i)
-      for (dg::VertexId j = 0; j < size; ++j)
-        if (i != j) edges.push_back({base + i, base + j, 1.0});
-    edges.push_back({base, ((c + 1) % k) * size, 0.1});
-  }
-  return edges;
 }
 }  // namespace
 

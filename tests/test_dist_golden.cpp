@@ -9,7 +9,6 @@
 
 #include <unistd.h>
 
-#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <exception>
@@ -21,6 +20,7 @@
 
 #include "comm/socket_transport.hpp"
 #include "core/dist_infomap.hpp"
+#include "golden.hpp"
 #include "graph/blockgraph/blockgraph.hpp"
 #include "graph/blockgraph/writer.hpp"
 #include "graph/builder.hpp"
@@ -32,6 +32,10 @@ namespace cm = dinfomap::comm;
 namespace dc = dinfomap::core;
 namespace dg = dinfomap::graph;
 namespace gen = dinfomap::graph::gen;
+using dinfomap::testing::bits;
+using dinfomap::testing::fnv1a;
+using dinfomap::testing::hash_words;
+using dinfomap::testing::kFnvBasis;
 
 namespace {
 
@@ -52,17 +56,6 @@ dc::DistInfomapConfig golden_config(int p, bool async) {
   cfg.degree_threshold = 14;  // delegates the densest community members
   return cfg;
 }
-
-std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
-
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t word) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (word >> (8 * i)) & 0xffu;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
 
 /// One pinned row of DistInfomapResult::trace, floats as bit patterns.
 struct LevelRow {
@@ -88,14 +81,14 @@ struct Fingerprint {
 
 Fingerprint fingerprint(const dc::DistInfomapResult& r) {
   Fingerprint f{bits(r.codelength), bits(r.singleton_codelength), {},
-                r.stage1_round_codelengths.size(), kFnvBasis, kFnvBasis};
+                r.stage1_round_codelengths.size(), kFnvBasis,
+                hash_words(r.assignment)};
   for (const auto& row : r.trace)
     f.levels.push_back({row.level, row.level_vertices, row.num_modules,
                         bits(row.codelength_before), bits(row.codelength_after),
                         row.inner_passes, row.moves});
   for (const double l : r.stage1_round_codelengths)
     f.rounds_hash = fnv1a(f.rounds_hash, bits(l));
-  for (const auto m : r.assignment) f.assignment_hash = fnv1a(f.assignment_hash, m);
   return f;
 }
 

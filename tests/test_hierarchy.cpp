@@ -6,39 +6,19 @@
 #include "core/seq_infomap.hpp"
 #include "graph/builder.hpp"
 #include "graph/gen/generators.hpp"
+#include "sample_graphs.hpp"
 #include "util/check.hpp"
 #include "util/random.hpp"
 
 namespace dc = dinfomap::core;
 namespace dg = dinfomap::graph;
 namespace gen = dinfomap::graph::gen;
+using dinfomap::testing::nested_graph;
 
 namespace {
 dc::FlowGraph two_triangles_flow() {
   return dc::make_flow_graph(dg::build_csr(
       {{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5}, {2, 3}}));
-}
-
-/// Nested structure: 8 groups, each an SBM of 8 dense blocks of 8 vertices.
-/// Hierarchy pays when there are *many* modules (the flat index codebook is
-/// expensive) with locality among them — the regime of Rosvall &
-/// Bergstrom's multilevel paper.
-dg::Csr nested_graph(std::uint64_t seed) {
-  dinfomap::util::Xoshiro256 rng(seed);
-  const dg::VertexId groups = 8, blocks = 8, bs = 8;
-  const dg::VertexId n = groups * blocks * bs;
-  dg::EdgeList edges;
-  auto group_of = [&](dg::VertexId v) { return v / (blocks * bs); };
-  auto block_of = [&](dg::VertexId v) { return v / bs; };
-  for (dg::VertexId u = 0; u < n; ++u) {
-    for (dg::VertexId v = u + 1; v < n; ++v) {
-      double p = 0.002;
-      if (block_of(u) == block_of(v)) p = 0.9;
-      else if (group_of(u) == group_of(v)) p = 0.10;
-      if (rng.uniform() < p) edges.push_back({u, v, 1.0});
-    }
-  }
-  return dg::build_csr(edges, n);
 }
 }  // namespace
 

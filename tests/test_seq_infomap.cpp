@@ -117,67 +117,6 @@ TEST(SeqInfomap, IsolatedVerticesKeepSingletons) {
   EXPECT_NE(result.assignment[3], result.assignment[4]);
 }
 
-TEST(SeqInfomap, RespectsMaxIterations) {
-  const auto gg = gen::lfr_lite({}, 3);
-  const auto g = dg::build_csr(gg.edges, gg.num_vertices);
-  dc::InfomapConfig cfg;
-  cfg.max_outer_iterations = 1;
-  const auto result = dc::sequential_infomap(g, cfg);
-  EXPECT_EQ(result.trace.size(), 1u);
-}
-
-TEST(SeqInfomap, FineTuneNeverWorsens) {
-  for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
-    const auto gg = gen::lfr_lite({}, seed);
-    const auto g = dg::build_csr(gg.edges, gg.num_vertices);
-    dc::InfomapConfig plain;
-    plain.seed = seed;
-    auto tuned_cfg = plain;
-    tuned_cfg.fine_tune = true;
-    const auto plain_result = dc::sequential_infomap(g, plain);
-    const auto tuned = dc::sequential_infomap(g, tuned_cfg);
-    EXPECT_LE(tuned.codelength, plain_result.codelength + 1e-12);
-    // Tuned L must still equal the exact rescoring of its assignment.
-    const auto fg = dc::make_flow_graph(g);
-    EXPECT_NEAR(tuned.codelength,
-                dc::codelength_of_partition(fg, tuned.assignment), 1e-9);
-    // The final level snapshot tracks the tuned assignment.
-    if (!tuned.level_assignments.empty()) {
-      EXPECT_EQ(tuned.level_assignments.back(), tuned.assignment);
-    }
-  }
-}
-
-TEST(SeqInfomap, CoarseTuneNeverWorsens) {
-  for (std::uint64_t seed : {5u, 6u, 7u}) {
-    const auto gg = gen::lfr_lite({}, seed);
-    const auto g = dg::build_csr(gg.edges, gg.num_vertices);
-    dc::InfomapConfig plain;
-    plain.seed = seed;
-    auto tuned_cfg = plain;
-    tuned_cfg.coarse_tune = true;
-    const auto plain_result = dc::sequential_infomap(g, plain);
-    const auto tuned = dc::sequential_infomap(g, tuned_cfg);
-    EXPECT_LE(tuned.codelength, plain_result.codelength + 1e-12);
-    const auto fg = dc::make_flow_graph(g);
-    EXPECT_NEAR(tuned.codelength,
-                dc::codelength_of_partition(fg, tuned.assignment), 1e-9);
-  }
-}
-
-TEST(SeqInfomap, BothRefinementsCompose) {
-  const auto gg = gen::sbm(300, 6, 0.2, 0.02, 9);
-  const auto g = dg::build_csr(gg.edges, gg.num_vertices);
-  dc::InfomapConfig cfg;
-  cfg.fine_tune = true;
-  cfg.coarse_tune = true;
-  const auto result = dc::sequential_infomap(g, cfg);
-  const auto fg = dc::make_flow_graph(g);
-  EXPECT_NEAR(result.codelength,
-              dc::codelength_of_partition(fg, result.assignment), 1e-9);
-  EXPECT_LE(result.codelength, result.singleton_codelength);
-}
-
 class SeqInfomapSeeds : public ::testing::TestWithParam<std::uint64_t> {};
 INSTANTIATE_TEST_SUITE_P(Seeds, SeqInfomapSeeds,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
